@@ -14,7 +14,6 @@ import numpy as np
 
 from .geometry import (
     DirectionSet,
-    GeometryError,
     HalfspaceCone,
     as_vector,
     cone_contains,
@@ -24,7 +23,6 @@ from .lp import LPProblem, lp_feasible
 from .maps import SmoothMap
 
 FEAS_TOL = 1e-8
-TOL = 1e-9
 
 
 class CertifyError(Exception):
@@ -118,19 +116,23 @@ def _violates(d: np.ndarray, K: HalfspaceCone, weak: bool) -> bool:
     return K.contains(-d) and not K.contains(d)  # d in -K \ K
 
 
+def _certified(weak: bool, samples: int) -> CertReport:
+    """A grid certificate; with no feasible sample it is vacuous and says so."""
+    note = "" if samples else "no feasible grid sample"
+    return CertReport("certified_on_grid", weak, samples, note=note)
+
+
 def certify_directional_min(p: Problem, weak: bool = False) -> CertReport:
     """Sample x = xbar + t*ell over the grid and hunt for a violation."""
     xbar = p.x0
     f0 = p.f(xbar)
     dirs = direction_samples(p.L, p.grid.rays_per_level, p.grid.seed)
     samples = 0
-    feasible_seen = False
     for ell in dirs:
         for t in p.grid.t_values():
             x = xbar + t * ell
             if not _feasible(p.constraint, x):
                 continue
-            feasible_seen = True
             samples += 1
             d = p.f(x) - f0
             if not np.all(np.isfinite(d)):
@@ -138,8 +140,7 @@ def certify_directional_min(p: Problem, weak: bool = False) -> CertReport:
             if _violates(d, p.K, weak):
                 return CertReport("refuted", weak, samples,
                                   (tuple(x), tuple(d)))
-    note = "" if feasible_seen else "no feasible grid sample"
-    return CertReport("certified_on_grid", weak, samples, note=note)
+    return _certified(weak, samples)
 
 
 def certify_set_min(M, xbar, K: HalfspaceCone, L: DirectionSet,
@@ -164,7 +165,7 @@ def certify_set_min(M, xbar, K: HalfspaceCone, L: DirectionSet,
             if _violates(d, K, weak):
                 return CertReport("refuted", weak, samples,
                                   (tuple(x), tuple(d)))
-    return CertReport("certified_on_grid", weak, samples)
+    return _certified(weak, samples)
 
 
 @dataclass(frozen=True)
@@ -210,43 +211,19 @@ def check_first_order_necessary(p: Problem, directions) -> dict:
     return {"holds": holds, "checks": checks}
 
 
-def _direction_in_cone_L_rows(lp: LPProblem, L: DirectionSet, v_offset: int,
-                              dim: int, extra_vars: int) -> None:
-    """Constrain the variable block starting at v_offset to cone L."""
-    if L.variant == "full_sphere":
-        return
-    if L.variant == "cone_section":
-        for r in L.section.matrix:
-            row = np.zeros(lp.n)
-            row[v_offset:v_offset + dim] = r
-            lp.add_ge(row, 0.0)
-        return
-    # finite: v = sum gamma_k ell_k with gamma >= 0; gammas are the
-    # trailing extra variables
-    gens = L.matrix
-    for k in range(gens.shape[0]):
-        row = np.zeros(lp.n)
-        row[v_offset + dim + extra_vars + k] = 1.0
-        lp.add_ge(row, 0.0)
-    for i in range(dim):
-        row = np.zeros(lp.n)
-        row[v_offset + i] = 1.0
-        row[v_offset + dim + extra_vars:] = -gens[:, i]
-        lp.add_eq(row, 0.0)
-
-
 def _tangent_plus_K_witness(T_rows: np.ndarray, K: HalfspaceCone,
-                            L: DirectionSet, strict_row: np.ndarray | None,
-                            in_minus_K: bool) -> np.ndarray | None:
-    """Search v in (T + K) cap cone L with the extra sign conditions.
+                            L: DirectionSet, depth) -> np.ndarray | None:
+    """Search v in (T + K) cap cone L with r_i . v <= -depth_i on every
+    row r_i of K.
 
     T is the H-rep tangent cone of M at xbar (rows T_rows, possibly
-    empty = whole space).  Variables: v (dim), s (dim, the T part),
-    then gamma weights for finite L.  v - s must lie in K.
+    empty = whole space).  Variables: v (dim), s (dim, the T part; v - s
+    must lie in K), then nonnegative weights gamma with v = sum gamma_k
+    ell_k for finite L.
     """
     dim = K.dim
-    n_gamma = L.matrix.shape[0] if L.variant == "finite" else 0
-    lp = LPProblem(2 * dim + n_gamma)
+    gens = L.matrix if L.variant == "finite" else np.zeros((0, dim))
+    lp = LPProblem(2 * dim + len(gens), nonneg=range(2 * dim, 2 * dim + len(gens)))
     for r in T_rows:
         row = np.zeros(lp.n)
         row[dim:2 * dim] = r
@@ -256,16 +233,21 @@ def _tangent_plus_K_witness(T_rows: np.ndarray, K: HalfspaceCone,
         row[:dim] = r
         row[dim:2 * dim] = -r
         lp.add_ge(row, 0.0)  # r.(v - s) >= 0
-    _direction_in_cone_L_rows(lp, L, 0, dim, dim)
-    if in_minus_K:
-        for r in K.matrix:
+    if L.variant == "cone_section":
+        for r in L.section.matrix:
             row = np.zeros(lp.n)
-            row[:dim] = -r
-            lp.add_ge(row, 0.0)  # v in -K
-    if strict_row is not None:
+            row[:dim] = r
+            lp.add_ge(row, 0.0)
+    elif L.variant == "finite":
+        for i in range(dim):
+            row = np.zeros(lp.n)
+            row[i] = 1.0
+            row[2 * dim:] = -gens[:, i]
+            lp.add_eq(row, 0.0)  # v = sum gamma_k ell_k
+    for r, d in zip(K.matrix, depth):
         row = np.zeros(lp.n)
-        row[:dim] = -strict_row
-        lp.add_ge(row, 1.0)  # strict_row . v <= -1
+        row[:dim] = -r
+        lp.add_ge(row, d)  # r.v <= -depth
     w = lp_feasible(lp)
     return None if w is None else w[:dim]
 
@@ -278,6 +260,10 @@ def tangent_sufficiency_sets(M, xbar, K: HalfspaceCone, L: DirectionSet,
     with T the active-row cone of M.  Weak condition: it must avoid
     -int K.  Strong condition: its intersection with -K must sit in K.
     Non-polyhedral M is out of scope here (use the sampling certifier).
+
+    Both are cones, so depths scale freely: the weak condition fails iff
+    some v in it has every K row <= -1, the strong one iff for some row j
+    some v has every K row <= 0 and row j <= -1.
     """
     from .sets import PolyhedralSet
 
@@ -287,41 +273,13 @@ def tangent_sufficiency_sets(M, xbar, K: HalfspaceCone, L: DirectionSet,
     if not M.contains(xbar):
         raise CertifyError("reference point is not in the set")
     T_rows = M.active_rows(xbar)
-    if weak:
-        # violated iff some v in (T+K) cap cone L has every K row <= 0
-        # with at least one forced strictly negative; strict interior of
-        # -K means all rows strictly negative, so one LP with all rows
-        # <= -1 suffices (scaling).
-        dim = K.dim
-        n_gamma = L.matrix.shape[0] if L.variant == "finite" else 0
-        lp = LPProblem(2 * dim + n_gamma)
-        for r in T_rows:
-            row = np.zeros(lp.n)
-            row[dim:2 * dim] = r
-            lp.add_ge(row, 0.0)
-        for r in K.matrix:
-            row = np.zeros(lp.n)
-            row[:dim] = r
-            row[dim:2 * dim] = -r
-            lp.add_ge(row, 0.0)
-        _direction_in_cone_L_rows(lp, L, 0, dim, dim)
-        for r in K.matrix:
-            row = np.zeros(lp.n)
-            row[:dim] = -r
-            lp.add_ge(row, 1.0)  # r.v <= -1
-        w = lp_feasible(lp)
-        if w is None:
-            return {"verdict": "sufficient condition met", "weak": True,
-                    "witness": None}
-        return {"verdict": "condition violated, no certificate",
-                "weak": True, "witness": tuple(w[:K.dim])}
-    for j, r in enumerate(K.matrix):
-        w = _tangent_plus_K_witness(T_rows, K, L, strict_row=r,
-                                    in_minus_K=True)
+    nrows = len(K.rows)
+    for depth in [np.ones(nrows)] if weak else np.eye(nrows):
+        w = _tangent_plus_K_witness(T_rows, K, L, depth)
         if w is not None:
             return {"verdict": "condition violated, no certificate",
-                    "weak": False, "witness": tuple(w)}
-    return {"verdict": "sufficient condition met", "weak": False,
+                    "weak": weak, "witness": tuple(w)}
+    return {"verdict": "sufficient condition met", "weak": weak,
             "witness": None}
 
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,12 +26,18 @@ from .certify import (
     check_first_order_necessary,
     openness_falsifier,
 )
+from .expressions import EvaluationError, ExpressionError
 from .gallery import gallery_names, run_example
-from .geometry import DirectionSet, GeometryError, HalfspaceCone, direction_samples
+from .geometry import GeometryError, HalfspaceCone, direction_samples
 from .lp import LPError
 from .mintime import Target, minimal_time
 from .multipliers import fritz_john, kkt_multipliers, stationarity_penalized
-from .scalarize import ScalarizationContext, gerstewitz_subdiff, gerstewitz_value
+from .scalarize import (
+    ScalarizationContext,
+    ScalarizationError,
+    gerstewitz_subdiff,
+    gerstewitz_value,
+)
 from .sets import PolyhedralSet
 from .tangent import TSchedule, tangent_membership_sampled, tangent_polyhedral
 
@@ -54,9 +61,20 @@ def _jsonable(obj):
     return obj
 
 
-def _write_report(out_dir: str, command: str, report: dict) -> str:
+# exit 1 with a single ``error:`` line
+ERRORS = (problemfile.ProblemFileError, CertifyError, GeometryError, LPError,
+          ExpressionError, EvaluationError, ScalarizationError,
+          KeyError, ValueError, OSError)
+
+
+def _out_path(out_dir: str, name: str) -> str:
+    """Path of an output file; the directory is created on first use."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{command}.report.json")
+    return os.path.join(out_dir, name)
+
+
+def _write_report(out_dir: str, command: str, report: dict) -> str:
+    path = _out_path(out_dir, f"{command}.report.json")
     payload = dict(report)
     payload.setdefault("schema_version", problemfile.SCHEMA_VERSION)
     payload["command"] = command
@@ -68,7 +86,7 @@ def _write_report(out_dir: str, command: str, report: dict) -> str:
 
 def _write_points_csv(out_dir: str, command: str, header: list,
                       rows: list) -> str:
-    path = os.path.join(out_dir, f"{command}.points.csv")
+    path = _out_path(out_dir, f"{command}.points.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -79,7 +97,7 @@ def _write_points_csv(out_dir: str, command: str, header: list,
 
 def _write_svg(out_dir: str, command: str, points: list) -> str:
     """Minimal scatter SVG of 2-D sample points (member flag as color)."""
-    path = os.path.join(out_dir, f"{command}.svg")
+    path = _out_path(out_dir, f"{command}.svg")
     size, margin = 400.0, 20.0
     xs = [p[0] for p, _ in points] or [0.0]
     ys = [p[1] for p, _ in points] or [0.0]
@@ -105,20 +123,17 @@ def _write_svg(out_dir: str, command: str, points: list) -> str:
     return path
 
 
-def _grid_from_args(doc, args) -> GridSpec:
-    g = problemfile.parse_grid(doc.get("grid"))
-    return GridSpec(
-        radius=args.radius if args.radius is not None else g.radius,
-        levels=args.levels if args.levels is not None else g.levels,
-        rays_per_level=args.rays if args.rays is not None else g.rays_per_level,
-        seed=args.seed if args.seed is not None else g.seed,
-    )
+def _grid_from_args(base: GridSpec, args) -> GridSpec:
+    """``base`` with the grid flags given on the command line applied."""
+    given = {"radius": args.radius, "levels": args.levels,
+             "rays_per_level": args.rays, "seed": args.seed}
+    return replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_certify(doc, args) -> tuple:
     p = problemfile.parse_problem(doc)
-    grid = _grid_from_args(doc, args)
-    p = type(p)(p.f, p.K, p.L, p.xbar, grid, p.constraint)
+    grid = _grid_from_args(p.grid, args)
+    p = replace(p, grid=grid)
     rep = certify_directional_min(p, weak=args.weak)
     report = {"problem": problemfile.normalize(doc), "report": rep.as_dict()}
     rows = []
@@ -136,7 +151,7 @@ def _cmd_certify_set(doc, args) -> tuple:
     M = problemfile.parse_set(doc["set"])
     K = HalfspaceCone.from_rows(problemfile._floats(doc["K"]))
     L = problemfile.parse_direction_set(doc["L"], M.dim)
-    grid = _grid_from_args(doc, args)
+    grid = _grid_from_args(problemfile.parse_grid(doc.get("grid")), args)
     xbar = np.array([float(c) for c in doc["point"]])
     rep = certify_set_min(M, xbar, K, L, weak=args.weak, grid=grid)
     report = {"set": doc["set"], "report": rep.as_dict()}
@@ -291,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rays", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--norm", choices=["l2", "linf"], default="l2")
-    common.add_argument("--tol", type=float, default=1e-9)
     for name in COMMANDS:
         sub.add_parser(name, parents=[common])
     ex = sub.add_parser("examples")
@@ -305,41 +319,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _examples(args) -> int:
-    if args.action == "list":
-        for name in gallery_names():
-            print(name)
-        return 0
+def _examples(args) -> tuple:
     if not args.name:
-        print("examples run needs a gallery name", file=sys.stderr)
-        return 1
-    grid = None
-    if any(v is not None for v in (args.radius, args.levels, args.rays,
-                                   args.seed)):
-        grid = GridSpec(radius=args.radius or 0.5, levels=args.levels or 21,
-                        rays_per_level=args.rays or 64, seed=args.seed or 0)
+        raise CertifyError("examples run needs a gallery name")
+    grid = _grid_from_args(GridSpec(), args)
     try:
-        report, code = run_example(args.name, grid)
+        return run_example(args.name, grid)
     except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 1
-    path = _write_report(args.out, "examples", report)
-    print(path)
-    return code
+        raise CertifyError(exc.args[0]) from None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "examples":
-        return _examples(args)
+    if args.command == "examples" and args.action == "list":
+        for name in gallery_names():
+            print(name)
+        return 0
     try:
-        doc = problemfile.load(args.problem)
-        report, code = COMMANDS[args.command](doc, args)
-    except (problemfile.ProblemFileError, CertifyError, GeometryError,
-            LPError, KeyError, ValueError, OSError) as exc:
+        if args.command == "examples":
+            report, code = _examples(args)
+        else:
+            doc = problemfile.load(args.problem)
+            report, code = COMMANDS[args.command](doc, args)
+        path = _write_report(args.out, args.command, report)
+    except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    path = _write_report(args.out, args.command, report)
     print(path)
     return code
 

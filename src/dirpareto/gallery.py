@@ -9,15 +9,11 @@ outcome is a refutation, 1 on mismatch).
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
-from .certify import (
-    CertReport,
-    GridSpec,
-    Problem,
-    certify_directional_min,
-    certify_set_min,
-)
+from .certify import GridSpec, Problem, certify_directional_min, certify_set_min
 from .geometry import DirectionSet, HalfspaceCone
 from .maps import builtin, sector_map
 from .sets import cardioid_region, curve_halfplane_set
@@ -46,10 +42,6 @@ def _circle(count: int) -> DirectionSet:
 def _arc(t0: float, t1: float, count: int) -> DirectionSet:
     ang = np.linspace(t0, t1, count)
     return DirectionSet.finite(np.stack([np.cos(ang), np.sin(ang)], axis=1))
-
-
-def _grid(grid: GridSpec | None) -> GridSpec:
-    return grid or GridSpec(radius=0.5, levels=21, rays_per_level=64, seed=0)
 
 
 def _run_certify(name, f, K, L, xbar, expected, grid, weak=False):
@@ -139,13 +131,12 @@ def _entry_cardioid_tangent(grid):
 
 def _entry_set_curve_halfplane(grid):
     M = curve_halfplane_set()
-    g = _grid(grid)
     runs = []
     for name, L, expected in [
         ("L-arc", _arc(np.pi, 1.25 * np.pi, 64), "certified_on_grid"),
         ("L-full-circle", _circle(128), "refuted"),
     ]:
-        rep = certify_set_min(M, (0.0, 0.0), R2_PLUS, L, weak=False, grid=g)
+        rep = certify_set_min(M, (0.0, 0.0), R2_PLUS, L, weak=False, grid=grid)
         runs.append({"run": name, "kind": "certify-set", "expected": expected,
                      "report": rep.as_dict(),
                      "match": rep.verdict == expected})
@@ -178,13 +169,12 @@ def run_example(name: str, grid: GridSpec | None = None):
     if name not in GALLERY:
         raise KeyError(f"unknown gallery entry {name!r}; "
                        f"known: {gallery_names()}")
-    g = _grid(grid)
-    runs, ok_code = GALLERY[name](g)
+    grid = grid or GridSpec()
+    runs, ok_code = GALLERY[name](grid)
     all_match = all(r["match"] for r in runs)
     report = {
         "example": name,
-        "grid": {"radius": g.radius, "levels": g.levels,
-                 "rays_per_level": g.rays_per_level, "seed": g.seed},
+        "grid": asdict(grid),
         "runs": runs,
         "reproduced": all_match,
     }

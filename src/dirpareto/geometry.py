@@ -9,7 +9,7 @@ the representation it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,11 +108,7 @@ class GeneratorCone:
         if self.dim <= 2:
             return self._contains_lowdim(v / nrm, tol)
         gens = self.matrix
-        p = LPProblem(len(self.generators))
-        for j in range(len(self.generators)):
-            e = np.zeros(len(self.generators))
-            e[j] = 1.0
-            p.add_ge(e, 0.0)
+        p = LPProblem(len(gens), nonneg=range(len(gens)))
         for k in range(self.dim):
             p.add_eq(gens[:, k], v[k])
         return lp_feasible(p) is not None
@@ -144,11 +140,6 @@ class GeneratorCone:
               & (cross_gv[:, None] >= -tol)
               & (-cross_gv[None, :] >= -tol))
         return bool(np.any(ok))
-
-
-def contains(cone, v, strict: bool = False, tol: float = TOL) -> bool:
-    """Membership of ``v`` in an H-rep or V-rep cone."""
-    return cone.contains(v, strict=strict, tol=tol)
 
 
 def negative_polar(c: GeneratorCone) -> HalfspaceCone:

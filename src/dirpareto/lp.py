@@ -1,8 +1,15 @@
-"""Small dense linear programming: two-phase simplex with Bland's rule.
+"""Small dense linear programming: a two-phase tableau simplex.
 
 Every LP in this package is tiny (tens of variables), so a plain dense
-tableau is fast enough and easy to audit.  Variables are free reals;
-nonnegativity is expressed with explicit inequality rows.
+tableau is fast enough and easy to audit.  Variables are free reals
+unless the problem lists them in ``nonneg``; only free variables are
+split into ``v+ - v-`` columns.  Each row is divided by its largest
+absolute coefficient before solving, so badly scaled rows do not break
+the tableau.  Feasibility is therefore decided with FEAS_TOL relative to
+each row's largest coefficient: a witness may miss a row by up to that
+coefficient times FEAS_TOL.  A row whose coefficients all lie within
+PIVOT_TOL of zero is round-off (say, a finite-difference gradient at a
+stationary point) and counts as a zero row; it is not blown up to 1.
 """
 
 from __future__ import annotations
@@ -16,12 +23,14 @@ FEAS_TOL = 1e-9
 
 
 class LPError(Exception):
-    """Malformed LP input (inconsistent shapes, non-finite data, unbounded phase 1)."""
+    """Malformed LP input (inconsistent shapes, non-finite data) or a
+    numerical breakdown of the simplex."""
 
 
 @dataclass
 class LPProblem:
-    """min objective . v  subject to  A_ub v >= b_ub  and  A_eq v = b_eq.
+    """min objective . v  subject to  A_ub v >= b_ub,  A_eq v = b_eq  and
+    v_i >= 0 for every index i in ``nonneg``.
 
     ``objective`` may be None for a pure feasibility problem.
     """
@@ -30,6 +39,12 @@ class LPProblem:
     a_ub: list = field(default_factory=list)   # rows (coef vector, rhs)
     a_eq: list = field(default_factory=list)
     objective: np.ndarray | None = None
+    nonneg: tuple = ()
+
+    def __post_init__(self):
+        self.nonneg = tuple(sorted({int(i) for i in self.nonneg}))
+        if self.nonneg and not (0 <= self.nonneg[0] and self.nonneg[-1] < self.n):
+            raise LPError(f"nonneg index out of range for {self.n} variables")
 
     def add_ge(self, coef, rhs):
         coef = np.asarray(coef, dtype=float)
@@ -56,7 +71,13 @@ def _pivot(tab, basis, row, col):
 
 
 def _simplex(tab, basis, cost, ncols):
-    """Minimize cost over the tableau in place; Bland's rule throughout.
+    """Minimize cost over the tableau in place.
+
+    The entering column is the lowest-index improving one (Bland); among
+    rows tied in the ratio test the largest pivot leaves, so that pivots
+    stay well away from round-off.  Both tolerances scale with the
+    entering column.  A run that outlasts any reasonable pivot count has
+    cycled on round-off and raises LPError.
 
     Returns the objective value, or None if unbounded below.
     """
@@ -66,22 +87,21 @@ def _simplex(tab, basis, cost, ncols):
     for i, b in enumerate(basis):
         if abs(cost[b]) > 0.0:
             z -= cost[b] * tab[i, :]
-    while True:
-        enter = -1
-        for j in range(ncols):
-            if z[j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+    for _ in range(50 * (m + ncols)):
+        size = np.maximum(np.max(np.abs(tab[:, :ncols]), axis=0, initial=0.0), 1.0)
+        improving = np.flatnonzero(z[:ncols] < -PIVOT_TOL * size)
+        if improving.size == 0:
             break
+        enter = int(improving[0])
+        tol = PIVOT_TOL * size[enter]
         leave = -1
         best = np.inf
         for i in range(m):
             a = tab[i, enter]
-            if a > PIVOT_TOL:
+            if a > tol:
                 ratio = tab[i, -1] / a
                 if ratio < best - PIVOT_TOL or (
-                    ratio < best + PIVOT_TOL and (leave < 0 or basis[i] < basis[leave])
+                    ratio < best + PIVOT_TOL and (leave < 0 or a > tab[leave, enter])
                 ):
                     best = ratio
                     leave = i
@@ -89,6 +109,8 @@ def _simplex(tab, basis, cost, ncols):
             return None
         _pivot(tab, basis, leave, enter)
         z = z - z[enter] * tab[leave, :]
+    else:
+        raise LPError("simplex cycled: numerical breakdown of the tableau")
     value = 0.0
     for i, b in enumerate(basis):
         value += cost[b] * tab[i, -1]
@@ -103,33 +125,34 @@ def _solve(p: LPProblem):
     n = p.n
     if n < 1:
         raise LPError("LP needs at least one variable")
+    nonneg = set(p.nonneg)
+    free = [j for j in range(n) if j not in nonneg]
+    # columns: v (v+ for the free entries), v- of the free entries, then
+    # one slack per inequality
+    nsplit = n + len(free)
     nslack = len(p.a_ub)
-    ncols = 2 * n + nslack  # v = vp - vn, one slack per inequality
-    rows = []
-    rhs = []
-    si = 0
-    for coef, b in p.a_ub:
-        row = np.zeros(ncols)
-        row[:n] = coef
-        row[n:2 * n] = -coef
-        row[2 * n + si] = -1.0  # coef.v - s = b, s >= 0
-        si += 1
-        rows.append(row)
-        rhs.append(b)
-    for coef, b in p.a_eq:
-        row = np.zeros(ncols)
-        row[:n] = coef
-        row[n:2 * n] = -coef
-        rows.append(row)
-        rhs.append(b)
-    m = len(rows)
+    ncols = nsplit + nslack
+    m = nslack + len(p.a_eq)
     if m == 0:
         witness = np.zeros(n)
         return "feasible", witness
-    A = np.array(rows)
-    b = np.array(rhs, dtype=float)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    coef = np.array([c for c, _ in p.a_ub + p.a_eq])
+    b = np.array([r for _, r in p.a_ub + p.a_eq], dtype=float)
+    if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(b))):
         raise LPError("non-finite LP data")
+    # row equilibration: the structural part of every row gets max-abs 1;
+    # the slack columns stay at -1 (coef.v - s = b, s >= 0).  Rows of
+    # round-off become zero rows and keep their rhs unscaled.
+    scale = np.max(np.abs(coef), axis=1)
+    noise = scale <= PIVOT_TOL
+    coef[noise] = 0.0
+    scale[noise] = 1.0
+    coef /= scale[:, None]
+    b /= scale
+    A = np.zeros((m, ncols))
+    A[:, :n] = coef
+    A[:, n:nsplit] = -coef[:, free]
+    A[np.arange(nslack), nsplit + np.arange(nslack)] = -1.0
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
@@ -141,7 +164,8 @@ def _solve(p: LPProblem):
     cost1[ncols:] = 1.0
     val = _simplex(tab, basis, cost1, ncols + m)
     if val is None:
-        raise LPError("phase-1 unbounded: malformed input")
+        # phase 1 is bounded below by 0: only round-off can get here
+        raise LPError("phase-1 unbounded: numerical breakdown of the simplex")
     if val > FEAS_TOL:
         return "infeasible", None
     # drive artificials out of the basis where possible
@@ -161,7 +185,7 @@ def _solve(p: LPProblem):
     if p.objective is not None:
         cost2 = np.zeros(ncols)
         cost2[:n] = p.objective
-        cost2[n:2 * n] = -p.objective
+        cost2[n:nsplit] = -np.asarray(p.objective, dtype=float)[free]
         val2 = _simplex(tab, basis, cost2, ncols)
         if val2 is None:
             return "unbounded", None
@@ -169,7 +193,8 @@ def _solve(p: LPProblem):
     x = np.zeros(ncols)
     for i, bi in enumerate(basis):
         x[bi] = tab[i, -1]
-    witness = x[:n] - x[n:2 * n]
+    witness = x[:n].copy()
+    witness[free] -= x[n:nsplit]
     return "feasible", witness
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import FEAS_TOL, CertifyError, IneqEq, Problem
-from .geometry import DirectionSet, GeometryError, HalfspaceCone, as_vector
-from .lp import LPError, LPProblem, lp_feasible, lp_minimize  # noqa: F401
+from .certify import CertifyError, IneqEq, Problem
+from .geometry import DirectionSet, HalfspaceCone, as_vector
+from .lp import LPProblem, lp_feasible
 from .maps import SmoothMap
 from .sets import PolyhedralSet
 
@@ -61,11 +61,7 @@ def fritz_john(p: Problem, g: SmoothMap | None = None,
         jg = None
         q_rows = np.zeros((0, 0))
         ns = 0
-    lp = LPProblem(nw + ns)
-    for i in range(nw + ns):
-        e = np.zeros(nw + ns)
-        e[i] = 1.0
-        lp.add_ge(e, 0.0)
+    lp = LPProblem(nw + ns, nonneg=range(nw + ns))
     # (y* o grad f + z* o grad g)(ell_k) >= 0
     for ell in gens:
         row = np.empty(nw + ns)
@@ -105,11 +101,7 @@ def kkt_multipliers(p: Problem, e) -> MultiplierCert | None:
     grads_nu = [n.jacobian(xbar)[0] for n in con.nu]
 
     # variables: w (nw, >=0), lambda (nmu, >=0), tau (nnu, free)
-    lp = LPProblem(nw + nmu + nnu)
-    for i in range(nw + nmu):
-        row = np.zeros(lp.n)
-        row[i] = 1.0
-        lp.add_ge(row, 0.0)
+    lp = LPProblem(nw + nmu + nnu, nonneg=range(nw + nmu))
     for i, act in enumerate(active):
         if not act:                            # complementarity: lambda_i = 0
             row = np.zeros(lp.n)
@@ -210,6 +202,33 @@ def _normal_cone_rows(A: PolyhedralSet, xbar) -> np.ndarray:
     return -A.active_rows(xbar)
 
 
+def _normal_plus_polar_lp(target, normal_gens, gens_L, lead=None,
+                          extra: int = 0) -> LPProblem:
+    """LP pinning lead @ w + n + q = target with n in N(A, xbar) and q in
+    the negative polar of cone L.
+
+    Variables: w (lead's columns, >= 0; absent without ``lead``), the N
+    weights (>= 0, n = normal_gens^T weights), q (q . ell <= 0 on every
+    generator ell), then ``extra`` free variables for the caller's rows.
+    """
+    dim = len(target)
+    lead = np.zeros((dim, 0)) if lead is None else lead
+    nw = lead.shape[1]
+    m = normal_gens.shape[0]
+    lp = LPProblem(nw + m + dim + extra, nonneg=range(nw + m))
+    for ell in gens_L:
+        row = np.zeros(lp.n)
+        row[nw + m:nw + m + dim] = -ell
+        lp.add_ge(row, 0.0)
+    for k in range(dim):
+        row = np.zeros(lp.n)
+        row[:nw] = lead[k]
+        row[nw:nw + m] = normal_gens[:, k]
+        row[nw + m + k] = 1.0
+        lp.add_eq(row, float(target[k]))
+    return lp
+
+
 def stationarity_penalized(f: SmoothMap, A: PolyhedralSet, xbar,
                            L: DirectionSet, vector_mode: dict | None = None):
     """Penalized stationarity via LP decomposition.
@@ -225,36 +244,13 @@ def stationarity_penalized(f: SmoothMap, A: PolyhedralSet, xbar,
         raise CertifyError("reference point is not in A")
     gens_L = _cone_generators(L)
     normal_gens = _normal_cone_rows(A, xbar)
+    m = normal_gens.shape[0]
     dim = f.dim_in
-
-    def decompose(target: np.ndarray, lp: LPProblem, offset: int):
-        """Rows pinning target = N-part + L^- part, with the N weights
-        as variables [offset, offset+m) and the L^- part q as variables
-        [offset+m, offset+m+dim) constrained by q . ell_k <= 0."""
-        m = normal_gens.shape[0]
-        for i in range(m):
-            row = np.zeros(lp.n)
-            row[offset + i] = 1.0
-            lp.add_ge(row, 0.0)
-        for ell in gens_L:
-            row = np.zeros(lp.n)
-            row[offset + m:offset + m + dim] = -ell
-            lp.add_ge(row, 0.0)
-        for k in range(dim):
-            row = np.zeros(lp.n)
-            if m:
-                row[offset:offset + m] = normal_gens[:, k]
-            row[offset + m + k] = 1.0
-            lp.add_eq(row, float(target[k]))
-        return m
 
     if vector_mode is None:
         if f.dim_out != 1:
             raise CertifyError("scalar mode needs a scalar objective")
-        target = -f.jacobian(xbar)[0]
-        m = normal_gens.shape[0]
-        lp = LPProblem(m + dim)
-        decompose(target, lp, 0)
+        lp = _normal_plus_polar_lp(-f.jacobian(xbar)[0], normal_gens, gens_L)
         w = lp_feasible(lp)
         if w is None:
             return None
@@ -269,33 +265,14 @@ def stationarity_penalized(f: SmoothMap, A: PolyhedralSet, xbar,
     a_rows = K.matrix
     nw = a_rows.shape[0]
     jf = f.jacobian(xbar)
-    m = normal_gens.shape[0]
-    # variables: w (nw), normal weights (m), q (dim), u (dim, u >= |x*|)
-    lp = LPProblem(nw + m + dim + dim)
-    for i in range(nw):
-        row = np.zeros(lp.n)
-        row[i] = 1.0
-        lp.add_ge(row, 0.0)
+    # variables: w (nw), normal weights (m), q (dim), u (dim, u >= |x*|);
+    # x* + n + q = 0 where x* = jf^T A^T w
+    coef = (jf.T @ a_rows.T)                   # dim x nw; x* = coef @ w
+    lp = _normal_plus_polar_lp(np.zeros(dim), normal_gens, gens_L,
+                               lead=coef, extra=dim)
     row = np.zeros(lp.n)
     row[:nw] = a_rows @ e
     lp.add_eq(row, 1.0)
-    # -x* = n + q where x* = jf^T A^T w
-    coef = (jf.T @ a_rows.T)                   # dim x nw; x* = coef @ w
-    for i in range(m):
-        row = np.zeros(lp.n)
-        row[nw + i] = 1.0
-        lp.add_ge(row, 0.0)
-    for ell in gens_L:
-        row = np.zeros(lp.n)
-        row[nw + m:nw + m + dim] = -ell
-        lp.add_ge(row, 0.0)
-    for k in range(dim):
-        row = np.zeros(lp.n)
-        row[:nw] = -coef[k]
-        if m:
-            row[nw:nw + m] = -normal_gens[:, k]
-        row[nw + m + k] = -1.0
-        lp.add_eq(row, 0.0)                    # -x*_k - n_k - q_k = 0
     # u_k >= |x*_k| and sum u <= lip * y*(e) = lip
     for k in range(dim):
         row = np.zeros(lp.n)

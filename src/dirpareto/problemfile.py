@@ -8,6 +8,7 @@ equivalent normalized document, so round-trips are stable.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -87,14 +88,16 @@ def parse_set(spec):
     raise ProblemFileError("set must give 'polyhedron' or 'named'")
 
 
+_GRID_FIELDS = {"radius": float, "levels": int, "rays_per_level": int, "seed": int}
+
+
 def parse_grid(spec) -> GridSpec:
-    spec = spec or {}
-    return GridSpec(
-        radius=float(spec.get("radius", 0.5)),
-        levels=int(spec.get("levels", 21)),
-        rays_per_level=int(spec.get("rays_per_level", 64)),
-        seed=int(spec.get("seed", 0)),
-    )
+    """Grid from the file; fields it leaves out keep GridSpec's defaults."""
+    spec = {} if spec is None else spec
+    if not isinstance(spec, dict):
+        raise ProblemFileError("grid must be an object")
+    return GridSpec(**{k: cast(spec[k]) for k, cast in _GRID_FIELDS.items()
+                       if k in spec})
 
 
 def parse_constraint(spec, dim_in: int):
@@ -131,7 +134,7 @@ def normalize(doc: dict) -> dict:
     parse(normalize(doc)) and parse(doc) build equivalent problems, and
     normalize is idempotent.
     """
-    parse_problem(doc)  # validate first
+    p = parse_problem(doc)  # validates; L, point and grid are read from it
     out = {"schema_version": SCHEMA_VERSION, "dim_in": int(doc["dim_in"])}
     obj = doc["objective"]
     if "builtin" in obj:
@@ -141,21 +144,14 @@ def normalize(doc: dict) -> dict:
     else:
         out["objective"] = {"expressions": list(obj["expressions"])}
     out["K"] = _floats(doc["K"])
-    L = doc["L"]
-    if "finite" in L:
-        vecs = np.array(_floats(L["finite"]))
-        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-        out["L"] = {"finite": vecs.tolist()}
-    elif "cone_section" in L:
-        out["L"] = {"cone_section": _floats(L["cone_section"])}
+    if p.L.variant == "finite":
+        out["L"] = {"finite": p.L.matrix.tolist()}
+    elif p.L.variant == "cone_section":
+        out["L"] = {"cone_section": p.L.section.matrix.tolist()}
     else:
         out["L"] = {"full_sphere": True}
-    out["point"] = [float(c) for c in doc["point"]]
-    g = doc.get("grid") or {}
-    out["grid"] = {"radius": float(g.get("radius", 0.5)),
-                   "levels": int(g.get("levels", 21)),
-                   "rays_per_level": int(g.get("rays_per_level", 64)),
-                   "seed": int(g.get("seed", 0))}
+    out["point"] = list(p.xbar)
+    out["grid"] = asdict(p.grid)
     con = doc.get("constraint")
     if con is None:
         out["constraint"] = None

@@ -10,10 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HalfspaceCone, as_vector
+from .geometry import GeneratorCone, HalfspaceCone, as_vector
 from .lp import LPProblem, lp_feasible
-
-TOL = 1e-9
 
 
 class ScalarizationError(Exception):
@@ -58,16 +56,7 @@ class SubdiffCert:
         if abs(float(np.dot(vstar, self.u)) - self.value) > tol:
             return False
         # v* in K+ = cone generated by the rows of K (full-dimensional K)
-        rows = self.K.matrix
-        m = rows.shape[0]
-        p = LPProblem(m)
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            p.add_ge(e, 0.0)
-        for k in range(self.K.dim):
-            p.add_eq(rows[:, k], vstar[k])
-        return lp_feasible(p) is not None
+        return GeneratorCone(self.K.dim, self.K.rows).contains(vstar)
 
 
 def gerstewitz_value(ctx: ScalarizationContext, y) -> float:
@@ -84,11 +73,7 @@ def gerstewitz_subdiff(ctx: ScalarizationContext, u) -> SubdiffCert:
     s = gerstewitz_value(ctx, u)
     rows = ctx.K.matrix
     m = rows.shape[0]
-    p = LPProblem(m)
-    for j in range(m):
-        ej = np.zeros(m)
-        ej[j] = 1.0
-        p.add_ge(ej, 0.0)
+    p = LPProblem(m, nonneg=range(m))
     p.add_eq(rows @ ctx.evec, 1.0)
     p.add_eq(rows @ u, s)
     w = lp_feasible(p)

@@ -116,6 +116,19 @@ def test_constraint_restricts_samples():
     assert "no feasible grid sample" in cert.note
 
 
+def test_vacuous_set_certificate_says_so():
+    # no direction of L enters the closed lower-left quadrant M
+    M = PolyhedralSet.from_rows([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
+    L = DirectionSet.finite([(1.0, 0.0), (0.0, 1.0)])
+    cert = certify_set_min(M, (0.0, 0.0), R2_PLUS, L)
+    assert cert.verdict == "certified_on_grid"
+    assert cert.samples == 0
+    assert "no feasible grid sample" in cert.note
+    refu = certify_set_min(M, (0.0, 0.0), R2_PLUS,
+                           DirectionSet.finite([(-1.0, 0.0)]))
+    assert refu.verdict == "refuted" and refu.note == ""
+
+
 # ---------------------------------------------------------------------------
 # gallery-level invariants
 

@@ -121,6 +121,40 @@ def test_exit_1_on_malformed_problem(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("certify", dict(SADDLE_DOC, dim_in=1, L={"finite": [[1.0]]}, point=[0.0],
+                     objective={"expressions": ["x0 +* 2"]})),
+    ("certify", dict(SADDLE_DOC, dim_in=1, L={"finite": [[1.0]]}, point=[0.0],
+                     objective={"expressions": ["1/x0"]})),
+    ("gerstewitz", {"K": [[1.0, 0.0], [0.0, 1.0]], "e": [1.0, -1.0],
+                    "y": [3.0, -1.0]}),
+    ("certify", dict(SADDLE_DOC, grid=[9, 8])),
+    ("certify", dict(SADDLE_DOC, grid=[])),
+], ids=["bad-expression", "evaluation-error", "e-outside-int-K",
+        "grid-not-object", "grid-empty-list"])
+def test_exit_1_single_error_line(tmp_path, capsys, command, doc):
+    path = _write(tmp_path, doc)
+    code = main([command, "--problem", path, "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("certify", SADDLE_DOC),
+    ("certify-set", {"set": {"polyhedron": {"rows": [[1, 0], [0, 1]],
+                                            "offsets": [0, 0]}},
+                     "K": [[1.0, 0.0], [0.0, 1.0]], "L": {"full_sphere": True},
+                     "point": [0.0, 0.0],
+                     "grid": {"levels": 5, "rays_per_level": 16}}),
+])
+def test_new_out_directory_is_created(tmp_path, command, doc):
+    path = _write(tmp_path, doc)
+    out = tmp_path / "new" / "reports"
+    assert main([command, "--problem", path, "--out", str(out)]) == 0
+    assert (out / f"{command}.report.json").is_file()
+
+
 def test_grid_flags_override_file(tmp_path):
     path = _write(tmp_path, SADDLE_DOC)
     code = main(["certify", "--problem", path, "--out", str(tmp_path),
@@ -222,3 +256,14 @@ def test_examples_run_exit_codes(tmp_path):
                  "--out", str(tmp_path)] + small) == 2
     assert main(["examples", "run", "no-such-example",
                  "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("flags", [["--levels", "0"], ["--levels", "-1"],
+                                   ["--radius", "0"], ["--rays", "0"]])
+def test_examples_run_rejects_bad_grid_flags(tmp_path, capsys, flags):
+    code = main(["examples", "run", "saddle-x2-y2", "--out", str(tmp_path)]
+                + flags)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "examples.report.json").exists()

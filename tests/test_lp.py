@@ -87,6 +87,69 @@ def test_non_finite_data():
         lp_feasible(p)
 
 
+def test_nonneg_variables_need_no_rows():
+    p = LPProblem(2, nonneg=[1])
+    p.add_eq([1.0, 1.0], -1.0)
+    p.add_le([0.0, 1.0], 2.0)
+    p.objective = np.array([0.0, -1.0])
+    val, arg = lp_minimize(p)
+    assert val == pytest.approx(-2.0, abs=1e-9)
+    assert arg == pytest.approx([-3.0, 2.0], abs=1e-9)
+    q = LPProblem(1, nonneg=[0])
+    q.add_le([1.0], -1.0)
+    assert lp_feasible(q) is None
+
+
+def test_round_off_row_is_a_zero_row():
+    # -1e-12 w >= 0 is round-off: scaling it to -w >= 0 would make
+    # w >= 0, sum w = 1 infeasible
+    p = LPProblem(2, nonneg=[0, 1])
+    p.add_ge([-1e-12, -1e-13], 0.0)
+    p.add_eq([1.0, 1.0], 1.0)
+    assert lp_feasible(p) is not None
+    q = LPProblem(1)
+    q.add_ge([1e-12], 1.0)
+    assert lp_feasible(q) is None
+
+
+def test_degenerate_lp_with_near_parallel_columns():
+    # vector-mode penalized stationarity: variables w (2, >= 0), normal
+    # weights (2, >= 0), q (4), u (4).  The two w columns are parallel up
+    # to round-off, and with ties broken by lowest basis index the simplex
+    # cycled here forever.  HiGHS finds the LP infeasible.
+    coef = np.array([[170.22472988282533, 0.0027775128867845605],
+                     [-55.44926148522998, -0.0007967634732560892],
+                     [-363.85209180899545, -0.006007268886308712],
+                     [68.45735719021683, 0.0019466980477280541]])
+    normal = np.array([[0.09761377322793167, -3.6414034700307427],
+                       [2.077643247629091, 0.9391557124046472],
+                       [-4.3505254879282385, 1.8812771428390835],
+                       [1.7752356809733287, -3.172874863103619]])
+    polar = np.array([
+        [-0.3697971156158635, 0.6826361091098743, -0.09469820518964406, -0.6231294293767384],
+        [-0.3567331487550996, 0.8279568794907087, 0.07379658678864759, 0.42636009435877725],
+        [-0.0951130563713032, 0.22040736530884775, 0.0700365443142032, -0.9682298189406512],
+        [-0.2599486460893632, 0.49587798656228593, -0.5380962806383922, 0.6300667556714674],
+        [0.047092601704430505, -0.44031562963861476, 0.7889519834763289, -0.4259802823246921],
+        [0.7416589531007438, 0.15762636524160217, -0.10063048112859825, 0.6441812109446041]])
+    p = LPProblem(12, nonneg=range(4))
+    for r in polar:
+        p.add_ge(np.r_[np.zeros(4), r, np.zeros(4)], 0.0)
+    for k in range(4):
+        for sign in (-1.0, 1.0):
+            p.add_ge(np.r_[sign * coef[k], np.zeros(6), np.eye(4)[k]], 0.0)
+    p.add_ge(np.r_[np.zeros(8), -np.ones(4)], -1.9801470151622023)
+    for k in range(4):
+        p.add_eq(np.r_[coef[k], normal[k], np.eye(4)[k], np.zeros(4)], 0.0)
+    p.add_eq(np.r_[192.17538173313355, 0.0036289368404655515, np.zeros(10)], 1.0)
+    assert lp_feasible(p) is None
+
+
+def test_nonneg_index_out_of_range():
+    with pytest.raises(LPError):
+        LPProblem(2, nonneg=[2])
+
+
 def test_witness_actually_satisfies_random_instances():
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -135,3 +198,42 @@ def test_feasibility_matches_rational_oracle_500():
         if ours != exact:
             disagreements += 1
     assert disagreements == 0
+
+
+@pytest.mark.parametrize("decades", [3, 6, 9])
+def test_badly_scaled_rows_match_highs(decades):
+    """300 random LPs (n = 2..6, some variables nonnegative) with every row
+    multiplied by a factor spread over 10^+-decades: verdicts equal HiGHS
+    on the unscaled rows and witnesses satisfy the unscaled rows."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(decades)
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        nonneg = [j for j in range(n) if rng.random() < 0.5]
+        a_ge = rng.standard_normal((int(rng.integers(1, 2 * n + 1)), n))
+        a_eq = rng.standard_normal((int(rng.integers(0, n)), n))
+        x0 = rng.standard_normal(n)
+        x0[nonneg] = np.abs(x0[nonneg])
+        b_ge = a_ge @ x0 - rng.uniform(0.0, 1.0, len(a_ge))
+        if rng.random() < 0.5:        # often infeasible
+            b_ge = b_ge + rng.uniform(0.0, 3.0, len(a_ge))
+        b_eq = a_eq @ x0
+        p = LPProblem(n, nonneg=nonneg)
+        for a, b in zip(a_ge, b_ge):
+            s = 10.0 ** rng.uniform(-decades, decades)
+            p.add_ge(s * a, s * b)
+        for a, b in zip(a_eq, b_eq):
+            s = 10.0 ** rng.uniform(-decades, decades)
+            p.add_eq(s * a, s * b)
+        bounds = [(0.0, None) if j in nonneg else (None, None) for j in range(n)]
+        ref = linprog(np.zeros(n), A_ub=-a_ge, b_ub=-b_ge,
+                      A_eq=a_eq if len(a_eq) else None,
+                      b_eq=b_eq if len(a_eq) else None,
+                      bounds=bounds, method="highs")
+        assert ref.status in (0, 2)
+        w = lp_feasible(p)
+        assert (w is not None) == (ref.status == 0)
+        if w is not None:
+            assert np.all(a_ge @ w >= b_ge - 1e-6)
+            assert np.all(np.abs(a_eq @ w - b_eq) <= 1e-6)
+            assert np.all(w[nonneg] >= -1e-6)

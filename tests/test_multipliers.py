@@ -17,7 +17,7 @@ from dirpareto.gallery import (
     R_PLUS,
 )
 from dirpareto.geometry import DirectionSet, HalfspaceCone
-from dirpareto.maps import SmoothMap, builtin
+from dirpareto.maps import SmoothMap, builtin, from_expressions
 from dirpareto.multipliers import (
     fritz_john,
     kkt_multipliers,
@@ -87,6 +87,16 @@ def test_fritz_john_refuted_vector_example_none():
 def test_fritz_john_certified_vector_example_exists():
     p = Problem(builtin("vector_2x_x"), K_WEDGE, L_PLUS, (0.0,))
     assert fritz_john(p) is not None
+
+
+def test_multipliers_at_stationary_point_with_finite_difference_gradient():
+    # the finite-difference gradient of x0^3 - x1^3 at 0 is about
+    # (1e-12, -1e-12): round-off, not a descent direction along e2
+    f = from_expressions(["x0^3 - x1^3"], 2)
+    L = DirectionSet.finite([(1.0, 0.0), (0.0, 1.0)])
+    p = Problem(f, R_PLUS, L, (0.0, 0.0))
+    assert fritz_john(p) is not None
+    assert kkt_multipliers(p, e=[1.0]) is not None
 
 
 # ---------------------------------------------------------------------------
