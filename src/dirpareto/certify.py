@@ -222,19 +222,19 @@ def _tangent_plus_K_witness(T_rows: np.ndarray, K: HalfspaceCone,
     ell_k for finite L.
     """
     dim = K.dim
-    gens = L.matrix if L.variant == "finite" else np.zeros((0, dim))
+    gens = L.vectors
     lp = LPProblem(2 * dim + len(gens), nonneg=range(2 * dim, 2 * dim + len(gens)))
     for r in T_rows:
         row = np.zeros(lp.n)
         row[dim:2 * dim] = r
         lp.add_ge(row, 0.0)
-    for r in K.matrix:
+    for r in K.rows:
         row = np.zeros(lp.n)
         row[:dim] = r
         row[dim:2 * dim] = -r
         lp.add_ge(row, 0.0)  # r.(v - s) >= 0
     if L.variant == "cone_section":
-        for r in L.section.matrix:
+        for r in L.section.rows:
             row = np.zeros(lp.n)
             row[:dim] = r
             lp.add_ge(row, 0.0)
@@ -244,7 +244,7 @@ def _tangent_plus_K_witness(T_rows: np.ndarray, K: HalfspaceCone,
             row[i] = 1.0
             row[2 * dim:] = -gens[:, i]
             lp.add_eq(row, 0.0)  # v = sum gamma_k ell_k
-    for r, d in zip(K.matrix, depth):
+    for r, d in zip(K.rows, depth):
         row = np.zeros(lp.n)
         row[:dim] = -r
         lp.add_ge(row, d)  # r.v <= -depth
@@ -312,7 +312,7 @@ def openness_falsifier(f: SmoothMap, xbar, L: DirectionSet, C: DirectionSet,
         missed = []
         for r in rs:
             hit_all = True
-            for c in C.matrix:
+            for c in C.vectors:
                 y = f0 - r * c
                 dist = float(np.min(np.linalg.norm(images - y, axis=1)))
                 if dist > 0.25 * r:

@@ -35,33 +35,55 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+def frozen_array(x, ndim: int) -> np.ndarray:
+    """A read-only float64 copy of ``x`` with ``ndim`` axes and finite entries.
+
+    Geometry objects store their data through this helper once, when they
+    are built, and every query reads that array.  It is read-only because
+    the frozen objects are shared between callers.  An empty ``x`` passes;
+    factories that need data reject it themselves.
+    """
+    try:
+        a = np.array(x, dtype=float)
+    except (TypeError, ValueError):
+        raise GeometryError("expected numbers in vectors of equal length") from None
+    if a.size and a.ndim != ndim:
+        raise GeometryError(f"expected {ndim} axes, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise GeometryError("vector has non-finite entries")
+    a.setflags(write=False)
+    return a
+
+
+def _nonzero_rows(x, what: str) -> np.ndarray:
+    """Rows of x as a frozen (n, dim) array; none may be (near) zero."""
+    rows = frozen_array(x, 2)
+    if rows.size == 0:
+        raise GeometryError(f"{what} needs at least one nonzero vector")
+    if np.any(np.linalg.norm(rows, axis=1) <= UNIT_TOL):
+        raise GeometryError(f"zero vector in {what}")
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
 class HalfspaceCone:
     """Cone {y : a_i . y >= 0 for every row a_i}."""
 
     dim: int
-    rows: tuple = ()
+    rows: np.ndarray
 
     @staticmethod
     def from_rows(rows) -> "HalfspaceCone":
-        mat = [as_vector(r) for r in rows]
-        if not mat:
-            raise GeometryError("H-representation needs at least one row")
-        dim = mat[0].size
-        for r in mat:
-            if r.size != dim:
-                raise GeometryError("inconsistent row dimensions")
-            if np.linalg.norm(r) <= UNIT_TOL:
-                raise GeometryError("zero row in H-representation")
-        return HalfspaceCone(dim, tuple(tuple(r) for r in mat))
+        rows = _nonzero_rows(rows, "H-representation")
+        return HalfspaceCone(rows.shape[1], rows)
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float)
+        return self.rows
 
     def contains(self, v, strict: bool = False, tol: float = TOL) -> bool:
         v = as_vector(v, self.dim)
-        prods = self.matrix @ v
+        prods = self.rows @ v
         if strict:
             return bool(np.all(prods > tol))
         return bool(np.all(prods >= -tol))
@@ -69,82 +91,72 @@ class HalfspaceCone:
     def interior_point(self) -> np.ndarray | None:
         """A point with a_i . y >= 1 for all i, or None (empty interior)."""
         p = LPProblem(self.dim)
-        for r in self.matrix:
+        for r in self.rows:
             p.add_ge(r, 1.0)
         return lp_feasible(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorCone:
     """Cone of nonnegative combinations of finitely many generators."""
 
     dim: int
-    generators: tuple = ()
+    generators: np.ndarray
 
     @staticmethod
     def from_generators(gens) -> "GeneratorCone":
-        vs = [as_vector(g) for g in gens]
-        if not vs:
-            raise GeometryError("generator cone needs at least one generator")
-        dim = vs[0].size
-        for g in vs:
-            if g.size != dim:
-                raise GeometryError("inconsistent generator dimensions")
-            if np.linalg.norm(g) <= UNIT_TOL:
-                raise GeometryError("zero generator")
-        return GeneratorCone(dim, tuple(tuple(g) for g in vs))
+        gens = _nonzero_rows(gens, "generator cone")
+        return GeneratorCone(gens.shape[1], gens)
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(self.generators, dtype=float)
+        return self.generators
 
-    def contains(self, v, strict: bool = False, tol: float = TOL) -> bool:
-        if strict:
-            raise GeometryError("strict-interior query unsupported on a generator cone")
+    def contains(self, v) -> bool:
         v = as_vector(v, self.dim)
         nrm = float(np.linalg.norm(v))
-        if nrm <= tol:
+        if nrm <= TOL:
             return True
         if self.dim <= 2:
-            return self._contains_lowdim(v / nrm, tol)
-        gens = self.matrix
+            return self._contains_lowdim(v / nrm)
+        gens = self.generators
         p = LPProblem(len(gens), nonneg=range(len(gens)))
         for k in range(self.dim):
             p.add_eq(gens[:, k], v[k])
         return lp_feasible(p) is not None
 
-    def _contains_lowdim(self, v, tol) -> bool:
+    def _contains_lowdim(self, v) -> bool:
         """Closed-form membership in dimension 1 and 2 (v is unit)."""
-        gens = self.matrix
+        gens = self.generators
         units = gens / np.linalg.norm(gens, axis=1, keepdims=True)
         if self.dim == 1:
             return bool(np.any(units[:, 0] * v[0] > 0.0))
         # positively parallel to a generator
         cross_gv = units[:, 0] * v[1] - units[:, 1] * v[0]
         dot_gv = units @ v
-        if np.any((np.abs(cross_gv) <= tol) & (dot_gv > 0.0)):
+        if np.any((np.abs(cross_gv) <= TOL) & (dot_gv > 0.0)):
             return True
         # whole plane: no closed halfplane contains all generators; any
         # containing halfplane can be rotated onto a generator, so its
         # normal is one of the generator perpendiculars
         perp = np.stack([-units[:, 1], units[:, 0]], axis=1)
         dots = perp @ units.T  # dots[i, j] = perp_i . g_j
-        if not (np.any(np.all(dots >= -tol, axis=1))
-                or np.any(np.all(dots <= tol, axis=1))):
+        if not (np.any(np.all(dots >= -TOL, axis=1))
+                or np.any(np.all(dots <= TOL, axis=1))):
             return True
         # otherwise the cone is a union of proper sectors between
         # generator pairs: v in [g_i, g_j] with angle(g_i, g_j) < pi
         cross_gg = (units[:, 0][:, None] * units[:, 1][None, :]
                     - units[:, 1][:, None] * units[:, 0][None, :])
-        ok = ((cross_gg > tol)
-              & (cross_gv[:, None] >= -tol)
-              & (-cross_gv[None, :] >= -tol))
+        ok = ((cross_gg > TOL)
+              & (cross_gv[:, None] >= -TOL)
+              & (-cross_gv[None, :] >= -TOL))
         return bool(np.any(ok))
 
 
 def negative_polar(c: GeneratorCone) -> HalfspaceCone:
     """{x* : x* . g <= 0 for every generator g}, as an H-rep cone."""
-    return HalfspaceCone.from_rows([-g for g in c.matrix])
+    return HalfspaceCone.from_rows(-c.generators)
 
 
 @dataclass(frozen=True)
@@ -161,36 +173,32 @@ class DualGenerators:
 
 
 def dual_generators(c: HalfspaceCone) -> DualGenerators:
-    gens = GeneratorCone.from_generators(list(c.matrix))
     spanning = c.interior_point() is not None
-    return DualGenerators(gens, spanning)
+    return DualGenerators(GeneratorCone(c.dim, c.rows), spanning)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionSet:
     """Closed set of directions on the unit sphere.
 
     variant 'finite': explicit unit vectors; 'cone_section': the
     unit-sphere slice of an H-rep cone; 'full_sphere': all of S_X.
+    ``vectors`` holds the finite directions, shape (0, dim) otherwise.
     """
 
     dim: int
     variant: str
-    vectors: tuple = ()
+    vectors: np.ndarray
     section: HalfspaceCone | None = None
 
     @staticmethod
     def finite(vs) -> "DirectionSet":
-        vecs = [as_vector(v) for v in vs]
-        if not vecs:
+        vecs = frozen_array(vs, 2)
+        if vecs.size == 0:
             raise GeometryError("direction set must be nonempty")
-        dim = vecs[0].size
-        for v in vecs:
-            if v.size != dim:
-                raise GeometryError("inconsistent direction dimensions")
-            if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
-                raise GeometryError("finite directions must be unit vectors")
-        return DirectionSet(dim, "finite", tuple(tuple(v) for v in vecs))
+        if np.any(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) > UNIT_TOL):
+            raise GeometryError("finite directions must be unit vectors")
+        return DirectionSet(vecs.shape[1], "finite", vecs)
 
     @staticmethod
     def cone_section(cone: HalfspaceCone) -> "DirectionSet":
@@ -199,7 +207,7 @@ class DirectionSet:
         for k in range(cone.dim):
             for sign in (1.0, -1.0):
                 p = LPProblem(cone.dim)
-                for r in cone.matrix:
+                for r in cone.rows:
                     p.add_ge(r, 0.0)
                 e = np.zeros(cone.dim)
                 e[k] = sign
@@ -211,37 +219,38 @@ class DirectionSet:
                 break
         if not nontrivial:
             raise GeometryError("cone section is trivial: cone contains only 0")
-        return DirectionSet(cone.dim, "cone_section", (), cone)
+        return DirectionSet(cone.dim, "cone_section",
+                            frozen_array(np.zeros((0, cone.dim)), 2), cone)
 
     @staticmethod
     def full_sphere(dim: int) -> "DirectionSet":
         if dim < 1:
             raise GeometryError("dimension must be positive")
-        return DirectionSet(dim, "full_sphere")
+        return DirectionSet(dim, "full_sphere", frozen_array(np.zeros((0, dim)), 2))
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(self.vectors, dtype=float)
+        return self.vectors
 
 
 def conic_hull(L: DirectionSet):
     """cone L: generator cone for finite L, the section's H-rep cone otherwise."""
     if L.variant == "finite":
-        return GeneratorCone.from_generators(list(L.matrix))
+        return GeneratorCone(L.dim, L.vectors)
     if L.variant == "cone_section":
         return L.section
     return None  # full sphere: cone L is the whole space
 
 
-def cone_contains(L: DirectionSet, v, tol: float = TOL) -> bool:
+def cone_contains(L: DirectionSet, v) -> bool:
     """Membership of v in cone L (always true for the full sphere)."""
     v = as_vector(v, L.dim)
     hull = conic_hull(L)
     if hull is None:
         return True
-    if np.linalg.norm(v) <= tol:
+    if np.linalg.norm(v) <= TOL:
         return True
-    return hull.contains(v, tol=tol)
+    return hull.contains(v)
 
 
 def normalize_directions(vs) -> DirectionSet:
@@ -293,7 +302,7 @@ def direction_samples(L: DirectionSet, count: int, seed: int = 0) -> np.ndarray:
     or the lattice is exhausted).
     """
     if L.variant == "finite":
-        return L.matrix
+        return L.vectors
     if L.variant == "full_sphere":
         return sphere_lattice(L.dim, count, seed)
     cone = L.section

@@ -13,43 +13,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    TOL,
     DirectionSet,
     GeometryError,
     as_vector,
     cone_contains,
     direction_samples,
+    frozen_array,
 )
 from .lp import LPProblem, lp_minimize
 from .maps import SmoothMap
 from .sets import PolyhedralSet
 
-TOL = 1e-9
 INF = float("inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Target:
     """Point(s) or a polyhedron to be reached."""
 
     variant: str  # 'point' | 'finite_points' | 'polyhedron'
-    points: tuple = ()
+    points: np.ndarray | None  # (k, dim); None for a polyhedron
     polyhedron: PolyhedralSet | None = None
 
     @staticmethod
     def point(u) -> "Target":
-        u = as_vector(u)
-        return Target("point", (tuple(u),))
+        return Target("point", frozen_array([as_vector(u)], 2))
 
     @staticmethod
     def finite_points(us) -> "Target":
-        pts = [as_vector(u) for u in us]
-        if not pts:
+        pts = frozen_array(us, 2)
+        if pts.size == 0:
             raise GeometryError("target needs at least one point")
-        return Target("finite_points", tuple(tuple(u) for u in pts))
+        return Target("finite_points", pts)
 
     @staticmethod
     def polyhedral(poly: PolyhedralSet) -> "Target":
-        return Target("polyhedron", (), poly)
+        return Target("polyhedron", None, poly)
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,8 @@ def _norm(v, norm: str) -> float:
 
 def _ray_time_to_polyhedron(x, ell, poly: PolyhedralSet):
     """min{t >= 0 : x + t ell in poly}, closed form over the inequalities."""
-    a = poly.matrix
-    b = poly.rhs
-    num = b - a @ x
-    den = a @ ell
+    num = poly.offsets - poly.rows @ x
+    den = poly.rows @ ell
     lo, hi = 0.0, INF
     for nu, de in zip(num, den):
         if abs(de) <= 1e-14:
@@ -98,7 +96,6 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
     if target.variant in ("point", "finite_points"):
         best = INF
         for u in target.points:
-            u = np.array(u)
             d = u - x
             if np.linalg.norm(d) <= TOL:
                 return 0.0, True
@@ -112,7 +109,7 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
 
     if L.variant == "finite":
         best = INF
-        for ell in L.matrix:
+        for ell in L.vectors:
             t = _ray_time_to_polyhedron(x, ell, poly)
             if t is not None:
                 best = min(best, t)
@@ -125,7 +122,7 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
         # x + d in poly
         p = LPProblem(n + 1)
         if L.variant == "cone_section":
-            for r in L.section.matrix:
+            for r in L.section.rows:
                 p.add_ge(np.append(r, 0.0), 0.0)
         for k in range(n):
             ek = np.zeros(n + 1)
@@ -136,7 +133,7 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
             ek2[k] = -1.0
             ek2[n] = 1.0
             p.add_ge(ek2, 0.0)       # t - d_k >= 0
-        for a, b in zip(poly.matrix, poly.rhs):
+        for a, b in zip(poly.rows, poly.offsets):
             p.add_ge(np.append(a, 0.0), b - float(np.dot(a, x)))
         p.objective = np.append(np.zeros(n), 1.0)
         res = lp_minimize(p)

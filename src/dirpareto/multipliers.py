@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import CertifyError, IneqEq, Problem
-from .geometry import DirectionSet, HalfspaceCone, as_vector
+from .geometry import TOL, DirectionSet, HalfspaceCone, as_vector
 from .lp import LPProblem, lp_feasible
 from .maps import SmoothMap
 from .sets import PolyhedralSet
 
 ACTIVE_TOL = 1e-8
-TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class MultiplierCert:
 def _cone_generators(L: DirectionSet) -> np.ndarray:
     """Finite generator list for cone L (required by the theorems)."""
     if L.variant == "finite":
-        return L.matrix
+        return L.vectors
     raise CertifyError("cone L must come with a finite generator list")
 
 
@@ -49,13 +48,13 @@ def fritz_john(p: Problem, g: SmoothMap | None = None,
     gens = _cone_generators(p.L)
     xbar = p.x0
     jf = p.f.jacobian(xbar)
-    a_rows = p.K.matrix                       # y* = A^T w, w >= 0
+    a_rows = p.K.rows                         # y* = A^T w, w >= 0
     nw = a_rows.shape[0]
     if g is not None:
         if Q is None:
             raise CertifyError("constraint map g needs its cone Q")
         jg = g.jacobian(xbar)
-        q_rows = Q.matrix
+        q_rows = Q.rows
         ns = q_rows.shape[0]
     else:
         jg = None
@@ -93,7 +92,7 @@ def kkt_multipliers(p: Problem, e) -> MultiplierCert | None:
     con = p.constraint if isinstance(p.constraint, IneqEq) else IneqEq()
     xbar = p.x0
     jf = p.f.jacobian(xbar)
-    a_rows = p.K.matrix
+    a_rows = p.K.rows
     nw = a_rows.shape[0]
     nmu, nnu = len(con.mu), len(con.nu)
     active = [abs(m(xbar)[0]) <= ACTIVE_TOL for m in con.mu]
@@ -262,7 +261,7 @@ def stationarity_penalized(f: SmoothMap, A: PolyhedralSet, xbar,
     K = vector_mode.get("K")
     if K is None:
         raise CertifyError("vector mode needs the ordering cone K")
-    a_rows = K.matrix
+    a_rows = K.rows
     nw = a_rows.shape[0]
     jf = f.jacobian(xbar)
     # variables: w (nw), normal weights (m), q (dim), u (dim, u >= |x*|);

@@ -59,8 +59,14 @@ def parse_objective(spec, dim_in: int) -> SmoothMap:
 def parse_direction_set(spec, dim: int) -> DirectionSet:
     if "finite" in spec:
         vecs = np.array(_floats(spec["finite"]))
-        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-        L = DirectionSet.finite(vecs)
+        if not np.all(np.isfinite(vecs)):
+            raise ProblemFileError("L has non-finite entries")
+        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ProblemFileError(
+                f"L direction {zero[0]} is the zero vector {vecs[zero[0]].tolist()}")
+        L = DirectionSet.finite(vecs / norms)
     elif "cone_section" in spec:
         L = DirectionSet.cone_section(
             HalfspaceCone.from_rows(_floats(spec["cone_section"])))
@@ -145,9 +151,9 @@ def normalize(doc: dict) -> dict:
         out["objective"] = {"expressions": list(obj["expressions"])}
     out["K"] = _floats(doc["K"])
     if p.L.variant == "finite":
-        out["L"] = {"finite": p.L.matrix.tolist()}
+        out["L"] = {"finite": p.L.vectors.tolist()}
     elif p.L.variant == "cone_section":
-        out["L"] = {"cone_section": p.L.section.matrix.tolist()}
+        out["L"] = {"cone_section": p.L.section.rows.tolist()}
     else:
         out["L"] = {"full_sphere": True}
     out["point"] = list(p.xbar)

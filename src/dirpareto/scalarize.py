@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeneratorCone, HalfspaceCone, as_vector
+from .geometry import GeneratorCone, HalfspaceCone, as_vector, frozen_array
 from .lp import LPProblem, lp_feasible
 
 
@@ -18,21 +18,17 @@ class ScalarizationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarizationContext:
     K: HalfspaceCone
-    e: tuple
+    e: np.ndarray
 
     @staticmethod
     def create(K: HalfspaceCone, e) -> "ScalarizationContext":
-        e = as_vector(e, K.dim)
+        e = frozen_array(as_vector(e, K.dim), 1)
         if not K.contains(e, strict=True):
             raise ScalarizationError("e must be strictly interior to K")
-        return ScalarizationContext(K, tuple(e))
-
-    @property
-    def evec(self) -> np.ndarray:
-        return np.array(self.e)
+        return ScalarizationContext(K, e)
 
 
 @dataclass(frozen=True)
@@ -61,8 +57,8 @@ class SubdiffCert:
 
 def gerstewitz_value(ctx: ScalarizationContext, y) -> float:
     y = as_vector(y, ctx.K.dim)
-    rows = ctx.K.matrix
-    denom = rows @ ctx.evec
+    rows = ctx.K.rows
+    denom = rows @ ctx.e
     return float(np.max((rows @ y) / denom))
 
 
@@ -71,10 +67,10 @@ def gerstewitz_subdiff(ctx: ScalarizationContext, u) -> SubdiffCert:
     nonnegative row weights w with (sum w_i a_i)(e) = 1 and (.)(u) = s(u)."""
     u = as_vector(u, ctx.K.dim)
     s = gerstewitz_value(ctx, u)
-    rows = ctx.K.matrix
+    rows = ctx.K.rows
     m = rows.shape[0]
     p = LPProblem(m, nonneg=range(m))
-    p.add_eq(rows @ ctx.evec, 1.0)
+    p.add_eq(rows @ ctx.e, 1.0)
     p.add_eq(rows @ u, s)
     w = lp_feasible(p)
     if w is None:
@@ -82,4 +78,4 @@ def gerstewitz_subdiff(ctx: ScalarizationContext, u) -> SubdiffCert:
             "subgradient LP infeasible: numerical failure (the subdifferential "
             "is analytically nonempty)")
     vstar = rows.T @ w
-    return SubdiffCert(tuple(vstar), tuple(u), s, ctx.K, ctx.e)
+    return SubdiffCert(tuple(vstar), tuple(u), s, ctx.K, tuple(ctx.e))

@@ -10,74 +10,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, as_vector
+from .geometry import TOL, GeometryError, as_vector, frozen_array
 from .lp import LPProblem, lp_feasible
 
-TOL = 1e-9
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyhedralSet:
     """{x : a_i . x >= b_i}.  A feasibility witness is found at construction."""
 
     dim: int
-    rows: tuple
-    offsets: tuple
+    rows: np.ndarray
+    offsets: np.ndarray
     witness: tuple
 
     @staticmethod
     def from_rows(rows, offsets) -> "PolyhedralSet":
-        mat = [as_vector(r) for r in rows]
-        offs = [float(b) for b in offsets]
-        if not mat or len(mat) != len(offs):
+        mat = frozen_array(rows, 2)
+        offs = frozen_array(offsets, 1)
+        if mat.size == 0 or offs.shape != mat.shape[:1]:
             raise GeometryError("polyhedron rows/offsets mismatch or empty")
-        dim = mat[0].size
-        p = LPProblem(dim)
+        p = LPProblem(mat.shape[1])
         for a, b in zip(mat, offs):
             p.add_ge(a, b)
         w = lp_feasible(p)
         if w is None:
             raise GeometryError("polyhedron is empty")
-        return PolyhedralSet(dim, tuple(tuple(r) for r in mat), tuple(offs), tuple(w))
+        return PolyhedralSet(mat.shape[1], mat, offs, tuple(w))
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float)
+        return self.rows
 
     @property
     def rhs(self) -> np.ndarray:
-        return np.array(self.offsets, dtype=float)
+        return self.offsets
 
-    def contains(self, x, tol: float = TOL) -> bool:
+    def contains(self, x) -> bool:
         x = as_vector(x, self.dim)
-        return bool(np.all(self.matrix @ x >= self.rhs - tol))
+        return bool(np.all(self.rows @ x >= self.offsets - TOL))
 
-    def active_rows(self, x, tol: float = TOL) -> np.ndarray:
-        """Rows with a_i . x = b_i within tol, as a matrix (possibly empty)."""
+    def active_rows(self, x) -> np.ndarray:
+        """Rows with a_i . x = b_i within TOL, as a matrix (possibly empty)."""
         x = as_vector(x, self.dim)
-        mask = np.abs(self.matrix @ x - self.rhs) <= tol
-        return self.matrix[mask]
+        return self.rows[np.abs(self.rows @ x - self.offsets) <= TOL]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolygonRegion:
     """Closed planar region bounded by a polygon; even-odd membership.
 
     Boundary points count as members up to ``edge_tol`` distance.
     """
 
-    vertices: tuple
+    vertices: np.ndarray
     edge_tol: float = 1e-12
     name: str = "polygon"
     dim: int = 2
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(self.vertices, dtype=float)
-
-    def contains(self, x, tol: float = TOL) -> bool:
+    def contains(self, x) -> bool:
         x = as_vector(x, 2)
-        V = self.matrix
+        V = self.vertices
         W = np.roll(V, -1, axis=0)
         px, py = x
         straddle = (V[:, 1] > py) != (W[:, 1] > py)
@@ -92,7 +84,7 @@ class PolygonRegion:
         return self._near_boundary(x)
 
     def _near_boundary(self, x) -> bool:
-        V = self.matrix
+        V = self.vertices
         W = np.roll(V, -1, axis=0)
         d = W - V
         lens2 = np.einsum("ij,ij->i", d, d)
@@ -111,7 +103,7 @@ class ImplicitSet:
     predicate: object
     name: str = "implicit"
 
-    def contains(self, x, tol: float = TOL) -> bool:
+    def contains(self, x) -> bool:
         return bool(self.predicate(as_vector(x, self.dim)))
 
 
@@ -124,8 +116,8 @@ class UnionSet:
     def dim(self) -> int:
         return self.parts[0].dim
 
-    def contains(self, x, tol: float = TOL) -> bool:
-        return any(p.contains(x, tol) for p in self.parts)
+    def contains(self, x) -> bool:
+        return any(p.contains(x) for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -137,8 +129,8 @@ class IntersectionSet:
     def dim(self) -> int:
         return self.parts[0].dim
 
-    def contains(self, x, tol: float = TOL) -> bool:
-        return all(p.contains(x, tol) for p in self.parts)
+    def contains(self, x) -> bool:
+        return all(p.contains(x) for p in self.parts)
 
 
 def _clustered_parameters(n: int) -> np.ndarray:
@@ -166,7 +158,7 @@ def cardioid_region(segments: int = 4096) -> PolygonRegion:
     # x^{3/2} cusp sliver at small scales, turning points strictly outside
     # the region into spurious members.  The exact cusp vertex makes the
     # even-odd test decide the negative axis correctly at every scale.
-    return PolygonRegion(tuple(map(tuple, verts)), edge_tol=0.0,
+    return PolygonRegion(frozen_array(verts, 2), edge_tol=0.0,
                          name="cardioid")
 
 
@@ -179,7 +171,7 @@ def closed_curve_region(segments: int = 4096) -> PolygonRegion:
     # force the exact pass through the origin at t = pi
     k = int(round(segments / 2))
     verts[k] = (0.0, 0.0)
-    return PolygonRegion(tuple(map(tuple, verts)), name="closed-curve")
+    return PolygonRegion(frozen_array(verts, 2), name="closed-curve")
 
 
 def curve_halfplane_set(segments: int = 4096) -> UnionSet:

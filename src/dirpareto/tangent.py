@@ -8,22 +8,21 @@ defining sequences, with an explicit evidence schedule.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
+    TOL,
     DirectionSet,
     GeometryError,
     HalfspaceCone,
     as_vector,
     cone_contains,
-    conic_hull,
+    frozen_array,
 )
 from .maps import SmoothMap
 from .sets import PolyhedralSet
-
-TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class TangentVerdict:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactTangentCone:
     """Tangent cone of a polyhedron at a point, confined to a direction set.
 
@@ -55,22 +54,21 @@ class ExactTangentCone:
 
     dim: int
     pieces: tuple = ()  # HalfspaceCone intersection
-    rays: tuple | None = None  # finite-L case: surviving unit rays
+    rays: np.ndarray | None = None  # finite-L case: surviving unit rays, (k, dim)
 
-    def contains(self, v, tol: float = TOL) -> bool:
+    def contains(self, v) -> bool:
         v = as_vector(v, self.dim)
         if self.rays is not None:
             nrm = np.linalg.norm(v)
-            if nrm <= tol:
+            if nrm <= TOL:
                 return True
-            unit = v / nrm
-            return any(np.linalg.norm(unit - np.asarray(r)) <= 1e-9 for r in self.rays)
-        return all(p.contains(v, tol=tol) for p in self.pieces)
+            return bool(np.any(np.linalg.norm(self.rays - v / nrm, axis=1) <= TOL))
+        return all(p.contains(v) for p in self.pieces)
 
     def sample_rays(self) -> np.ndarray:
-        if self.rays is not None:
-            return np.array(self.rays) if self.rays else np.zeros((0, self.dim))
-        raise GeometryError("H-rep tangent cone has no explicit ray list")
+        if self.rays is None:
+            raise GeometryError("H-rep tangent cone has no explicit ray list")
+        return self.rays
 
 
 def bouligand_polyhedral(A: PolyhedralSet, xbar) -> HalfspaceCone | None:
@@ -85,7 +83,7 @@ def bouligand_polyhedral(A: PolyhedralSet, xbar) -> HalfspaceCone | None:
     act = A.active_rows(xbar)
     if act.shape[0] == 0:
         return None
-    return HalfspaceCone.from_rows(list(act))
+    return HalfspaceCone.from_rows(act)
 
 
 ursescu_polyhedral = bouligand_polyhedral
@@ -96,11 +94,8 @@ def tangent_polyhedral(A: PolyhedralSet, xbar, L: DirectionSet) -> ExactTangentC
     xbar = as_vector(xbar, A.dim)
     base = bouligand_polyhedral(A, xbar)
     if L.variant == "finite":
-        rays = []
-        for ell in L.matrix:
-            if base is None or base.contains(ell):
-                rays.append(tuple(ell))
-        return ExactTangentCone(A.dim, rays=tuple(rays))
+        keep = [base is None or base.contains(ell) for ell in L.vectors]
+        return ExactTangentCone(A.dim, rays=frozen_array(L.vectors[keep], 2))
     pieces = [] if base is None else [base]
     if L.variant == "cone_section":
         pieces.append(L.section)
@@ -124,14 +119,11 @@ def _perturbations(u: np.ndarray, eps: float, L: DirectionSet | None,
     """Candidates u' in cone L with |u' - u| <= eps, deterministic order."""
     dim = u.size
     cands = [u] + [u + eps * g for g in _ball_lattice(dim, lattice_size)]
-    if L is not None and L.variant == "finite":
-        # ray-aligned candidates: scale each direction toward the ball
-        extra = []
-        for ell in L.matrix:
+    if L is not None:
+        # ray-aligned candidates: scale each finite direction toward the ball
+        for ell in L.vectors:
             base = float(np.dot(u, ell))
-            for c in np.linspace(max(base - eps, 0.0), base + eps, 9):
-                extra.append(c * ell)
-        cands = cands + extra
+            cands += [c * ell for c in np.linspace(max(base - eps, 0.0), base + eps, 9)]
     out = []
     for cand in cands:
         if np.linalg.norm(cand - u) <= eps + 1e-15 and (

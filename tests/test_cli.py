@@ -130,8 +130,9 @@ def test_exit_1_on_malformed_problem(tmp_path):
                     "y": [3.0, -1.0]}),
     ("certify", dict(SADDLE_DOC, grid=[9, 8])),
     ("certify", dict(SADDLE_DOC, grid=[])),
+    ("certify", dict(SADDLE_DOC, L={"finite": [[0, 0], [1, 0]]})),
 ], ids=["bad-expression", "evaluation-error", "e-outside-int-K",
-        "grid-not-object", "grid-empty-list"])
+        "grid-not-object", "grid-empty-list", "zero-direction"])
 def test_exit_1_single_error_line(tmp_path, capsys, command, doc):
     path = _write(tmp_path, doc)
     code = main([command, "--problem", path, "--out", str(tmp_path)])

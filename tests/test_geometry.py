@@ -14,6 +14,10 @@ from dirpareto.geometry import (
     normalize_directions,
     sphere_lattice,
 )
+from dirpareto.mintime import Target
+from dirpareto.scalarize import ScalarizationContext
+from dirpareto.sets import PolyhedralSet, closed_curve_region
+from dirpareto.tangent import tangent_polyhedral
 
 
 def orthant(n):
@@ -171,3 +175,52 @@ def test_direction_samples_section_in_cone():
     for v in s:
         assert K.contains(v, tol=1e-9)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# stored arrays: built once, read-only, returned as-is
+
+def _tangent_rays():
+    A = PolyhedralSet.from_rows([[0.0, 1.0]], [0.0])
+    L = DirectionSet.finite([[1.0, 0.0], [0.0, -1.0]])
+    return tangent_polyhedral(A, [0.0, 0.0], L)
+
+
+@pytest.mark.parametrize("build, fields, aliases", [
+    (lambda: orthant(2), ["rows"], ["matrix"]),
+    (lambda: GeneratorCone.from_generators([[1.0, 0.0], [1.0, 1.0]]),
+     ["generators"], ["matrix"]),
+    (lambda: DirectionSet.finite([[1.0, 0.0], [0.0, 1.0]]), ["vectors"], ["matrix"]),
+    (lambda: DirectionSet.full_sphere(3), ["vectors"], ["matrix"]),
+    (lambda: PolyhedralSet.from_rows([[1.0, 0.0], [0.0, 1.0]], [0.0, -1.0]),
+     ["rows", "offsets"], ["matrix", "rhs"]),
+    (lambda: closed_curve_region(64), ["vertices"], []),
+    (_tangent_rays, ["rays"], []),
+    (lambda: Target.finite_points([[1.0, 2.0], [0.0, 3.0]]), ["points"], []),
+    (lambda: ScalarizationContext.create(orthant(2), [1.0, 2.0]), ["e"], []),
+], ids=["cone", "generator-cone", "finite-L", "sphere-L", "polyhedron",
+        "polygon", "tangent-rays", "target", "scalarization-e"])
+def test_stored_arrays_are_read_only(build, fields, aliases):
+    obj = build()
+    for name in fields:
+        a = getattr(obj, name)
+        assert isinstance(a, np.ndarray) and a.dtype == np.float64
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    for name in aliases:
+        assert getattr(obj, name) is getattr(obj, name)
+
+
+def test_tangent_rays_are_an_array_of_surviving_rays():
+    tc = _tangent_rays()
+    assert tc.rays.shape == (1, 2)
+    assert tc.sample_rays() is tc.rays
+
+
+def test_direction_samples_of_finite_L_cannot_corrupt_it():
+    L = DirectionSet.finite([[0.0, 1.0], [1.0, 0.0]])
+    s = direction_samples(L, 2)
+    with pytest.raises(ValueError):
+        s[0] = [5.0, 5.0]
+    assert np.array_equal(L.vectors, [[0.0, 1.0], [1.0, 0.0]])
