@@ -37,8 +37,8 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.radius <= 0 or self.levels < 1 or self.rays_per_level < 1:
-            raise CertifyError("grid parameters must be positive")
+        if not 0 < self.radius < np.inf or self.levels < 1 or self.rays_per_level < 1:
+            raise CertifyError("grid parameters must be positive and finite")
 
     def t_values(self) -> np.ndarray:
         return self.radius * 0.5 ** np.arange(self.levels)

@@ -4,12 +4,14 @@ Every subcommand reads a JSON problem file, writes
 ``<out>/<command>.report.json`` (sorted keys, no timestamps: identical
 inputs give byte-identical reports), and exits 0 when a certificate or
 positive verdict was produced, 2 on a refutation / absence of
-multipliers, 1 on errors.
+multipliers, 1 on errors: a malformed file or command line prints one
+``error:`` line and writes no report.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,7 +19,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import problemfile
 from .certify import (
     CertifyError,
     GridSpec,
@@ -28,10 +29,27 @@ from .certify import (
 )
 from .expressions import EvaluationError, ExpressionError
 from .gallery import gallery_names, run_example
-from .geometry import GeometryError, HalfspaceCone, direction_samples
+from .geometry import GeometryError, direction_samples
 from .lp import LPError
-from .mintime import Target, minimal_time
+from .mintime import minimal_time
 from .multipliers import fritz_john, kkt_multipliers, stationarity_penalized
+from .problemfile import (
+    SCHEMA_VERSION,
+    ProblemFileError,
+    load,
+    normalize,
+    parse_cone,
+    parse_direction_set,
+    parse_grid,
+    parse_objective,
+    parse_problem,
+    parse_set,
+    parse_target,
+    parse_vector_mode,
+    read,
+    rows,
+    vector,
+)
 from .scalarize import (
     ScalarizationContext,
     ScalarizationError,
@@ -61,12 +79,6 @@ def _jsonable(obj):
     return obj
 
 
-# exit 1 with a single ``error:`` line
-ERRORS = (problemfile.ProblemFileError, CertifyError, GeometryError, LPError,
-          ExpressionError, EvaluationError, ScalarizationError,
-          KeyError, ValueError, OSError)
-
-
 def _out_path(out_dir: str, name: str) -> str:
     """Path of an output file; the directory is created on first use."""
     os.makedirs(out_dir, exist_ok=True)
@@ -76,7 +88,7 @@ def _out_path(out_dir: str, name: str) -> str:
 def _write_report(out_dir: str, command: str, report: dict) -> str:
     path = _out_path(out_dir, f"{command}.report.json")
     payload = dict(report)
-    payload.setdefault("schema_version", problemfile.SCHEMA_VERSION)
+    payload.setdefault("schema_version", SCHEMA_VERSION)
     payload["command"] = command
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
@@ -130,29 +142,36 @@ def _grid_from_args(base: GridSpec, args) -> GridSpec:
     return replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
+# Each handler reads its document through problemfile, calls the library
+# and returns (report, ok); main exits 0 if ok, else 2.
+
+NO_MULTIPLIERS = "necessary condition violated under stated hypotheses"
+
+
 def _cmd_certify(doc, args) -> tuple:
-    p = problemfile.parse_problem(doc)
+    p = parse_problem(doc)
     grid = _grid_from_args(p.grid, args)
     p = replace(p, grid=grid)
     rep = certify_directional_min(p, weak=args.weak)
-    report = {"problem": problemfile.normalize(doc), "report": rep.as_dict()}
-    rows = []
+    report = {"problem": normalize(doc), "report": rep.as_dict()}
+    samples = []
     for ell in direction_samples(p.L, grid.rays_per_level, grid.seed):
         for t in grid.t_values():
             x = p.x0 + t * ell
-            rows.append(list(x) + [float(t)])
+            samples.append(list(x) + [float(t)])
     csv = _write_points_csv(args.out, "certify",
-                            [f"x{i}" for i in range(p.f.dim_in)] + ["t"], rows)
+                            [f"x{i}" for i in range(p.f.dim_in)] + ["t"], samples)
     report["points_csv"] = os.path.basename(csv)
-    return report, (0 if rep.verdict == "certified_on_grid" else 2)
+    return report, rep.verdict == "certified_on_grid"
 
 
 def _cmd_certify_set(doc, args) -> tuple:
-    M = problemfile.parse_set(doc["set"])
-    K = HalfspaceCone.from_rows(problemfile._floats(doc["K"]))
-    L = problemfile.parse_direction_set(doc["L"], M.dim)
-    grid = _grid_from_args(problemfile.parse_grid(doc.get("grid")), args)
-    xbar = np.array([float(c) for c in doc["point"]])
+    M = read(doc, "set", parse_set)
+    K = read(doc, "K", parse_cone)
+    L = read(doc, "L", parse_direction_set, M.dim)
+    grid = _grid_from_args(read(doc, "grid", parse_grid,
+                                default=GridSpec()), args)
+    xbar = np.array(read(doc, "point", vector, M.dim))
     rep = certify_set_min(M, xbar, K, L, weak=args.weak, grid=grid)
     report = {"set": doc["set"], "report": rep.as_dict()}
     if M.dim == 2:
@@ -163,119 +182,94 @@ def _cmd_certify_set(doc, args) -> tuple:
                 pts.append((tuple(x), bool(M.contains(x))))
         svg = _write_svg(args.out, "certify-set", pts)
         report["svg"] = os.path.basename(svg)
-    return report, (0 if rep.verdict == "certified_on_grid" else 2)
+    return report, rep.verdict == "certified_on_grid"
 
 
 def _cmd_first_order(doc, args) -> tuple:
-    p = problemfile.parse_problem(doc)
-    dirs = [np.array([float(c) for c in u]) for u in doc["directions"]]
-    res = check_first_order_necessary(p, dirs)
-    report = {
-        "holds": res["holds"],
-        "checks": [{"direction": list(c.direction), "image": list(c.image),
-                    "violated": c.violated} for c in res["checks"]],
-    }
-    return report, (0 if res["holds"] else 2)
+    p = parse_problem(doc)
+    dirs = read(doc, "directions", rows)
+    res = check_first_order_necessary(p, [np.array(u) for u in dirs])
+    return ({"holds": res["holds"],
+             "checks": [{"direction": list(c.direction), "image": list(c.image),
+                         "violated": c.violated} for c in res["checks"]]},
+            res["holds"])
 
 
 def _cmd_tangent(doc, args) -> tuple:
-    A = problemfile.parse_set(doc["set"])
-    xbar = [float(c) for c in doc["point"]]
-    u = np.array([float(c) for c in doc["direction"]])
-    L = (problemfile.parse_direction_set(doc["L"], A.dim)
-         if doc.get("L") is not None else None)
+    A = read(doc, "set", parse_set)
+    xbar = read(doc, "point", vector, A.dim)
+    u = np.array(read(doc, "direction", vector, A.dim))
+    L = read(doc, "L", parse_direction_set, A.dim, default=None)
     report = {"direction": list(u)}
     if isinstance(A, PolyhedralSet) and L is not None:
-        cone = tangent_polyhedral(A, xbar, L)
-        member = cone.contains(u)
+        member = tangent_polyhedral(A, xbar, L).contains(u)
         report.update({"method": "exact_polyhedral",
                        "status": "member" if member else "nonmember"})
-        return report, (0 if member else 2)
-    sched = TSchedule(radius=args.radius if args.radius is not None else 0.25)
+        return report, member
+    sched = TSchedule() if args.radius is None else TSchedule(radius=args.radius)
     v = tangent_membership_sampled(A, xbar, L, u, sched)
     report.update({"method": "sampled", "status": v.status, "note": v.note,
                    "levels": len(v.evidence)})
-    return report, (0 if v.status == "member" else 2)
+    return report, v.status == "member"
 
 
 def _cmd_kkt(doc, args) -> tuple:
-    p = problemfile.parse_problem(doc)
-    cert = kkt_multipliers(p, [float(c) for c in doc["e"]])
+    p = parse_problem(doc)
+    cert = kkt_multipliers(p, read(doc, "e", vector, p.K.dim))
     if cert is None:
-        return ({"multipliers": None,
-                 "note": "necessary condition violated under stated "
-                         "hypotheses"}, 2)
+        return {"multipliers": None, "note": NO_MULTIPLIERS}, False
     return ({"multipliers": {
         "ystar": list(cert.ystar), "weights": list(cert.weights),
         "lambda": list(cert.lam), "tau": list(cert.tau),
         "normalization": cert.normalization,
-        "residual_in_Lpolar": list(cert.residual)}}, 0)
+        "residual_in_Lpolar": list(cert.residual)}}, True)
 
 
 def _cmd_fritz_john(doc, args) -> tuple:
-    p = problemfile.parse_problem(doc)
-    g = Q = None
-    if doc.get("g") is not None:
-        g = problemfile.parse_objective(doc["g"], p.f.dim_in)
-        Q = HalfspaceCone.from_rows(problemfile._floats(doc["Q"]))
+    p = parse_problem(doc)
+    g = read(doc, "g", parse_objective, p.f.dim_in, default=None)
+    Q = None if g is None else read(doc, "Q", parse_cone)
     res = fritz_john(p, g, Q)
     if res is None:
-        return ({"multipliers": None,
-                 "note": "necessary condition violated under stated "
-                         "hypotheses"}, 2)
+        return {"multipliers": None, "note": NO_MULTIPLIERS}, False
     ystar, zstar = res
-    return ({"multipliers": {"ystar": list(ystar), "zstar": list(zstar)}}, 0)
+    return {"multipliers": {"ystar": list(ystar), "zstar": list(zstar)}}, True
 
 
 def _cmd_gerstewitz(doc, args) -> tuple:
-    K = HalfspaceCone.from_rows(problemfile._floats(doc["K"]))
-    ctx = ScalarizationContext.create(K, [float(c) for c in doc["e"]])
-    y = [float(c) for c in doc["y"]]
-    value = gerstewitz_value(ctx, y)
-    cert = gerstewitz_subdiff(ctx, y)
-    return ({"value": value, "subgradient": list(cert.witness)}, 0)
+    K = read(doc, "K", parse_cone)
+    ctx = ScalarizationContext.create(K, read(doc, "e", vector, K.dim))
+    y = read(doc, "y", vector, K.dim)
+    return ({"value": gerstewitz_value(ctx, y),
+             "subgradient": list(gerstewitz_subdiff(ctx, y).witness)}, True)
 
 
 def _cmd_mintime(doc, args) -> tuple:
-    tgt = doc["target"]
-    if "point" in tgt:
-        target = Target.point([float(c) for c in tgt["point"]])
-        dim = len(tgt["point"])
-    elif "points" in tgt:
-        target = Target.finite_points(
-            [[float(c) for c in p] for p in tgt["points"]])
-        dim = len(tgt["points"][0])
-    else:
-        poly = problemfile.parse_set({"polyhedron": tgt["polyhedron"]})
-        target = Target.polyhedral(poly)
-        dim = poly.dim
-    L = problemfile.parse_direction_set(doc["L"], dim)
-    value, exact = minimal_time(L, [float(c) for c in doc["point"]],
+    target = read(doc, "target", parse_target)
+    L = read(doc, "L", parse_direction_set, target.dim)
+    value, exact = minimal_time(L, read(doc, "point", vector, L.dim),
                                 target, norm=args.norm)
-    return ({"value": value, "exact": exact, "norm": args.norm}, 0)
+    return {"value": value, "exact": exact, "norm": args.norm}, True
 
 
 def _cmd_openness(doc, args) -> tuple:
-    p = problemfile.parse_problem(doc)
-    C = problemfile.parse_direction_set(doc["C"], p.f.dim_out)
-    res = openness_falsifier(p.f, p.x0, p.L, C,
-                             doc.get("eps_schedule"), doc.get("r_schedule"))
-    return res, (0 if res["status"] == "witness" else 2)
+    p = parse_problem(doc)
+    C = read(doc, "C", parse_direction_set, p.f.dim_out)
+    res = openness_falsifier(
+        p.f, p.x0, p.L, C,
+        read(doc, "eps_schedule", vector, default=None),
+        read(doc, "r_schedule", vector, default=None))
+    return res, res["status"] == "witness"
 
 
 def _cmd_penalized(doc, args) -> tuple:
-    p = problemfile.parse_problem(doc)
-    A = problemfile.parse_set(doc["A"])
-    vm = None
-    if doc.get("vector_mode") is not None:
-        vm = {"e": [float(c) for c in doc["vector_mode"]["e"]],
-              "ell": float(doc["vector_mode"]["ell"]), "K": p.K}
+    p = parse_problem(doc)
+    A = read(doc, "A", parse_set, ("polyhedron",))
+    vm = read(doc, "vector_mode", parse_vector_mode, p.K, default=None)
     res = stationarity_penalized(p.f, A, p.x0, p.L, vm)
     if res is None:
-        return ({"witness": None,
-                 "note": "necessary condition violated under stated "
-                         "hypotheses"}, 2)
-    return ({"witness": res}, 0)
+        return {"witness": None, "note": NO_MULTIPLIERS}, False
+    return {"witness": res}, True
 
 
 COMMANDS = {
@@ -292,55 +286,58 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="dirpareto",
-        description="Directional Pareto minimality toolkit")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one ``error:`` line, exit 1
+        raise argparse.ArgumentError(None, message)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one command-line parser, built on first use."""
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--out", default=".", help="report directory")
+    grid.add_argument("--radius", type=float, default=None)
+    grid.add_argument("--levels", type=int, default=None)
+    grid.add_argument("--rays", type=int, default=None)
+    grid.add_argument("--seed", type=int, default=None)
+    problem = argparse.ArgumentParser(add_help=False, parents=[grid])
+    problem.add_argument("--problem", required=True, help="JSON problem file")
+    problem.add_argument("--weak", action="store_true")
+    problem.add_argument("--norm", choices=["l2", "linf"], default="l2")
+    ap = _Parser(prog="dirpareto",
+                 description="Directional Pareto minimality toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--problem", required=True, help="JSON problem file")
-    common.add_argument("--out", default=".", help="report directory")
-    common.add_argument("--weak", action="store_true")
-    common.add_argument("--radius", type=float, default=None)
-    common.add_argument("--levels", type=int, default=None)
-    common.add_argument("--rays", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--norm", choices=["l2", "linf"], default="l2")
     for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
-    ex = sub.add_parser("examples")
+        sub.add_parser(name, parents=[problem])
+    ex = sub.add_parser("examples", parents=[grid])
     ex.add_argument("action", choices=["list", "run"])
     ex.add_argument("name", nargs="?")
-    ex.add_argument("--out", default=".")
-    ex.add_argument("--radius", type=float, default=None)
-    ex.add_argument("--levels", type=int, default=None)
-    ex.add_argument("--rays", type=int, default=None)
-    ex.add_argument("--seed", type=int, default=None)
     return ap
 
 
+# exit 1 with a single ``error:`` line
+ERRORS = (argparse.ArgumentError, ProblemFileError, CertifyError, GeometryError,
+          LPError, ExpressionError, EvaluationError, ScalarizationError,
+          ValueError, OSError)
+
+
 def _examples(args) -> tuple:
-    if not args.name:
-        raise CertifyError("examples run needs a gallery name")
-    grid = _grid_from_args(GridSpec(), args)
-    try:
-        return run_example(args.name, grid)
-    except KeyError as exc:
-        raise CertifyError(exc.args[0]) from None
+    if args.name not in gallery_names():
+        raise CertifyError(f"examples run needs a gallery name, one of {gallery_names()}")
+    return run_example(args.name, _grid_from_args(GridSpec(), args))
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "examples" and args.action == "list":
-        for name in gallery_names():
-            print(name)
-        return 0
     try:
-        if args.command == "examples":
-            report, code = _examples(args)
+        args = _parser().parse_args(argv)
+        if args.command != "examples":
+            report, ok = COMMANDS[args.command](load(args.problem), args)
+            code = 0 if ok else 2
+        elif args.action == "list":
+            print("\n".join(gallery_names()))
+            return 0
         else:
-            doc = problemfile.load(args.problem)
-            report, code = COMMANDS[args.command](doc, args)
+            report, code = _examples(args)
         path = _write_report(args.out, args.command, report)
     except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -51,6 +51,10 @@ class Target:
     def polyhedral(poly: PolyhedralSet) -> "Target":
         return Target("polyhedron", None, poly)
 
+    @property
+    def dim(self) -> int:
+        return self.polyhedron.dim if self.points is None else self.points.shape[1]
+
 
 @dataclass(frozen=True)
 class RatioEstimate:

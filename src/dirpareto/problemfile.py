@@ -3,18 +3,25 @@
 A problem file is a single self-describing JSON object (schema_version
 1).  Parsing normalizes it; serializing a parsed file reproduces an
 equivalent normalized document, so round-trips are stable.
+
+Every field is read through ``read``: a missing or wrongly shaped field
+raises ``ProblemFileError`` with the dotted path of the field, so callers
+never index a document themselves.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from .certify import GridSpec, IneqEq, Problem
-from .geometry import DirectionSet, HalfspaceCone
-from .maps import SmoothMap, builtin, from_expressions, sector_map
+from .certify import CertifyError, GridSpec, IneqEq, Problem
+from .expressions import ExpressionError
+from .geometry import DirectionSet, GeometryError, HalfspaceCone, frozen_array
+from .maps import BUILTINS, SmoothMap, from_expressions, sector_map
+from .mintime import Target
 from .sets import (
     PolyhedralSet,
     cardioid_region,
@@ -32,105 +39,221 @@ NAMED_SETS = {
 
 
 class ProblemFileError(Exception):
-    pass
+    """A malformed problem document; ``path`` names the offending field."""
+
+    def __init__(self, reason: str, path: tuple = ()):
+        super().__init__(".".join(path) + ": " + reason if path else reason)
+        self.reason, self.path = reason, path
 
 
-def _floats(rows):
-    return [[float(c) for c in r] for r in rows]
+_REQUIRED = object()
+
+
+def read(doc, key: str, parse, *args, default=_REQUIRED):
+    """``parse(doc[key], *args)``; ``default`` if the field is absent or null.
+
+    Whatever the parse rejects (a wrong shape, or geometry, grid or
+    expression errors) becomes a ProblemFileError naming the field.
+    """
+    if not isinstance(doc, dict):
+        raise ProblemFileError(f"expected an object, got {_show(doc)}")
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ProblemFileError("required field is missing or null", (key,))
+        return default
+    try:
+        return parse(value, *args)
+    except ProblemFileError as exc:
+        raise ProblemFileError(exc.reason, (key, *exc.path)) from None
+    except (GeometryError, CertifyError, ExpressionError) as exc:
+        raise ProblemFileError(str(exc), (key,)) from None
+
+
+def _show(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _variant(spec, keys: tuple) -> str:
+    """The first of ``keys`` that the object ``spec`` gives."""
+    if isinstance(spec, dict):
+        for key in keys:
+            if key in spec:
+                return key
+    raise ProblemFileError(
+        f"expected an object giving {' or '.join(map(repr, keys))}, got {_show(spec)}")
+
+
+# -- scalar and array fields ----------------------------------------------
+
+def _number(value) -> float:
+    """A finite JSON number; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ProblemFileError(f"expected a finite number, got {_show(value)}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """An integral JSON number (``2`` or ``2.0``, not ``2.7`` or ``true``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max or value != int(value):
+        raise ProblemFileError(f"expected an integer, got {_show(value)}")
+    return int(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ProblemFileError(f"expected a string, got {_show(value)}")
+    return value
+
+
+def _strings(value) -> list:
+    if not isinstance(value, list):
+        raise ProblemFileError(f"expected a list of strings, got {_show(value)}")
+    return [_string(s) for s in value]
+
+
+def vector(value, size: int | None = None) -> list:
+    """A list of finite numbers, as floats; ``size`` of them if given."""
+    if not isinstance(value, list):
+        raise ProblemFileError(f"expected a list of numbers, got {_show(value)}")
+    if size is not None and len(value) != size:
+        raise ProblemFileError(f"expected {size} numbers, got {_show(value)}")
+    return [_number(c) for c in value]
+
+
+def rows(value) -> list:
+    """A list of number lists, as float lists."""
+    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
+        raise ProblemFileError(f"expected a list of number lists, got {_show(value)}")
+    return [vector(r) for r in value]
+
+
+def _entry(name, table: dict):
+    if _string(name) not in table:
+        raise ProblemFileError(f"unknown name {name!r}; known: {sorted(table)}")
+    return table[name]
+
+
+def _true(value) -> bool:
+    if value is not True:
+        raise ProblemFileError(f"expected true, got {_show(value)}")
+    return True
+
+
+# -- objects --------------------------------------------------------------
+
+def parse_cone(value) -> HalfspaceCone:
+    """An H-representation ``[[a_11, ...], ...]`` of {y : a_i . y >= 0}."""
+    return HalfspaceCone.from_rows(rows(value))
+
+
+# objective forms and how normalize echoes each one
+_OBJECTIVES = {"builtin": _string, "sector": lambda v: vector(v, 2),
+               "expressions": _strings}
 
 
 def parse_objective(spec, dim_in: int) -> SmoothMap:
-    if isinstance(spec, dict) and "builtin" in spec:
-        f = builtin(spec["builtin"])
-    elif isinstance(spec, dict) and "sector" in spec:
-        t1, t2 = spec["sector"]
-        f = sector_map(float(t1), float(t2))
-    elif isinstance(spec, dict) and "expressions" in spec:
-        f = from_expressions(spec["expressions"], dim_in)
+    kind = _variant(spec, tuple(_OBJECTIVES))
+    if kind == "builtin":
+        f = read(spec, "builtin", _entry, BUILTINS)()
+    elif kind == "sector":
+        t1, t2 = read(spec, "sector", vector, 2)
+        f = sector_map(t1, t2)
     else:
-        raise ProblemFileError(
-            "objective must give 'builtin', 'sector' or 'expressions'")
+        f = from_expressions(read(spec, "expressions", _strings), dim_in)
     if f.dim_in != dim_in:
         raise ProblemFileError(
             f"objective expects dimension {f.dim_in}, file says {dim_in}")
     return f
 
 
-def parse_direction_set(spec, dim: int) -> DirectionSet:
-    if "finite" in spec:
-        vecs = np.array(_floats(spec["finite"]))
-        if not np.all(np.isfinite(vecs)):
-            raise ProblemFileError("L has non-finite entries")
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ProblemFileError(
-                f"L direction {zero[0]} is the zero vector {vecs[zero[0]].tolist()}")
-        L = DirectionSet.finite(vecs / norms)
-    elif "cone_section" in spec:
-        L = DirectionSet.cone_section(
-            HalfspaceCone.from_rows(_floats(spec["cone_section"])))
-    elif spec.get("full_sphere"):
-        L = DirectionSet.full_sphere(dim)
-    else:
+def _unit_rows(value) -> np.ndarray:
+    vecs = frozen_array(rows(value), 2)
+    if vecs.size == 0:
+        raise ProblemFileError("expected at least one direction")
+    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
         raise ProblemFileError(
-            "L must give 'finite', 'cone_section' or 'full_sphere'")
+            f"direction {zero[0]} is the zero vector {vecs[zero[0]].tolist()}")
+    return vecs / norms
+
+
+def parse_direction_set(spec, dim: int) -> DirectionSet:
+    kind = _variant(spec, ("finite", "cone_section", "full_sphere"))
+    if kind == "finite":
+        L = DirectionSet.finite(read(spec, "finite", _unit_rows))
+    elif kind == "cone_section":
+        L = DirectionSet.cone_section(read(spec, "cone_section", parse_cone))
+    else:
+        read(spec, "full_sphere", _true)
+        L = DirectionSet.full_sphere(dim)
     if L.dim != dim:
         raise ProblemFileError("direction set has the wrong dimension")
     return L
 
 
-def parse_set(spec):
-    if "polyhedron" in spec:
-        p = spec["polyhedron"]
-        return PolyhedralSet.from_rows(_floats(p["rows"]),
-                                       [float(b) for b in p["offsets"]])
-    if "named" in spec:
-        name = spec["named"]
-        if name not in NAMED_SETS:
-            raise ProblemFileError(
-                f"unknown named set {name!r}; known: {sorted(NAMED_SETS)}")
-        return NAMED_SETS[name]()
-    raise ProblemFileError("set must give 'polyhedron' or 'named'")
+def parse_polyhedron(spec) -> PolyhedralSet:
+    """``{"rows": [...], "offsets": [...]}``: the set {x : rows x >= offsets}."""
+    return PolyhedralSet.from_rows(read(spec, "rows", rows),
+                                   read(spec, "offsets", vector))
 
 
-_GRID_FIELDS = {"radius": float, "levels": int, "rays_per_level": int, "seed": int}
+def parse_set(spec, kinds: tuple = ("polyhedron", "named")):
+    """A polyhedron or a named region; ``kinds`` limits the accepted forms."""
+    if _variant(spec, kinds) == "polyhedron":
+        return read(spec, "polyhedron", parse_polyhedron)
+    return read(spec, "named", _entry, NAMED_SETS)()
+
+
+def parse_target(spec) -> Target:
+    """A mintime target: ``point``, ``points`` or ``polyhedron``."""
+    kind = _variant(spec, ("point", "points", "polyhedron"))
+    if kind == "point":
+        return Target.point(read(spec, "point", vector))
+    if kind == "points":
+        return Target.finite_points(read(spec, "points", rows))
+    return Target.polyhedral(read(spec, "polyhedron", parse_polyhedron))
+
+
+def parse_vector_mode(spec, K: HalfspaceCone) -> dict:
+    """Vector mode of penalized stationarity: ``{"e": [...], "ell": lip}``."""
+    return {"e": read(spec, "e", vector), "ell": read(spec, "ell", _number), "K": K}
+
+
+_GRID_FIELDS = {"radius": _number, "levels": _integer, "rays_per_level": _integer,
+                "seed": _integer}
 
 
 def parse_grid(spec) -> GridSpec:
     """Grid from the file; fields it leaves out keep GridSpec's defaults."""
-    spec = {} if spec is None else spec
-    if not isinstance(spec, dict):
-        raise ProblemFileError("grid must be an object")
-    return GridSpec(**{k: cast(spec[k]) for k, cast in _GRID_FIELDS.items()
-                       if k in spec})
+    return GridSpec(**{k: read(spec, k, parse, default=getattr(GridSpec, k))
+                       for k, parse in _GRID_FIELDS.items()})
 
 
 def parse_constraint(spec, dim_in: int):
-    if spec is None:
-        return None
-    if "mu" in spec or "nu" in spec:
+    if isinstance(spec, dict) and ("mu" in spec or "nu" in spec):
         mu = tuple(from_expressions([e], dim_in, name=f"mu{i}")
-                   for i, e in enumerate(spec.get("mu", [])))
+                   for i, e in enumerate(read(spec, "mu", _strings, default=[])))
         nu = tuple(from_expressions([e], dim_in, name=f"nu{j}")
-                   for j, e in enumerate(spec.get("nu", [])))
+                   for j, e in enumerate(read(spec, "nu", _strings, default=[])))
         return IneqEq(mu, nu)
     return parse_set(spec)
 
 
 def parse_problem(doc: dict) -> Problem:
-    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+    if read(doc, "schema_version", _integer, default=SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ProblemFileError("unsupported schema_version")
-    try:
-        dim_in = int(doc["dim_in"])
-        f = parse_objective(doc["objective"], dim_in)
-        K = HalfspaceCone.from_rows(_floats(doc["K"]))
-        L = parse_direction_set(doc["L"], dim_in)
-        xbar = [float(c) for c in doc["point"]]
-        grid = parse_grid(doc.get("grid"))
-        constraint = parse_constraint(doc.get("constraint"), dim_in)
-    except KeyError as exc:
-        raise ProblemFileError(f"missing field {exc}") from exc
+    dim_in = read(doc, "dim_in", _integer)
+    f = read(doc, "objective", parse_objective, dim_in)
+    K = read(doc, "K", parse_cone)
+    L = read(doc, "L", parse_direction_set, dim_in)
+    xbar = read(doc, "point", vector, dim_in)
+    grid = read(doc, "grid", parse_grid, default=GridSpec())
+    constraint = read(doc, "constraint", parse_constraint, dim_in, default=None)
     return Problem(f, K, L, tuple(xbar), grid, constraint)
 
 
@@ -140,16 +263,12 @@ def normalize(doc: dict) -> dict:
     parse(normalize(doc)) and parse(doc) build equivalent problems, and
     normalize is idempotent.
     """
-    p = parse_problem(doc)  # validates; L, point and grid are read from it
-    out = {"schema_version": SCHEMA_VERSION, "dim_in": int(doc["dim_in"])}
+    p = parse_problem(doc)  # validates every field read below
     obj = doc["objective"]
-    if "builtin" in obj:
-        out["objective"] = {"builtin": obj["builtin"]}
-    elif "sector" in obj:
-        out["objective"] = {"sector": [float(t) for t in obj["sector"]]}
-    else:
-        out["objective"] = {"expressions": list(obj["expressions"])}
-    out["K"] = _floats(doc["K"])
+    kind = _variant(obj, tuple(_OBJECTIVES))
+    out = {"schema_version": SCHEMA_VERSION, "dim_in": p.f.dim_in,
+           "objective": {kind: read(obj, kind, _OBJECTIVES[kind])},
+           "K": p.K.rows.tolist()}
     if p.L.variant == "finite":
         out["L"] = {"finite": p.L.vectors.tolist()}
     elif p.L.variant == "cone_section":
@@ -158,18 +277,18 @@ def normalize(doc: dict) -> dict:
         out["L"] = {"full_sphere": True}
     out["point"] = list(p.xbar)
     out["grid"] = asdict(p.grid)
-    con = doc.get("constraint")
+    con = p.constraint
     if con is None:
         out["constraint"] = None
-    elif "mu" in con or "nu" in con:
-        out["constraint"] = {"mu": list(con.get("mu", [])),
-                             "nu": list(con.get("nu", []))}
-    elif "polyhedron" in con:
-        out["constraint"] = {"polyhedron": {
-            "rows": _floats(con["polyhedron"]["rows"]),
-            "offsets": [float(b) for b in con["polyhedron"]["offsets"]]}}
+    elif isinstance(con, IneqEq):
+        spec = doc["constraint"]
+        out["constraint"] = {"mu": read(spec, "mu", _strings, default=[]),
+                             "nu": read(spec, "nu", _strings, default=[])}
+    elif isinstance(con, PolyhedralSet):
+        out["constraint"] = {"polyhedron": {"rows": con.rows.tolist(),
+                                            "offsets": con.offsets.tolist()}}
     else:
-        out["constraint"] = {"named": con["named"]}
+        out["constraint"] = {"named": doc["constraint"]["named"]}
     return out
 
 

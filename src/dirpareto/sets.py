@@ -6,7 +6,7 @@ are polygon approximations with even-odd point-in-polygon membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,24 +59,37 @@ class PolyhedralSet:
 class PolygonRegion:
     """Closed planar region bounded by a polygon; even-odd membership.
 
-    Boundary points count as members up to ``edge_tol`` distance.
+    Boundary points count as members up to ``edge_tol`` distance.  The
+    edge arrays are built once, read-only: edge i runs from ``vertices[i]``
+    to ``next_vertices[i]`` along ``edges[i]``, whose squared length is
+    ``edge_lengths2[i]`` (1 for a zero-length edge).
     """
 
     vertices: np.ndarray
     edge_tol: float = 1e-12
     name: str = "polygon"
     dim: int = 2
+    next_vertices: np.ndarray = field(init=False, repr=False)
+    edges: np.ndarray = field(init=False, repr=False)
+    edge_lengths2: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        W = np.roll(self.vertices, -1, axis=0)
+        d = W - self.vertices
+        lens2 = np.einsum("ij,ij->i", d, d)
+        lens2[lens2 == 0.0] = 1.0
+        for name, a in (("next_vertices", W), ("edges", d), ("edge_lengths2", lens2)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def contains(self, x) -> bool:
         x = as_vector(x, 2)
-        V = self.vertices
-        W = np.roll(V, -1, axis=0)
+        V, W = self.vertices, self.next_vertices
         px, py = x
         straddle = (V[:, 1] > py) != (W[:, 1] > py)
         if np.any(straddle):
-            vi, wi = V[straddle], W[straddle]
-            xc = vi[:, 0] + (py - vi[:, 1]) / (wi[:, 1] - vi[:, 1]) * (
-                wi[:, 0] - vi[:, 0])
+            vi, di = V[straddle], self.edges[straddle]
+            xc = vi[:, 0] + (py - vi[:, 1]) / di[:, 1] * di[:, 0]
             if int(np.count_nonzero(px < xc)) % 2 == 1:
                 return True
         if self.edge_tol == 0.0:
@@ -84,12 +97,8 @@ class PolygonRegion:
         return self._near_boundary(x)
 
     def _near_boundary(self, x) -> bool:
-        V = self.vertices
-        W = np.roll(V, -1, axis=0)
-        d = W - V
-        lens2 = np.einsum("ij,ij->i", d, d)
-        lens2[lens2 == 0.0] = 1.0
-        t = np.clip(np.einsum("ij,ij->i", x - V, d) / lens2, 0.0, 1.0)
+        V, d = self.vertices, self.edges
+        t = np.clip(np.einsum("ij,ij->i", x - V, d) / self.edge_lengths2, 0.0, 1.0)
         proj = V + t[:, None] * d
         dist2 = np.einsum("ij,ij->i", x - proj, x - proj)
         return bool(np.min(dist2) <= self.edge_tol ** 2)

@@ -33,6 +33,10 @@ class TSchedule:
     levels: int = 25
     lattice_size: int = 961  # perturbation candidates per level
 
+    def __post_init__(self):
+        if not 0 < self.radius < np.inf or self.levels < 1 or self.lattice_size < 1:
+            raise GeometryError("schedule parameters must be positive and finite")
+
     def steps(self) -> np.ndarray:
         return self.radius * 0.5 ** np.arange(self.levels)
 

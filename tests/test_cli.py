@@ -1,11 +1,18 @@
 """CLI and problem-file tests: parsing round-trips, report files,
 determinism, and the exit-code contract."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirpareto import problemfile
 from dirpareto.cli import main
@@ -141,6 +148,130 @@ def test_exit_1_single_error_line(tmp_path, capsys, command, doc):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+CERTIFY_SET_DOC = {"set": {"polyhedron": {"rows": [[1, 0], [0, 1]], "offsets": [0, 0]}},
+                   "K": [[1.0, 0.0], [0.0, 1.0]], "L": {"full_sphere": True},
+                   "point": [0.0, 0.0], "grid": {"levels": 5, "rays_per_level": 16}}
+TANGENT_DOC = {"set": {"polyhedron": {"rows": [[1, 0], [0, 1]], "offsets": [0, 0]}},
+               "point": [0, 0], "direction": [1, 0], "L": {"finite": [[1, 0], [-1, 0]]}}
+MINTIME_DOC = {"L": {"finite": [[1.0, 0.0]]}, "point": [0.0, 0.0],
+               "target": {"point": [2.0, 0.0]}}
+GERSTEWITZ_DOC = {"K": [[1.0, 0.0], [0.0, 1.0]], "e": [1.0, 1.0], "y": [3.0, -1.0]}
+# sampled tangent path: without L the default radius answers nonmember
+HALF_PLANE_TANGENT_DOC = {"set": {"polyhedron": {"rows": [[1, 0]], "offsets": [0]}},
+                          "point": [0, 0], "direction": [-1, 0]}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _run(argv, doc, tmp_dir):
+    """main(argv [+ --problem doc]) -> (code, stderr lines, reports written)."""
+    out = os.path.join(tmp_dir, "out")
+    if doc is not None:
+        path = os.path.join(tmp_dir, "problem.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = argv[:1] + ["--problem", path, "--out", out] + argv[1:]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    reports = os.listdir(out) if os.path.isdir(out) else []
+    return code, err.getvalue().splitlines(), reports
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["certify"], dict(SADDLE_DOC, L={"finite": [1, 0]})),
+    (["certify"], dict(SADDLE_DOC, K=[1.0])),
+    (["certify"], dict(SADDLE_DOC, L=[[1, 0]])),
+    (["certify"], dict(SADDLE_DOC, point=5)),
+    (["certify-set"], dict(CERTIFY_SET_DOC, point=5)),
+    (["first-order"], dict(SADDLE_DOC, directions=7)),
+    (["certify-set"], dict(CERTIFY_SET_DOC, set=3)),
+    (["gerstewitz"], _without(GERSTEWITZ_DOC, "y")),
+    (["certify"], dict(SADDLE_DOC, objective={"expressions": [5]})),
+    (["certify"], dict(SADDLE_DOC, constraint={"mu": [5]})),
+    (["certify"], dict(SADDLE_DOC, dim_in=2.7)),
+    (["certify"], dict(SADDLE_DOC, dim_in=True)),
+    (["certify"], dict(SADDLE_DOC, grid={"levels": 2.7})),
+    (["certify"], dict(SADDLE_DOC, grid={"rays_per_level": True})),
+    (["certify"], dict(SADDLE_DOC, grid={"seed": 0.5})),
+    (["penalized"], dict(SADDLE_DOC, A={"named": "cardioid"})),
+    (["tangent", "--radius", "0"], HALF_PLANE_TANGENT_DOC),
+    (["tangent", "--radius", "-1"], HALF_PLANE_TANGENT_DOC),
+    (["certify", "--weak"], None),
+    (["certify", "--problem", "p.json", "--levels", "abc"], None),
+    (["no-such-command"], None),
+    (["mintime", "--problem", "p.json", "--norm", "l3"], None),
+    (["examples"], None),
+], ids=["L-finite-flat", "K-flat", "L-list", "point-number", "set-point-number",
+        "directions-number", "set-number", "gerstewitz-no-y", "expression-number",
+        "mu-number", "dim_in-fraction", "dim_in-bool", "levels-fraction",
+        "rays-bool", "seed-fraction", "penalized-named-A", "tangent-radius-0",
+        "tangent-radius-negative", "no-problem-flag",
+        "levels-not-int", "unknown-command", "unknown-norm", "examples-no-action"])
+def test_malformed_input_exits_1_with_one_error_line(tmp_path, argv, doc):
+    code, err, reports = _run(argv, doc, str(tmp_path))
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert reports == []
+
+
+def test_error_line_names_the_missing_field(tmp_path):
+    _, err, _ = _run(["gerstewitz"], _without(GERSTEWITZ_DOC, "y"), str(tmp_path))
+    assert err[0].startswith("error: y: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "certify" in capsys.readouterr().out
+
+
+def test_integral_floats_are_accepted(tmp_path):
+    doc = dict(SADDLE_DOC, dim_in=2.0, grid={"levels": 9.0, "rays_per_level": 8.0})
+    assert _run(["certify"], doc, str(tmp_path))[0] == 0
+
+
+FUZZ_DOCS = {"certify": SADDLE_DOC, "tangent": TANGENT_DOC, "mintime": MINTIME_DOC,
+             "gerstewitz": GERSTEWITZ_DOC}
+DROP = object()
+FUZZ_VALUES = [DROP, -1, 0, 0.5, 2, "x", None, [1, 0], [[1, 0]], {"x": 1}]
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """One of the fuzz documents with one key dropped or its value replaced."""
+    command = draw(st.sampled_from(sorted(FUZZ_DOCS)))
+    doc = copy.deepcopy(FUZZ_DOCS[command])
+    *parents, key = draw(st.sampled_from(list(_key_paths(doc))))
+    node = functools.reduce(dict.__getitem__, parents, doc)
+    value = draw(st.sampled_from(FUZZ_VALUES))
+    if value is DROP:
+        del node[key]
+    else:
+        node[key] = value
+    return command, doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_documents())
+def test_mutated_documents_keep_the_exit_code_contract(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, _ = _run([command], doc, tmp)
+    assert code in (0, 1, 2)
+    assert (code == 1) == (len(err) == 1 and err[0].startswith("error: "))
+
+
 @pytest.mark.parametrize("command, doc", [
     ("certify", SADDLE_DOC),
     ("certify-set", {"set": {"polyhedron": {"rows": [[1, 0], [0, 1]],
@@ -260,7 +391,8 @@ def test_examples_run_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--levels", "0"], ["--levels", "-1"],
-                                   ["--radius", "0"], ["--rays", "0"]])
+                                   ["--radius", "0"], ["--rays", "0"],
+                                   ["--radius", "inf"], ["--radius", "nan"]])
 def test_examples_run_rejects_bad_grid_flags(tmp_path, capsys, flags):
     code = main(["examples", "run", "saddle-x2-y2", "--out", str(tmp_path)]
                 + flags)
@@ -268,3 +400,36 @@ def test_examples_run_rejects_bad_grid_flags(tmp_path, capsys, flags):
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "examples.report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# golden reports: every subcommand on committed fixtures
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden")
+
+
+def _same(got, want, where="report"):
+    """Floats agree to a relative 1e-12; everything else exactly."""
+    if isinstance(want, float) and isinstance(got, float):
+        assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for k in want:
+            _same(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _same(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(GOLDEN)))
+def test_golden_report(tmp_path, name):
+    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+        fx = json.load(fh)
+    path = _write(tmp_path, fx["problem"])
+    out = tmp_path / "out"
+    code = main([fx["command"], "--problem", path, "--out", str(out), *fx["flags"]])
+    assert code == fx["code"]
+    _same(json.loads((out / f"{fx['command']}.report.json").read_text()), fx["report"])
