@@ -43,6 +43,19 @@ class GridSpec:
     def t_values(self) -> np.ndarray:
         return self.radius * 0.5 ** np.arange(self.levels)
 
+    def points(self, xbar, L: DirectionSet) -> np.ndarray:
+        """The grid x = xbar + t*ell, ell from L outer and t inner."""
+        dirs = direction_samples(L, self.rays_per_level, self.seed)
+        return ray_points(xbar, dirs, self.t_values())
+
+
+def ray_points(xbar, dirs, ts) -> np.ndarray:
+    """Rows xbar + t*ell in ray-major order: ell over ``dirs`` on the
+    outer loop, t over ``ts`` on the inner one."""
+    pts = np.asarray(ts)[None, :, None] * np.asarray(dirs)[:, None, :]
+    pts += xbar  # in place: the grid is the one array allocated
+    return pts.reshape(-1, pts.shape[2])
+
 
 @dataclass(frozen=True)
 class IneqEq:
@@ -99,13 +112,8 @@ def _feasible(constraint, x) -> bool:
     if constraint is None:
         return True
     if isinstance(constraint, IneqEq):
-        for m in constraint.mu:
-            if m(x)[0] > FEAS_TOL:
-                return False
-        for n in constraint.nu:
-            if abs(n(x)[0]) > FEAS_TOL:
-                return False
-        return True
+        return not (any(m(x)[0] > FEAS_TOL for m in constraint.mu)
+                    or any(abs(n(x)[0]) > FEAS_TOL for n in constraint.nu))
     return bool(constraint.contains(x))
 
 
@@ -116,8 +124,21 @@ def _violates(d: np.ndarray, K: HalfspaceCone, weak: bool) -> bool:
     return K.contains(-d) and not K.contains(d)  # d in -K \ K
 
 
-def _certified(weak: bool, samples: int) -> CertReport:
-    """A grid certificate; with no feasible sample it is vacuous and says so."""
+def _walk(points, feasible, diff, K: HalfspaceCone, weak: bool) -> CertReport:
+    """Walk the grid in order; the first feasible point whose difference
+    ``diff(x)`` violates minimality refutes, and no violation certifies.
+    Feasibility and ``diff`` run point by point, up to that violation."""
+    samples = 0
+    for x in points:
+        if not feasible(x):
+            continue
+        samples += 1
+        d = diff(x)
+        if not np.all(np.isfinite(d)):
+            raise CertifyError(f"non-finite objective value at {x.tolist()}")
+        if _violates(d, K, weak):
+            return CertReport("refuted", weak, samples, (tuple(x), tuple(d)))
+    # with no feasible sample the certificate is vacuous and says so
     note = "" if samples else "no feasible grid sample"
     return CertReport("certified_on_grid", weak, samples, note=note)
 
@@ -126,21 +147,8 @@ def certify_directional_min(p: Problem, weak: bool = False) -> CertReport:
     """Sample x = xbar + t*ell over the grid and hunt for a violation."""
     xbar = p.x0
     f0 = p.f(xbar)
-    dirs = direction_samples(p.L, p.grid.rays_per_level, p.grid.seed)
-    samples = 0
-    for ell in dirs:
-        for t in p.grid.t_values():
-            x = xbar + t * ell
-            if not _feasible(p.constraint, x):
-                continue
-            samples += 1
-            d = p.f(x) - f0
-            if not np.all(np.isfinite(d)):
-                raise CertifyError(f"non-finite objective value at {x.tolist()}")
-            if _violates(d, p.K, weak):
-                return CertReport("refuted", weak, samples,
-                                  (tuple(x), tuple(d)))
-    return _certified(weak, samples)
+    return _walk(p.grid.points(xbar, p.L), lambda x: _feasible(p.constraint, x),
+                 lambda x: p.f(x) - f0, p.K, weak)
 
 
 def certify_set_min(M, xbar, K: HalfspaceCone, L: DirectionSet,
@@ -153,19 +161,7 @@ def certify_set_min(M, xbar, K: HalfspaceCone, L: DirectionSet,
     xbar = as_vector(xbar, M.dim)
     if not M.contains(xbar):
         raise CertifyError("reference point is not in the set")
-    dirs = direction_samples(L, grid.rays_per_level, grid.seed)
-    samples = 0
-    for ell in dirs:
-        for t in grid.t_values():
-            x = xbar + t * ell
-            if not M.contains(x):
-                continue
-            samples += 1
-            d = x - xbar
-            if _violates(d, K, weak):
-                return CertReport("refuted", weak, samples,
-                                  (tuple(x), tuple(d)))
-    return _certified(weak, samples)
+    return _walk(grid.points(xbar, L), M.contains, lambda x: x - xbar, K, weak)
 
 
 @dataclass(frozen=True)
@@ -302,11 +298,8 @@ def openness_falsifier(f: SmoothMap, xbar, L: DirectionSet, C: DirectionSet,
     dirs = direction_samples(L, 64)
     steps = np.linspace(0.0, 1.0, 513)
     for eps in eps_schedule:
-        images = [f0]
-        for ell in dirs:
-            for t in steps[1:]:
-                images.append(f(xbar + eps * t * ell))
-        images = np.array(images)
+        xs = ray_points(xbar, dirs, eps * steps[1:])
+        images = np.array([f0] + [f(x) for x in xs])
         rs = list(r_schedule if r_schedule is not None
                   else [eps * 0.5 ** j for j in range(1, 7)])
         missed = []

@@ -29,15 +29,15 @@ from .certify import (
 )
 from .expressions import EvaluationError, ExpressionError
 from .gallery import gallery_names, run_example
-from .geometry import GeometryError, direction_samples
+from .geometry import GeometryError
 from .lp import LPError
 from .mintime import minimal_time
 from .multipliers import fritz_john, kkt_multipliers, stationarity_penalized
 from .problemfile import (
     SCHEMA_VERSION,
     ProblemFileError,
+    echo,
     load,
-    normalize,
     parse_cone,
     parse_direction_set,
     parse_grid,
@@ -97,13 +97,12 @@ def _write_report(out_dir: str, command: str, report: dict) -> str:
 
 
 def _write_points_csv(out_dir: str, command: str, header: list,
-                      rows: list) -> str:
+                      points: np.ndarray) -> str:
     path = _out_path(out_dir, f"{command}.points.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{float(v):.17g}" if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row) + "\n")
+        for row in points:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return path
 
 
@@ -150,17 +149,15 @@ NO_MULTIPLIERS = "necessary condition violated under stated hypotheses"
 
 def _cmd_certify(doc, args) -> tuple:
     p = parse_problem(doc)
-    grid = _grid_from_args(p.grid, args)
-    p = replace(p, grid=grid)
+    report = {"problem": echo(doc, p)}  # the file's grid, before the flags
+    p = replace(p, grid=_grid_from_args(p.grid, args))
     rep = certify_directional_min(p, weak=args.weak)
-    report = {"problem": normalize(doc), "report": rep.as_dict()}
-    samples = []
-    for ell in direction_samples(p.L, grid.rays_per_level, grid.seed):
-        for t in grid.t_values():
-            x = p.x0 + t * ell
-            samples.append(list(x) + [float(t)])
+    report["report"] = rep.as_dict()
+    pts = p.grid.points(p.x0, p.L)
+    ts = np.tile(p.grid.t_values(), len(pts) // p.grid.levels)
     csv = _write_points_csv(args.out, "certify",
-                            [f"x{i}" for i in range(p.f.dim_in)] + ["t"], samples)
+                            [f"x{i}" for i in range(p.f.dim_in)] + ["t"],
+                            np.column_stack([pts, ts]))
     report["points_csv"] = os.path.basename(csv)
     return report, rep.verdict == "certified_on_grid"
 
@@ -175,12 +172,9 @@ def _cmd_certify_set(doc, args) -> tuple:
     rep = certify_set_min(M, xbar, K, L, weak=args.weak, grid=grid)
     report = {"set": doc["set"], "report": rep.as_dict()}
     if M.dim == 2:
-        pts = []
-        for ell in direction_samples(L, grid.rays_per_level, grid.seed):
-            for t in grid.t_values():
-                x = xbar + t * ell
-                pts.append((tuple(x), bool(M.contains(x))))
-        svg = _write_svg(args.out, "certify-set", pts)
+        svg = _write_svg(args.out, "certify-set",
+                         [(tuple(x), bool(M.contains(x)))
+                          for x in grid.points(xbar, L)])
         report["svg"] = os.path.basename(svg)
     return report, rep.verdict == "certified_on_grid"
 

@@ -9,7 +9,7 @@ the representation it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .lp import LPProblem, lp_feasible
 
 TOL = 1e-9
 UNIT_TOL = 1e-12
+CHECK_TOL = 1e-7  # slack when a subgradient or multiplier certificate is re-checked
 
 
 class GeometryError(Exception):
@@ -98,10 +99,37 @@ class HalfspaceCone:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorCone:
-    """Cone of nonnegative combinations of finitely many generators."""
+    """Cone of nonnegative combinations of finitely many generators.
+
+    In 2-D, membership is closed-form over tables built here once: the
+    unit generators, whether they span the whole plane, and which ordered
+    pairs bound a proper sector (``sectors[i, j]``: 0 < angle < pi).
+    """
 
     dim: int
     generators: np.ndarray
+    units: np.ndarray | None = field(init=False, default=None)
+    whole_plane: bool = field(init=False, default=False)
+    sectors: np.ndarray | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.dim != 2:
+            return
+        units = self.generators / np.linalg.norm(self.generators, axis=1,
+                                                 keepdims=True)
+        # whole plane: no closed halfplane contains all generators; any
+        # containing halfplane can be rotated onto a generator, so its
+        # normal is one of the generator perpendiculars
+        perp = units[:, ::-1] * [-1.0, 1.0]  # perp_i = (-g_i1, g_i0)
+        dots = perp @ units.T  # dots[i, j] = perp_i . g_j
+        u0, u1 = units[:, 0], units[:, 1]
+        sectors = np.multiply.outer(u0, u1) - np.multiply.outer(u1, u0) > TOL
+        units.setflags(write=False)
+        sectors.setflags(write=False)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "whole_plane", not (
+            (dots >= -TOL).all(axis=1).any() or (dots <= TOL).all(axis=1).any()))
+        object.__setattr__(self, "sectors", sectors)
 
     @staticmethod
     def from_generators(gens) -> "GeneratorCone":
@@ -127,28 +155,19 @@ class GeneratorCone:
 
     def _contains_lowdim(self, v) -> bool:
         """Closed-form membership in dimension 1 and 2 (v is unit)."""
-        gens = self.generators
-        units = gens / np.linalg.norm(gens, axis=1, keepdims=True)
         if self.dim == 1:
-            return bool(np.any(units[:, 0] * v[0] > 0.0))
+            return bool(np.any(self.generators[:, 0] * v[0] > 0.0))
+        if self.whole_plane:
+            return True
+        units = self.units
         # positively parallel to a generator
         cross_gv = units[:, 0] * v[1] - units[:, 1] * v[0]
         dot_gv = units @ v
         if np.any((np.abs(cross_gv) <= TOL) & (dot_gv > 0.0)):
             return True
-        # whole plane: no closed halfplane contains all generators; any
-        # containing halfplane can be rotated onto a generator, so its
-        # normal is one of the generator perpendiculars
-        perp = np.stack([-units[:, 1], units[:, 0]], axis=1)
-        dots = perp @ units.T  # dots[i, j] = perp_i . g_j
-        if not (np.any(np.all(dots >= -TOL, axis=1))
-                or np.any(np.all(dots <= TOL, axis=1))):
-            return True
         # otherwise the cone is a union of proper sectors between
         # generator pairs: v in [g_i, g_j] with angle(g_i, g_j) < pi
-        cross_gg = (units[:, 0][:, None] * units[:, 1][None, :]
-                    - units[:, 1][:, None] * units[:, 0][None, :])
-        ok = ((cross_gg > TOL)
+        ok = (self.sectors
               & (cross_gv[:, None] >= -TOL)
               & (-cross_gv[None, :] >= -TOL))
         return bool(np.any(ok))
@@ -184,12 +203,15 @@ class DirectionSet:
     variant 'finite': explicit unit vectors; 'cone_section': the
     unit-sphere slice of an H-rep cone; 'full_sphere': all of S_X.
     ``vectors`` holds the finite directions, shape (0, dim) otherwise.
+    ``hull`` is cone L, built once: the generator cone of the finite
+    directions, the section's cone, or None for the full sphere.
     """
 
     dim: int
     variant: str
     vectors: np.ndarray
     section: HalfspaceCone | None = None
+    hull: GeneratorCone | HalfspaceCone | None = None
 
     @staticmethod
     def finite(vs) -> "DirectionSet":
@@ -198,12 +220,12 @@ class DirectionSet:
             raise GeometryError("direction set must be nonempty")
         if np.any(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) > UNIT_TOL):
             raise GeometryError("finite directions must be unit vectors")
-        return DirectionSet(vecs.shape[1], "finite", vecs)
+        return DirectionSet(vecs.shape[1], "finite", vecs,
+                            hull=GeneratorCone(vecs.shape[1], vecs))
 
     @staticmethod
     def cone_section(cone: HalfspaceCone) -> "DirectionSet":
         # nontrivial: the cone must contain a point with some coordinate >= 1
-        nontrivial = False
         for k in range(cone.dim):
             for sign in (1.0, -1.0):
                 p = LPProblem(cone.dim)
@@ -213,14 +235,10 @@ class DirectionSet:
                 e[k] = sign
                 p.add_ge(e, 1.0)
                 if lp_feasible(p) is not None:
-                    nontrivial = True
-                    break
-            if nontrivial:
-                break
-        if not nontrivial:
-            raise GeometryError("cone section is trivial: cone contains only 0")
-        return DirectionSet(cone.dim, "cone_section",
-                            frozen_array(np.zeros((0, cone.dim)), 2), cone)
+                    return DirectionSet(cone.dim, "cone_section",
+                                        frozen_array(np.zeros((0, cone.dim)), 2),
+                                        cone, cone)
+        raise GeometryError("cone section is trivial: cone contains only 0")
 
     @staticmethod
     def full_sphere(dim: int) -> "DirectionSet":
@@ -234,12 +252,9 @@ class DirectionSet:
 
 
 def conic_hull(L: DirectionSet):
-    """cone L: generator cone for finite L, the section's H-rep cone otherwise."""
-    if L.variant == "finite":
-        return GeneratorCone(L.dim, L.vectors)
-    if L.variant == "cone_section":
-        return L.section
-    return None  # full sphere: cone L is the whole space
+    """cone L: generator cone for finite L, the section's H-rep cone for a
+    cone section, None (the whole space) for the full sphere."""
+    return L.hull
 
 
 def cone_contains(L: DirectionSet, v) -> bool:

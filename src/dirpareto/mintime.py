@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import GridSpec
 from .geometry import (
     TOL,
     DirectionSet,
@@ -87,6 +88,12 @@ def _ray_time_to_polyhedron(x, ell, poly: PolyhedralSet):
     return max(lo, 0.0)
 
 
+def _min_ray_time(x, dirs, poly: PolyhedralSet) -> float:
+    """Least time to reach poly from x along one of the rays ``dirs``."""
+    times = [_ray_time_to_polyhedron(x, ell, poly) for ell in dirs]
+    return min((t for t in times if t is not None), default=INF)
+
+
 def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
     """T_L(x, target); returns (value, exact_flag).
 
@@ -112,12 +119,7 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
         raise GeometryError("empty target")
 
     if L.variant == "finite":
-        best = INF
-        for ell in L.vectors:
-            t = _ray_time_to_polyhedron(x, ell, poly)
-            if t is not None:
-                best = min(best, t)
-        return best, True
+        return _min_ray_time(x, L.vectors, poly), True
 
     # cone-section or full-sphere L over a polyhedron
     if norm == "linf":
@@ -146,20 +148,26 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
         return max(res[0], 0.0), True
 
     # euclidean norm over a cone section: sampled upper bound only
-    best = INF
-    for ell in direction_samples(L, 512):
-        t = _ray_time_to_polyhedron(x, ell, poly)
-        if t is not None:
-            best = min(best, t)
-    return best, False
+    return _min_ray_time(x, direction_samples(L, 512), poly), False
 
 
-def _grid_points(xbar, L: DirectionSet, radius: float, levels: int,
-                 rays: int) -> np.ndarray:
-    dirs = direction_samples(L, rays)
-    ts = radius * 0.5 ** np.arange(levels)
-    pts = [xbar + t * ell for ell in dirs for t in ts]
-    return np.array(pts)
+def _sup_ratio(points, ratio, pair) -> RatioEstimate:
+    """Supremum of ``ratio(x)`` over the grid points where it is defined
+    (not None); the witness is ``pair(x)`` at the best point."""
+    best = 0.0
+    witness = None
+    used = 0
+    for x in points:
+        r = ratio(x)
+        if r is None:
+            continue
+        used += 1
+        if r > best:
+            best = r
+            witness = pair(x)
+    if used == 0:
+        return RatioEstimate(0.0, None, 0, note="no admissible grid point")
+    return RatioEstimate(best, witness, used)
 
 
 def calmness_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
@@ -170,26 +178,21 @@ def calmness_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
     Grid points sit on rays of L, so the denominator is |x - xbar|;
     points whose image step leaves cone M give an infinite ratio.
     """
+    grid = GridSpec(radius, levels, rays)
     xbar = as_vector(xbar, f.dim_in)
     fx0 = f(xbar)
-    best = 0.0
-    witness = None
-    used = 0
-    for x in _grid_points(xbar, L, radius, levels, rays):
+
+    def ratio(x):
         denom = float(np.linalg.norm(x - xbar))
         if denom <= TOL:
-            continue
+            return None
         num, _ = minimal_time(M, fx0, Target.point(f(x)))
         if not np.isfinite(num):
-            continue  # inadmissible point: sup over the empty set is 0
-        used += 1
-        ratio = num / denom
-        if ratio > best:
-            best = ratio
-            witness = (tuple(xbar), tuple(x))
-    if used == 0:
-        return RatioEstimate(0.0, None, 0, note="no admissible grid point")
-    return RatioEstimate(best, witness, used)
+            return None  # inadmissible point: sup over the empty set is 0
+        return num / denom
+
+    return _sup_ratio(grid.points(xbar, L), ratio,
+                      lambda x: (tuple(xbar), tuple(x)))
 
 
 def subregularity_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
@@ -200,27 +203,19 @@ def subregularity_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
     The grid walks rays of L *backwards* from xbar (x = xbar - t ell), so
     the numerator T_L(x, {xbar}) is finite by construction.
     """
+    grid = GridSpec(radius, levels, rays)
     xbar = as_vector(xbar, f.dim_in)
     fx0 = f(xbar)
-    dirs = direction_samples(L, rays)
-    ts = radius * 0.5 ** np.arange(levels)
-    best = 0.0
-    witness = None
-    used = 0
-    for ell in dirs:
-        for t in ts:
-            x = xbar - t * ell
-            num, _ = minimal_time(L, x, Target.point(xbar))
-            if not np.isfinite(num) or num <= TOL:
-                continue
-            denom, _ = minimal_time(M, fx0, Target.point(f(x)))
-            if not np.isfinite(denom) or denom <= TOL:
-                continue
-            used += 1
-            ratio = num / denom
-            if ratio > best:
-                best = ratio
-                witness = (tuple(x), tuple(xbar))
-    if used == 0:
-        return RatioEstimate(0.0, None, 0, note="no admissible grid point")
-    return RatioEstimate(best, witness, used)
+
+    def ratio(x):
+        num, _ = minimal_time(L, x, Target.point(xbar))
+        if not np.isfinite(num) or num <= TOL:
+            return None
+        denom, _ = minimal_time(M, fx0, Target.point(f(x)))
+        if not np.isfinite(denom) or denom <= TOL:
+            return None
+        return num / denom
+
+    # the steps t*ell of the grid at the origin, taken back from xbar
+    steps = grid.points(np.zeros_like(xbar), L)
+    return _sup_ratio(xbar - steps, ratio, lambda x: (tuple(x), tuple(xbar)))

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import CertifyError, IneqEq, Problem
-from .geometry import TOL, DirectionSet, HalfspaceCone, as_vector
+from .certify import FEAS_TOL, CertifyError, IneqEq, Problem
+from .geometry import CHECK_TOL, TOL, DirectionSet, HalfspaceCone, as_vector
 from .lp import LPProblem, lp_feasible
 from .maps import SmoothMap
 from .sets import PolyhedralSet
-
-ACTIVE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ def kkt_multipliers(p: Problem, e) -> MultiplierCert | None:
     a_rows = p.K.rows
     nw = a_rows.shape[0]
     nmu, nnu = len(con.mu), len(con.nu)
-    active = [abs(m(xbar)[0]) <= ACTIVE_TOL for m in con.mu]
+    active = [abs(m(xbar)[0]) <= FEAS_TOL for m in con.mu]
     grads_mu = [m.jacobian(xbar)[0] for m in con.mu]
     grads_nu = [n.jacobian(xbar)[0] for n in con.nu]
 
@@ -158,13 +156,13 @@ def sufficiency_certificate(p: Problem, cert: MultiplierCert,
     xbar = p.x0
     # re-validate the certificate
     for lam_i, m in zip(cert.lam, con.mu):
-        if abs(lam_i * m(xbar)[0]) > ACTIVE_TOL:
+        if abs(lam_i * m(xbar)[0]) > FEAS_TOL:
             return {"verdict": "invalid certificate",
                     "reason": "complementarity fails"}
     gens = _cone_generators(p.L)
     minus_res = -np.array(cert.residual)
     for ell in gens:
-        if float(minus_res @ ell) < -1e-7:
+        if float(minus_res @ ell) < -CHECK_TOL:
             return {"verdict": "invalid certificate",
                     "reason": "residual leaves the polar cone"}
     dim = p.f.dim_in
@@ -173,12 +171,12 @@ def sufficiency_certificate(p: Problem, cert: MultiplierCert,
         mid = 0.5 * (a + b)
         if f_K_convex:
             gap = 0.5 * (p.f(a) + p.f(b)) - p.f(mid)
-            if not p.K.contains(gap, tol=1e-7):
+            if not p.K.contains(gap, tol=CHECK_TOL):
                 failures.append(("f not K-convex", tuple(mid)))
                 break
         if mu_convex:
             for m in con.mu:
-                if m(mid)[0] > 0.5 * (m(a)[0] + m(b)[0]) + 1e-7:
+                if m(mid)[0] > 0.5 * (m(a)[0] + m(b)[0]) + CHECK_TOL:
                     failures.append(("mu not convex", tuple(mid)))
                     break
         if nu_affine:

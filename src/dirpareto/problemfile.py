@@ -263,7 +263,11 @@ def normalize(doc: dict) -> dict:
     parse(normalize(doc)) and parse(doc) build equivalent problems, and
     normalize is idempotent.
     """
-    p = parse_problem(doc)  # validates every field read below
+    return echo(doc, parse_problem(doc))
+
+
+def echo(doc: dict, p: Problem) -> dict:
+    """The normalized document of ``doc``, read from ``p = parse_problem(doc)``."""
     obj = doc["objective"]
     kind = _variant(obj, tuple(_OBJECTIVES))
     out = {"schema_version": SCHEMA_VERSION, "dim_in": p.f.dim_in,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeneratorCone, HalfspaceCone, as_vector, frozen_array
+from .geometry import CHECK_TOL, GeneratorCone, HalfspaceCone, as_vector, frozen_array
 from .lp import LPProblem, lp_feasible
 
 
@@ -45,11 +45,11 @@ class SubdiffCert:
     K: HalfspaceCone
     e: tuple
 
-    def satisfies(self, vstar, tol: float = 1e-7) -> bool:
+    def satisfies(self, vstar) -> bool:
         vstar = as_vector(vstar, self.K.dim)
-        if abs(float(np.dot(vstar, self.e)) - 1.0) > tol:
+        if abs(float(np.dot(vstar, self.e)) - 1.0) > CHECK_TOL:
             return False
-        if abs(float(np.dot(vstar, self.u)) - self.value) > tol:
+        if abs(float(np.dot(vstar, self.u)) - self.value) > CHECK_TOL:
             return False
         # v* in K+ = cone generated by the rows of K (full-dimensional K)
         return GeneratorCone(self.K.dim, self.K.rows).contains(vstar)

@@ -14,6 +14,7 @@ from dirpareto.certify import (
     certify_set_min,
     check_first_order_necessary,
     openness_falsifier,
+    ray_points,
     tangent_sufficiency_sets,
 )
 from dirpareto.gallery import (
@@ -30,7 +31,7 @@ from dirpareto.gallery import (
     gallery_names,
     run_example,
 )
-from dirpareto.geometry import DirectionSet, HalfspaceCone
+from dirpareto.geometry import DirectionSet, HalfspaceCone, direction_samples
 from dirpareto.maps import SmoothMap, builtin, sector_map
 from dirpareto.sets import ImplicitSet, PolyhedralSet
 
@@ -194,6 +195,55 @@ def test_set_min_ball_refuted_on_negative_axis():
 def test_set_min_outside_point_rejected():
     with pytest.raises(CertifyError):
         certify_set_min(ORTHANT2, [-1.0, 0.0], R2_PLUS, L_X_AXIS)
+
+
+LOWER_LEFT = PolyhedralSet.from_rows([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("M, L, verdicts", [
+    (ORTHANT2, DirectionSet.full_sphere(2), ("certified_on_grid",) * 2),
+    (UNIT_BALL, DirectionSet.full_sphere(2), ("refuted",) * 2),
+    (LOWER_LEFT, DirectionSet.finite([(1.0, 0.0), (0.0, 1.0)]),
+     ("certified_on_grid",) * 2),
+    (UNIT_BALL, DirectionSet.finite([[-1.0, 0.0]]), ("refuted", "certified_on_grid")),
+], ids=["orthant", "ball", "vacuous-quadrant", "ball-negative-axis"])
+@pytest.mark.parametrize("weak", [False, True])
+def test_set_min_is_the_identity_objective_under_the_set(M, L, verdicts, weak):
+    """The set certifier walks the grid of the objective certifier for
+    f = identity constrained to M: same verdict, samples and witness."""
+    rep = certify_set_min(M, [0.0, 0.0], R2_PLUS, L, weak=weak, grid=SMALL)
+    p = Problem(builtin("identity_2"), R2_PLUS, L, (0.0, 0.0), SMALL, constraint=M)
+    same = certify_directional_min(p, weak=weak)
+    assert rep.verdict == verdicts[weak]
+    assert (rep.verdict, rep.samples, rep.note) == (
+        same.verdict, same.samples, same.note)
+    assert rep.counterexample == same.counterexample
+
+
+@pytest.mark.parametrize("L", [
+    DirectionSet.finite([[0.6, -0.8], [-1.0, 0.0], [0.0, 1.0]]),
+    DirectionSet.finite([[-0.6, 0.8], [1.0, -0.0], [-0.0, -1.0]]),
+    DirectionSet.cone_section(HalfspaceCone.from_rows([[1.0, 0.0], [0.0, 1.0]])),
+    DirectionSet.full_sphere(3),
+], ids=["finite", "negated", "cone-section", "full-sphere"])
+def test_grid_points_are_the_nested_loop_byte_for_byte(L):
+    """GridSpec.points is x = xbar + t*ell, ell outer and t inner, with the
+    loop's arithmetic; xbar minus the points at the origin is the
+    backward walk x = xbar - t*ell, and the openness images sit at
+    ray_points(xbar, dirs, eps * steps)."""
+    rng = np.random.default_rng(7)
+    g = GridSpec(radius=0.37, levels=9, rays_per_level=24, seed=3)
+    dirs = direction_samples(L, g.rays_per_level, g.seed)
+    for _ in range(5):
+        xbar = rng.uniform(-2.0, 2.0, L.dim)
+        forward = np.array([xbar + t * ell for ell in dirs for t in g.t_values()])
+        assert g.points(xbar, L).tobytes() == forward.tobytes()
+        backward = np.array([xbar - t * ell for ell in dirs for t in g.t_values()])
+        steps = g.points(np.zeros_like(xbar), L)
+        assert (xbar - steps).tobytes() == backward.tobytes()
+        eps, steps = 0.125, np.linspace(0.0, 1.0, 33)[1:]
+        images = np.array([xbar + eps * t * ell for ell in dirs for t in steps])
+        assert ray_points(xbar, dirs, eps * steps).tobytes() == images.tobytes()
 
 
 # ---------------------------------------------------------------------------

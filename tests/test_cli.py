@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirpareto import problemfile
+from dirpareto import cli, problemfile
 from dirpareto.cli import main
 from dirpareto.problemfile import ProblemFileError, normalize, parse_problem
 
@@ -113,6 +113,26 @@ def test_certify_exit_2_on_refutation(tmp_path):
     rep = json.loads((tmp_path / "certify.report.json").read_text())
     assert rep["report"]["verdict"] == "refuted"
     assert "counterexample" in rep["report"]
+
+
+def test_certify_parses_its_document_once(tmp_path, monkeypatch):
+    """The report's problem echo reuses the parsed problem (and still
+    echoes the file's grid, not the one after --rays)."""
+    with open(os.path.join(GOLDEN, "certify-cone-section.json"), encoding="utf-8") as fh:
+        fx = json.load(fh)
+    calls = []
+
+    def counted(doc):
+        calls.append(doc)
+        return parse_problem(doc)
+
+    monkeypatch.setattr(cli, "parse_problem", counted)
+    monkeypatch.setattr(problemfile, "parse_problem", counted)
+    path = _write(tmp_path, fx["problem"])
+    code = main(["certify", "--problem", path, "--out", str(tmp_path), *fx["flags"]])
+    assert code == fx["code"] and len(calls) == 1
+    rep = json.loads((tmp_path / "certify.report.json").read_text())
+    assert rep["problem"] == fx["report"]["problem"]
 
 
 def test_exit_1_on_missing_file(tmp_path, capsys):

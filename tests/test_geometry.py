@@ -137,6 +137,7 @@ def test_cone_section_accepts_line():
 def test_conic_hull_variants():
     Lf = DirectionSet.finite([[1.0, 0.0], [0.0, 1.0]])
     hull = conic_hull(Lf)
+    assert hull is conic_hull(Lf) and hull.generators is Lf.vectors  # built once
     assert hull.contains([1.0, 1.0])       # convex conic hull
     assert not hull.contains([-1.0, 0.0])
     assert conic_hull(DirectionSet.full_sphere(2)) is None
@@ -189,7 +190,7 @@ def _tangent_rays():
 @pytest.mark.parametrize("build, fields, aliases", [
     (lambda: orthant(2), ["rows"], ["matrix"]),
     (lambda: GeneratorCone.from_generators([[1.0, 0.0], [1.0, 1.0]]),
-     ["generators"], ["matrix"]),
+     ["generators", "units", ("sectors", bool)], ["matrix"]),
     (lambda: DirectionSet.finite([[1.0, 0.0], [0.0, 1.0]]), ["vectors"], ["matrix"]),
     (lambda: DirectionSet.full_sphere(3), ["vectors"], ["matrix"]),
     (lambda: PolyhedralSet.from_rows([[1.0, 0.0], [0.0, 1.0]], [0.0, -1.0]),
@@ -204,8 +205,9 @@ def _tangent_rays():
 def test_stored_arrays_are_read_only(build, fields, aliases):
     obj = build()
     for name in fields:
+        name, dtype = name if isinstance(name, tuple) else (name, np.float64)
         a = getattr(obj, name)
-        assert isinstance(a, np.ndarray) and a.dtype == np.float64
+        assert isinstance(a, np.ndarray) and a.dtype == dtype
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0.0

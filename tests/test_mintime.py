@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dirpareto.certify import CertifyError
 from dirpareto.geometry import DirectionSet, GeometryError, HalfspaceCone
 from dirpareto.maps import SmoothMap, builtin
 from dirpareto.mintime import (
@@ -179,6 +180,18 @@ def test_calmness_no_admissible_grid_flagged_zero():
     est = calmness_ratio(f, (0.0,), D((1.0,)), D((1.0,)))
     assert est.supremum_ratio == 0.0
     assert est.note != ""
+
+
+@pytest.mark.parametrize("ratio", [calmness_ratio, subregularity_ratio])
+@pytest.mark.parametrize("grid", [
+    {"radius": -0.1}, {"radius": 0.0}, {"radius": float("nan")},
+    {"radius": float("inf")}, {"levels": 0}, {"rays": 0},
+], ids=["negative-radius", "zero-radius", "nan-radius", "inf-radius",
+        "no-levels", "no-rays"])
+def test_ratio_rejects_bad_grid(ratio, grid):
+    f = builtin("identity_1")
+    with pytest.raises(CertifyError):
+        ratio(f, (0.0,), D((1.0,)), D((1.0,)), **grid)
 
 
 def test_subregularity_equals_inverse_calmness_linear_maps():
