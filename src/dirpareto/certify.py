@@ -112,8 +112,13 @@ def _feasible(constraint, x) -> bool:
     if constraint is None:
         return True
     if isinstance(constraint, IneqEq):
-        return not (any(m(x)[0] > FEAS_TOL for m in constraint.mu)
-                    or any(abs(n(x)[0]) > FEAS_TOL for n in constraint.nu))
+        for m in constraint.mu:
+            if m(x)[0] > FEAS_TOL:
+                return False
+        for n in constraint.nu:
+            if abs(n(x)[0]) > FEAS_TOL:
+                return False
+        return True
     return bool(constraint.contains(x))
 
 

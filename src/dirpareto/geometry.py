@@ -9,7 +9,8 @@ the representation it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,35 +102,39 @@ class HalfspaceCone:
 class GeneratorCone:
     """Cone of nonnegative combinations of finitely many generators.
 
-    In 2-D, membership is closed-form over tables built here once: the
-    unit generators, whether they span the whole plane, and which ordered
-    pairs bound a proper sector (``sectors[i, j]``: 0 < angle < pi).
+    In 2-D, membership is closed-form over read-only tables built on first
+    use and kept: ``units`` (the unit generators), ``whole_plane`` (whether
+    they span the plane) and ``sectors`` (``sectors[i, j]``: g_i, g_j bound
+    a proper sector, 0 < angle < pi).
     """
 
     dim: int
     generators: np.ndarray
-    units: np.ndarray | None = field(init=False, default=None)
-    whole_plane: bool = field(init=False, default=False)
-    sectors: np.ndarray | None = field(init=False, default=None)
 
-    def __post_init__(self):
-        if self.dim != 2:
-            return
-        units = self.generators / np.linalg.norm(self.generators, axis=1,
-                                                 keepdims=True)
-        # whole plane: no closed halfplane contains all generators; any
-        # containing halfplane can be rotated onto a generator, so its
-        # normal is one of the generator perpendiculars
-        perp = units[:, ::-1] * [-1.0, 1.0]  # perp_i = (-g_i1, g_i0)
+    @cached_property
+    def units(self) -> np.ndarray:
+        return frozen_array(self.generators / np.linalg.norm(
+            self.generators, axis=1, keepdims=True), 2)
+
+    @cached_property
+    def whole_plane(self) -> bool:
+        # no closed halfplane contains all generators; any containing
+        # halfplane can be rotated onto a generator, so its normal is one
+        # of the generator perpendiculars
+        units = self.units
+        perp = np.stack([-units[:, 1], units[:, 0]], axis=1)
         dots = perp @ units.T  # dots[i, j] = perp_i . g_j
-        u0, u1 = units[:, 0], units[:, 1]
-        sectors = np.multiply.outer(u0, u1) - np.multiply.outer(u1, u0) > TOL
-        units.setflags(write=False)
+        return not (np.any(np.all(dots >= -TOL, axis=1))
+                    or np.any(np.all(dots <= TOL, axis=1)))
+
+    @cached_property
+    def sectors(self) -> np.ndarray:
+        units = self.units
+        cross_gg = (units[:, 0][:, None] * units[:, 1][None, :]
+                    - units[:, 1][:, None] * units[:, 0][None, :])
+        sectors = cross_gg > TOL
         sectors.setflags(write=False)
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "whole_plane", not (
-            (dots >= -TOL).all(axis=1).any() or (dots <= TOL).all(axis=1).any()))
-        object.__setattr__(self, "sectors", sectors)
+        return sectors
 
     @staticmethod
     def from_generators(gens) -> "GeneratorCone":
@@ -203,15 +208,12 @@ class DirectionSet:
     variant 'finite': explicit unit vectors; 'cone_section': the
     unit-sphere slice of an H-rep cone; 'full_sphere': all of S_X.
     ``vectors`` holds the finite directions, shape (0, dim) otherwise.
-    ``hull`` is cone L, built once: the generator cone of the finite
-    directions, the section's cone, or None for the full sphere.
     """
 
     dim: int
     variant: str
     vectors: np.ndarray
     section: HalfspaceCone | None = None
-    hull: GeneratorCone | HalfspaceCone | None = None
 
     @staticmethod
     def finite(vs) -> "DirectionSet":
@@ -220,8 +222,7 @@ class DirectionSet:
             raise GeometryError("direction set must be nonempty")
         if np.any(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) > UNIT_TOL):
             raise GeometryError("finite directions must be unit vectors")
-        return DirectionSet(vecs.shape[1], "finite", vecs,
-                            hull=GeneratorCone(vecs.shape[1], vecs))
+        return DirectionSet(vecs.shape[1], "finite", vecs)
 
     @staticmethod
     def cone_section(cone: HalfspaceCone) -> "DirectionSet":
@@ -237,7 +238,7 @@ class DirectionSet:
                 if lp_feasible(p) is not None:
                     return DirectionSet(cone.dim, "cone_section",
                                         frozen_array(np.zeros((0, cone.dim)), 2),
-                                        cone, cone)
+                                        cone)
         raise GeometryError("cone section is trivial: cone contains only 0")
 
     @staticmethod
@@ -250,10 +251,17 @@ class DirectionSet:
     def matrix(self) -> np.ndarray:
         return self.vectors
 
+    @cached_property
+    def hull(self) -> GeneratorCone | HalfspaceCone | None:
+        """cone L, built once from the variant: the generator cone of the
+        finite directions, the section's cone, or None for the full sphere."""
+        if self.variant == "finite":
+            return GeneratorCone(self.dim, self.vectors)
+        return self.section
+
 
 def conic_hull(L: DirectionSet):
-    """cone L: generator cone for finite L, the section's H-rep cone for a
-    cone section, None (the whole space) for the full sphere."""
+    """cone L, kept on L as ``L.hull``."""
     return L.hull
 
 

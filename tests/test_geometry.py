@@ -144,6 +144,16 @@ def test_conic_hull_variants():
     assert cone_contains(DirectionSet.full_sphere(2), [-3.0, 5.0])
 
 
+def test_hull_follows_the_variant():
+    # built without a factory, cone L still comes from the directions
+    L = DirectionSet(2, "finite", np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assert not cone_contains(L, [-1.0, 0.0])
+    K = HalfspaceCone.from_rows([[1.0, 0.0]])
+    assert conic_hull(DirectionSet.cone_section(K)) is K
+    with pytest.raises(TypeError):
+        DirectionSet(2, "finite", L.vectors, hull=None)
+
+
 def test_cone_contains_zero_vector():
     L = DirectionSet.finite([[1.0, 0.0]])
     assert cone_contains(L, [0.0, 0.0])
