@@ -142,16 +142,12 @@ def test_conic_hull_variants():
     assert not hull.contains([-1.0, 0.0])
     assert conic_hull(DirectionSet.full_sphere(2)) is None
     assert cone_contains(DirectionSet.full_sphere(2), [-3.0, 5.0])
-
-
-def test_hull_follows_the_variant():
-    # built without a factory, cone L still comes from the directions
-    L = DirectionSet(2, "finite", np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert not cone_contains(L, [-1.0, 0.0])
     K = HalfspaceCone.from_rows([[1.0, 0.0]])
     assert conic_hull(DirectionSet.cone_section(K)) is K
+    # cone L follows the variant, also when built without a factory
+    assert not cone_contains(DirectionSet(2, "finite", Lf.vectors), [-1.0, 0.0])
     with pytest.raises(TypeError):
-        DirectionSet(2, "finite", L.vectors, hull=None)
+        DirectionSet(2, "finite", Lf.vectors, hull=None)
 
 
 def test_cone_contains_zero_vector():
@@ -200,7 +196,7 @@ def _tangent_rays():
 @pytest.mark.parametrize("build, fields, aliases", [
     (lambda: orthant(2), ["rows"], ["matrix"]),
     (lambda: GeneratorCone.from_generators([[1.0, 0.0], [1.0, 1.0]]),
-     ["generators", "units", ("sectors", bool)], ["matrix"]),
+     ["generators", "units", ("sectors", bool)], ["matrix", "units", "sectors"]),
     (lambda: DirectionSet.finite([[1.0, 0.0], [0.0, 1.0]]), ["vectors"], ["matrix"]),
     (lambda: DirectionSet.full_sphere(3), ["vectors"], ["matrix"]),
     (lambda: PolyhedralSet.from_rows([[1.0, 0.0], [0.0, 1.0]], [0.0, -1.0]),
