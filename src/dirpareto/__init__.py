@@ -26,6 +26,7 @@ from .geometry import (
     HalfspaceCone,
     GeneratorCone,
     cone_contains,
+    cone_contains_many,
     conic_hull,
     direction_samples,
     dual_generators,

@@ -70,7 +70,7 @@ class Problem:
     L: DirectionSet
     xbar: tuple
     grid: GridSpec = field(default_factory=GridSpec)
-    constraint: object = None  # None | IneqEq | set with .contains
+    constraint: object = None  # None | IneqEq | set with .contains_many
 
     def __post_init__(self):
         x = as_vector(self.xbar, self.f.dim_in)
@@ -79,7 +79,7 @@ class Problem:
             raise CertifyError("direction set lives in the wrong space")
         if self.K.dim != self.f.dim_out:
             raise CertifyError("ordering cone lives in the wrong space")
-        if not _feasible(self.constraint, x):
+        if not _feasible(self.constraint, x[None])[0]:
             raise CertifyError("reference point is not feasible")
 
     @property
@@ -108,18 +108,24 @@ class CertReport:
         return d
 
 
-def _feasible(constraint, x) -> bool:
+def _feasible(constraint, X) -> np.ndarray:
+    """Feasibility of each row of X: no constraint admits every row, an
+    ``IneqEq`` evaluates its maps row by row, a set tests membership."""
     if constraint is None:
-        return True
+        return np.ones(len(X), dtype=bool)
     if isinstance(constraint, IneqEq):
-        for m in constraint.mu:
-            if m(x)[0] > FEAS_TOL:
-                return False
-        for n in constraint.nu:
-            if abs(n(x)[0]) > FEAS_TOL:
-                return False
-        return True
-    return bool(constraint.contains(x))
+        return np.array([_satisfies(constraint, x) for x in X], dtype=bool)
+    return constraint.contains_many(X)
+
+
+def _satisfies(c: IneqEq, x) -> bool:
+    for m in c.mu:
+        if m(x)[0] > FEAS_TOL:
+            return False
+    for n in c.nu:
+        if abs(n(x)[0]) > FEAS_TOL:
+            return False
+    return True
 
 
 def _violates(d: np.ndarray, K: HalfspaceCone, weak: bool) -> bool:
@@ -129,20 +135,24 @@ def _violates(d: np.ndarray, K: HalfspaceCone, weak: bool) -> bool:
     return K.contains(-d) and not K.contains(d)  # d in -K \ K
 
 
-def _walk(points, feasible, diff, K: HalfspaceCone, weak: bool) -> CertReport:
+def _walk(points, levels: int, constraint, diff, K: HalfspaceCone,
+          weak: bool) -> CertReport:
     """Walk the grid in order; the first feasible point whose difference
     ``diff(x)`` violates minimality refutes, and no violation certifies.
-    Feasibility and ``diff`` run point by point, up to that violation."""
+    Feasibility under ``constraint`` is decided one ray (``levels``
+    points) at a time, and ``diff`` runs point by point up to that
+    violation."""
     samples = 0
-    for x in points:
-        if not feasible(x):
-            continue
-        samples += 1
-        d = diff(x)
-        if not np.all(np.isfinite(d)):
-            raise CertifyError(f"non-finite objective value at {x.tolist()}")
-        if _violates(d, K, weak):
-            return CertReport("refuted", weak, samples, (tuple(x), tuple(d)))
+    for ray in points.reshape(-1, levels, points.shape[1]):
+        if constraint is not None:
+            ray = ray[_feasible(constraint, ray)]
+        for x in ray:
+            samples += 1
+            d = diff(x)
+            if not np.all(np.isfinite(d)):
+                raise CertifyError(f"non-finite objective value at {x.tolist()}")
+            if _violates(d, K, weak):
+                return CertReport("refuted", weak, samples, (tuple(x), tuple(d)))
     # with no feasible sample the certificate is vacuous and says so
     note = "" if samples else "no feasible grid sample"
     return CertReport("certified_on_grid", weak, samples, note=note)
@@ -152,7 +162,7 @@ def certify_directional_min(p: Problem, weak: bool = False) -> CertReport:
     """Sample x = xbar + t*ell over the grid and hunt for a violation."""
     xbar = p.x0
     f0 = p.f(xbar)
-    return _walk(p.grid.points(xbar, p.L), lambda x: _feasible(p.constraint, x),
+    return _walk(p.grid.points(xbar, p.L), p.grid.levels, p.constraint,
                  lambda x: p.f(x) - f0, p.K, weak)
 
 
@@ -164,9 +174,13 @@ def certify_set_min(M, xbar, K: HalfspaceCone, L: DirectionSet,
     (strong) or -int K (weak)."""
     grid = grid or GridSpec()
     xbar = as_vector(xbar, M.dim)
+    if L.dim != M.dim:
+        raise CertifyError("direction set lives in the wrong space")
+    if K.dim != M.dim:
+        raise CertifyError("ordering cone lives in the wrong space")
     if not M.contains(xbar):
         raise CertifyError("reference point is not in the set")
-    return _walk(grid.points(xbar, L), M.contains, lambda x: x - xbar, K, weak)
+    return _walk(grid.points(xbar, L), grid.levels, M, lambda x: x - xbar, K, weak)
 
 
 @dataclass(frozen=True)

@@ -172,9 +172,10 @@ def _cmd_certify_set(doc, args) -> tuple:
     rep = certify_set_min(M, xbar, K, L, weak=args.weak, grid=grid)
     report = {"set": doc["set"], "report": rep.as_dict()}
     if M.dim == 2:
+        pts = grid.points(xbar, L)
         svg = _write_svg(args.out, "certify-set",
-                         [(tuple(x), bool(M.contains(x)))
-                          for x in grid.points(xbar, L)])
+                         [(tuple(x), bool(member))
+                          for x, member in zip(pts, M.contains_many(pts))])
         report["svg"] = os.path.basename(svg)
     return report, rep.verdict == "certified_on_grid"
 

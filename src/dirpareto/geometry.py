@@ -37,6 +37,31 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     return a
 
 
+def as_points(X, dim: int) -> np.ndarray:
+    """Validate and return a finite (n, dim) float array of points."""
+    a = np.asarray(X, dtype=float)
+    if a.ndim != 2 or a.shape[1] != dim:
+        raise GeometryError(f"expected an (n, {dim}) array of points, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise GeometryError("vector has non-finite entries")
+    return a
+
+
+# The batched forms of ``np.linalg.norm(x)`` and ``rows @ x``.  Both give
+# the one-point result on every row, bit for bit, so a batched membership
+# test decides exactly as the one-point test it replaces; ``einsum`` and
+# ``X @ rows.T`` differ from them in the last place on some rows.
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of X."""
+    return np.sqrt(np.vecdot(X, X))
+
+
+def row_products(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``rows @ x`` for each row x of X, shape (n, len(rows))."""
+    return np.matmul(rows, X[:, :, None])[..., 0]
+
+
 def frozen_array(x, ndim: int) -> np.ndarray:
     """A read-only float64 copy of ``x`` with ``ndim`` axes and finite entries.
 
@@ -89,6 +114,10 @@ class HalfspaceCone:
         if strict:
             return bool(np.all(prods > tol))
         return bool(np.all(prods >= -tol))
+
+    def contains_many(self, X) -> np.ndarray:
+        """``contains`` (non-strict, tolerance TOL) for each row of X."""
+        return np.all(row_products(self.rows, as_points(X, self.dim)) >= -TOL, axis=1)
 
     def interior_point(self) -> np.ndarray | None:
         """A point with a_i . y >= 1 for all i, or None (empty interior)."""
@@ -146,36 +175,48 @@ class GeneratorCone:
         return self.generators
 
     def contains(self, v) -> bool:
-        v = as_vector(v, self.dim)
-        nrm = float(np.linalg.norm(v))
-        if nrm <= TOL:
-            return True
-        if self.dim <= 2:
-            return self._contains_lowdim(v / nrm)
+        return bool(self._contains_rows(as_vector(v, self.dim)[None])[0])
+
+    def contains_many(self, X) -> np.ndarray:
+        """Membership of each row of X: closed-form in dimension 1 and 2,
+        one LP per row above."""
+        return self._contains_rows(as_points(X, self.dim))
+
+    def _contains_rows(self, X) -> np.ndarray:
+        nrm = row_norms(X)
+        zero = nrm <= TOL
+        if self.dim == 1:
+            # g*x has the sign of g*x/|x| (and cannot underflow to 0, as
+            # |g| > UNIT_TOL and |x| > TOL): no need to normalize
+            return zero | (self.generators[:, 0] * X > 0.0).any(axis=1)
+        if self.dim > 2:
+            return np.array([z or self._contains_lp(x) for z, x in zip(zero, X)], dtype=bool)
+        if self.whole_plane:
+            return np.ones(len(X), dtype=bool)
+        # unit rows (a zero row, a member anyway, is divided by 1)
+        return zero | self._in_sectors(X / np.where(zero, 1.0, nrm)[:, None])
+
+    def _contains_lp(self, v) -> bool:
         gens = self.generators
         p = LPProblem(len(gens), nonneg=range(len(gens)))
         for k in range(self.dim):
             p.add_eq(gens[:, k], v[k])
         return lp_feasible(p) is not None
 
-    def _contains_lowdim(self, v) -> bool:
-        """Closed-form membership in dimension 1 and 2 (v is unit)."""
-        if self.dim == 1:
-            return bool(np.any(self.generators[:, 0] * v[0] > 0.0))
-        if self.whole_plane:
-            return True
+    def _in_sectors(self, U) -> np.ndarray:
+        """Closed-form membership in 2-D (rows of U are unit), for a cone
+        that is not the whole plane."""
         units = self.units
+        # cross[n, i] = g_i x u_n and dot[n, i] = g_i . u_n
+        cross = units[:, 0] * U[:, 1:] - units[:, 1] * U[:, :1]
+        dot = row_products(units, U)
         # positively parallel to a generator
-        cross_gv = units[:, 0] * v[1] - units[:, 1] * v[0]
-        dot_gv = units @ v
-        if np.any((np.abs(cross_gv) <= TOL) & (dot_gv > 0.0)):
-            return True
+        parallel = ((np.abs(cross) <= TOL) & (dot > 0.0)).any(axis=1)
         # otherwise the cone is a union of proper sectors between
-        # generator pairs: v in [g_i, g_j] with angle(g_i, g_j) < pi
-        ok = (self.sectors
-              & (cross_gv[:, None] >= -TOL)
-              & (-cross_gv[None, :] >= -TOL))
-        return bool(np.any(ok))
+        # generator pairs: u in [g_i, g_j] with angle(g_i, g_j) < pi;
+        # the boolean product ORs sectors[i, j] & (u before g_j) over j
+        before = (-cross >= -TOL) @ self.sectors.T
+        return parallel | ((cross >= -TOL) & before).any(axis=1)
 
 
 def negative_polar(c: GeneratorCone) -> HalfspaceCone:
@@ -276,6 +317,18 @@ def cone_contains(L: DirectionSet, v) -> bool:
     return hull.contains(v)
 
 
+def cone_contains_many(L: DirectionSet, V) -> np.ndarray:
+    """``cone_contains`` for each row of V."""
+    V = as_points(V, L.dim)
+    hull = conic_hull(L)
+    if hull is None:
+        return np.ones(len(V), dtype=bool)
+    out = row_norms(V) <= TOL
+    rest = np.flatnonzero(~out)
+    out[rest] = hull.contains_many(V[rest])
+    return out
+
+
 def normalize_directions(vs) -> DirectionSet:
     """Unit-normalize, drop exact duplicates (order preserved)."""
     out: list[np.ndarray] = []
@@ -329,18 +382,17 @@ def direction_samples(L: DirectionSet, count: int, seed: int = 0) -> np.ndarray:
     if L.variant == "full_sphere":
         return sphere_lattice(L.dim, count, seed)
     cone = L.section
-    found: list[np.ndarray] = []
     batch = max(count * 4, 64)
     for factor in (1, 4, 16, 64):
         pts = sphere_lattice(L.dim, batch * factor, seed)
-        found = [p for p in pts if cone.contains(p)]
+        found = pts[cone.contains_many(pts)]
         if len(found) >= count:
             break
-    if not found:
+    if not len(found):
         # fall back to normalized interior / row-orthogonal probes
         ip = cone.interior_point()
         if ip is not None and np.linalg.norm(ip) > 0:
-            found = [ip / np.linalg.norm(ip)]
-    if not found:
+            found = (ip / np.linalg.norm(ip))[None]
+    if not len(found):
         raise GeometryError("no direction of the cone section could be sampled")
-    return np.array(found[:count])
+    return found[:count].copy()

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import TOL, GeometryError, as_vector, frozen_array
+from .geometry import TOL, GeometryError, as_points, as_vector, frozen_array, row_products
 from .lp import LPProblem, lp_feasible
 
 
@@ -49,10 +49,25 @@ class PolyhedralSet:
         x = as_vector(x, self.dim)
         return bool(np.all(self.rows @ x >= self.offsets - TOL))
 
+    def contains_many(self, X) -> np.ndarray:
+        """``contains`` for each row of X."""
+        prods = row_products(self.rows, as_points(X, self.dim))
+        return np.all(prods >= self.offsets - TOL, axis=1)
+
     def active_rows(self, x) -> np.ndarray:
         """Rows with a_i . x = b_i within TOL, as a matrix (possibly empty)."""
         x = as_vector(x, self.dim)
         return self.rows[np.abs(self.rows @ x - self.offsets) <= TOL]
+
+
+# A polygon tests a batch in blocks of rows holding at most about this
+# many (point, edge) pairs, which bounds each temporary of the block.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def _pairs(mask: np.ndarray) -> tuple:
+    """(row, column) indices of the true entries of a 2-D mask, row-major."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +77,8 @@ class PolygonRegion:
     Boundary points count as members up to ``edge_tol`` distance.  The
     edge arrays are built once, read-only: edge i runs from ``vertices[i]``
     to ``next_vertices[i]`` along ``edges[i]``, whose squared length is
-    ``edge_lengths2[i]`` (1 for a zero-length edge).
+    ``edge_lengths2[i]`` (1 for a zero-length edge), inside the box from
+    ``box_lo[i]`` to ``box_hi[i]`` grown by ``2*edge_tol`` on every side.
     """
 
     vertices: np.ndarray
@@ -72,36 +88,63 @@ class PolygonRegion:
     next_vertices: np.ndarray = field(init=False, repr=False)
     edges: np.ndarray = field(init=False, repr=False)
     edge_lengths2: np.ndarray = field(init=False, repr=False)
+    box_lo: np.ndarray = field(init=False, repr=False)
+    box_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         W = np.roll(self.vertices, -1, axis=0)
         d = W - self.vertices
         lens2 = np.einsum("ij,ij->i", d, d)
         lens2[lens2 == 0.0] = 1.0
-        for name, a in (("next_vertices", W), ("edges", d), ("edge_lengths2", lens2)):
+        grow = 2.0 * self.edge_tol
+        lo = np.minimum(self.vertices, W) - grow
+        hi = np.maximum(self.vertices, W) + grow
+        for name, a in (("next_vertices", W), ("edges", d), ("edge_lengths2", lens2),
+                        ("box_lo", lo), ("box_hi", hi)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     def contains(self, x) -> bool:
-        x = as_vector(x, 2)
-        V, W = self.vertices, self.next_vertices
-        px, py = x
-        straddle = (V[:, 1] > py) != (W[:, 1] > py)
-        if np.any(straddle):
-            vi, di = V[straddle], self.edges[straddle]
-            xc = vi[:, 0] + (py - vi[:, 1]) / di[:, 1] * di[:, 0]
-            if int(np.count_nonzero(px < xc)) % 2 == 1:
-                return True
-        if self.edge_tol == 0.0:
-            return False
-        return self._near_boundary(x)
+        return bool(self.contains_many(as_vector(x, 2)[None])[0])
 
-    def _near_boundary(self, x) -> bool:
-        V, d = self.vertices, self.edges
-        t = np.clip(np.einsum("ij,ij->i", x - V, d) / self.edge_lengths2, 0.0, 1.0)
-        proj = V + t[:, None] * d
-        dist2 = np.einsum("ij,ij->i", x - proj, x - proj)
-        return bool(np.min(dist2) <= self.edge_tol ** 2)
+    def contains_many(self, X) -> np.ndarray:
+        """Membership of each row of X, in row blocks of bounded size."""
+        X = as_points(X, 2)
+        out = np.empty(len(X), dtype=bool)
+        step = max(1, BLOCK_ELEMENTS // len(self.vertices))
+        for s in range(0, len(X), step):
+            block = X[s:s + step]
+            inside = self._crosses_odd(block)
+            rest = np.flatnonzero(~inside)
+            if self.edge_tol != 0.0 and rest.size:
+                inside[rest] = self._near_boundary(block[rest])
+            out[s:s + step] = inside
+        return out
+
+    def _crosses_odd(self, X) -> np.ndarray:
+        """Even-odd test: a rightward ray from each point crosses the
+        boundary an odd number of times.  ``xc`` is computed only for the
+        (point, edge) pairs whose edge straddles the point's height."""
+        V, W, d = self.vertices, self.next_vertices, self.edges
+        py = X[:, 1:]
+        pi, ei = _pairs((V[:, 1] > py) != (W[:, 1] > py))
+        xc = V[ei, 0] + (X[pi, 1] - V[ei, 1]) / d[ei, 1] * d[ei, 0]
+        return np.bincount(pi[X[pi, 0] < xc], minlength=len(X)) % 2 == 1
+
+    def _near_boundary(self, X) -> np.ndarray:
+        """Rows of X within ``edge_tol`` of an edge.  Only the edges whose
+        grown box holds a point are projected on: any other edge lies more
+        than ``2*edge_tol`` away in one coordinate, so its distance cannot
+        pass."""
+        px, py = X[:, :1], X[:, 1:]
+        lo, hi = self.box_lo, self.box_hi
+        pi, ei = _pairs((px >= lo[:, 0]) & (px <= hi[:, 0])
+                        & (py >= lo[:, 1]) & (py <= hi[:, 1]))
+        P, Vp, dp = X[pi], self.vertices[ei], self.edges[ei]
+        t = np.clip(np.einsum("ij,ij->i", P - Vp, dp) / self.edge_lengths2[ei], 0.0, 1.0)
+        proj = Vp + t[:, None] * dp
+        dist2 = np.einsum("ij,ij->i", P - proj, P - proj)
+        return np.bincount(pi[dist2 <= self.edge_tol ** 2], minlength=len(X)) > 0
 
 
 @dataclass(frozen=True)
@@ -115,6 +158,24 @@ class ImplicitSet:
     def contains(self, x) -> bool:
         return bool(self.predicate(as_vector(x, self.dim)))
 
+    def contains_many(self, X) -> np.ndarray:
+        """The predicate on each row of X, one call per row."""
+        return np.array([self.contains(x) for x in as_points(X, self.dim)], dtype=bool)
+
+
+def _decide(parts, X, stop: bool) -> np.ndarray:
+    """Membership of the rows of X in a union (``stop=True``) or an
+    intersection (``stop=False``) of ``parts``: each part is tested, in
+    order, only on the rows that no earlier part answered with ``stop``."""
+    X = as_points(X, parts[0].dim)
+    out = np.full(len(X), not stop)
+    for part in parts:
+        rest = np.flatnonzero(out != stop)
+        if rest.size == 0:
+            break
+        out[rest] = part.contains_many(X[rest])
+    return out
+
 
 @dataclass(frozen=True)
 class UnionSet:
@@ -126,7 +187,10 @@ class UnionSet:
         return self.parts[0].dim
 
     def contains(self, x) -> bool:
-        return any(p.contains(x) for p in self.parts)
+        return bool(self.contains_many(as_vector(x, self.dim)[None])[0])
+
+    def contains_many(self, X) -> np.ndarray:
+        return _decide(self.parts, X, True)
 
 
 @dataclass(frozen=True)
@@ -139,7 +203,10 @@ class IntersectionSet:
         return self.parts[0].dim
 
     def contains(self, x) -> bool:
-        return all(p.contains(x) for p in self.parts)
+        return bool(self.contains_many(as_vector(x, self.dim)[None])[0])
+
+    def contains_many(self, X) -> np.ndarray:
+        return _decide(self.parts, X, False)
 
 
 def _clustered_parameters(n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ defining sequences, with an explicit evidence schedule.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -19,8 +20,11 @@ from .geometry import (
     HalfspaceCone,
     as_vector,
     cone_contains,
+    cone_contains_many,
     frozen_array,
+    row_norms,
 )
+from .certify import ray_points
 from .maps import SmoothMap
 from .sets import PolyhedralSet
 
@@ -107,33 +111,39 @@ def tangent_polyhedral(A: PolyhedralSet, xbar, L: DirectionSet) -> ExactTangentC
     return ExactTangentCone(A.dim, pieces=tuple(pieces))
 
 
+@functools.cache
 def _ball_lattice(dim: int, size: int) -> np.ndarray:
-    """Deterministic grid of the closed unit ball, at most ``size`` points."""
+    """Deterministic grid of the closed unit ball, at most ``size`` points,
+    built once per (dim, size) and read-only."""
     per_axis = max(3, int(size ** (1.0 / dim)))
     if per_axis % 2 == 0:
         per_axis -= 1
     axis = np.linspace(-1.0, 1.0, per_axis)
     pts = np.array(list(itertools.product(axis, repeat=dim)))
     keep = np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12
-    return pts[keep][:size]
+    return frozen_array(pts[keep][:size], 2)
 
 
 def _perturbations(u: np.ndarray, eps: float, L: DirectionSet | None,
                    lattice_size: int) -> np.ndarray:
     """Candidates u' in cone L with |u' - u| <= eps, deterministic order."""
-    dim = u.size
-    cands = [u] + [u + eps * g for g in _ball_lattice(dim, lattice_size)]
+    blocks = [u[None], u + eps * _ball_lattice(u.size, lattice_size)]
     if L is not None:
         # ray-aligned candidates: scale each finite direction toward the ball
         for ell in L.vectors:
             base = float(np.dot(u, ell))
-            cands += [c * ell for c in np.linspace(max(base - eps, 0.0), base + eps, 9)]
-    out = []
-    for cand in cands:
-        if np.linalg.norm(cand - u) <= eps + 1e-15 and (
-                L is None or cone_contains(L, cand)):
-            out.append(cand)
-    return np.array(out) if out else np.zeros((0, dim))
+            blocks.append(np.linspace(max(base - eps, 0.0), base + eps, 9)[:, None] * ell)
+    cands = np.concatenate(blocks)
+    keep = row_norms(cands - u) <= eps + 1e-15
+    if L is not None:
+        near = np.flatnonzero(keep)
+        keep[near] = cone_contains_many(L, cands[near])
+    return cands[keep]
+
+
+# Candidates per membership batch in the sampled tangent search: the
+# blocks double from 1 up to this cap, so an early hit costs little.
+MAX_BLOCK = 64
 
 
 def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
@@ -164,15 +174,19 @@ def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
     for k, t in enumerate(steps):
         eps = norm_u * 0.5 ** (k / 2.0)
         cands = _perturbations(u, eps, L, schedule.lattice_size)
+        # sweep sub-steps t' <= t as well, finest first is not needed; the
+        # first hit counts in candidate-major, sub-step-minor order
+        substeps = t * 0.5 ** (0.5 * np.arange(8))
         found = None
-        for cand in cands:
-            # sweep sub-steps t' <= t as well, finest first is not needed
-            for tt in t * 0.5 ** (0.5 * np.arange(8)):
-                if A.contains(xbar + tt * cand):
-                    found = (float(tt), cand)
-                    break
-            if found:
-                break
+        start, size = 0, 1
+        while found is None and start < len(cands):
+            block = cands[start:start + size]
+            inside = np.flatnonzero(A.contains_many(ray_points(xbar, block, substeps)))
+            if inside.size:
+                c, s = divmod(int(inside[0]), len(substeps))
+                found = (float(substeps[s]), block[c])
+            start += size
+            size = min(2 * size, MAX_BLOCK)
         if found:
             evidence.append((found[0], tuple(found[1])))
             hits += 1

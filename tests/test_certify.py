@@ -33,7 +33,7 @@ from dirpareto.gallery import (
 )
 from dirpareto.geometry import DirectionSet, HalfspaceCone, direction_samples
 from dirpareto.maps import SmoothMap, builtin, sector_map
-from dirpareto.sets import ImplicitSet, PolyhedralSet
+from dirpareto.sets import ImplicitSet, PolygonRegion, PolyhedralSet, curve_halfplane_set
 
 ORTHANT2 = PolyhedralSet.from_rows([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
 UNIT_BALL = ImplicitSet(2, lambda x: float(np.linalg.norm(x)) <= 1.0, "ball")
@@ -195,6 +195,32 @@ def test_set_min_ball_refuted_on_negative_axis():
 def test_set_min_outside_point_rejected():
     with pytest.raises(CertifyError):
         certify_set_min(ORTHANT2, [-1.0, 0.0], R2_PLUS, L_X_AXIS)
+
+
+@pytest.mark.parametrize("K, L, message", [
+    (R2_PLUS, DirectionSet.full_sphere(3), "direction set"),
+    (R2_PLUS, L_PLUS, "direction set"),
+    (HalfspaceCone.from_rows(np.eye(3)), L_X_AXIS, "ordering cone"),
+], ids=["L-3d", "L-1d", "K-3d"])
+def test_set_min_rejects_mismatched_dimensions(K, L, message):
+    with pytest.raises(CertifyError, match=f"^{message} lives in the wrong space$"):
+        certify_set_min(ORTHANT2, [0.0, 0.0], K, L, grid=SMALL)
+
+
+def test_set_walk_tests_membership_one_ray_at_a_time(monkeypatch):
+    """The walker asks the set about a whole ray at once: the polygon
+    inside curve_halfplane_set gets at most one batch per ray and no
+    one-point query."""
+    calls = {"contains": 0, "contains_many": 0}
+    for name in calls:
+        def counted(self, x, _original=getattr(PolygonRegion, name), _name=name):
+            calls[_name] += 1
+            return _original(self, x)
+        monkeypatch.setattr(PolygonRegion, name, counted)
+    rep = certify_set_min(curve_halfplane_set(), (0.0, 0.0), R2_PLUS, _circle(128))
+    assert rep.verdict == "refuted"
+    assert calls["contains"] == 0
+    assert 0 < calls["contains_many"] <= 128
 
 
 LOWER_LEFT = PolyhedralSet.from_rows([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])

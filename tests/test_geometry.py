@@ -202,7 +202,7 @@ def _tangent_rays():
     (lambda: PolyhedralSet.from_rows([[1.0, 0.0], [0.0, 1.0]], [0.0, -1.0]),
      ["rows", "offsets"], ["matrix", "rhs"]),
     (lambda: closed_curve_region(64),
-     ["vertices", "next_vertices", "edges", "edge_lengths2"], []),
+     ["vertices", "next_vertices", "edges", "edge_lengths2", "box_lo", "box_hi"], []),
     (_tangent_rays, ["rays"], []),
     (lambda: Target.finite_points([[1.0, 2.0], [0.0, 3.0]]), ["points"], []),
     (lambda: ScalarizationContext.create(orthant(2), [1.0, 2.0]), ["e"], []),

@@ -1,0 +1,213 @@
+"""Batched membership: ``contains_many(X)`` answers exactly what one-point
+``contains`` answers on every row, for every set and cone, on random
+points and on the points where a tolerance or a rounding decides."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dirpareto.geometry import (
+    TOL,
+    DirectionSet,
+    GeneratorCone,
+    GeometryError,
+    HalfspaceCone,
+    cone_contains,
+    cone_contains_many,
+    frozen_array,
+)
+from dirpareto.sets import (
+    ImplicitSet,
+    IntersectionSet,
+    PolygonRegion,
+    PolyhedralSet,
+    cardioid_region,
+    closed_curve_region,
+    curve_halfplane_set,
+)
+
+
+# ---------------------------------------------------------------------------
+# one-point references: the even-odd and near-boundary test of a polygon
+# and the 2-D sector test of a generator cone, one point at a time
+
+def _polygon_reference(P, x) -> bool:
+    V = P.vertices
+    W = np.roll(V, -1, axis=0)
+    px, py = x
+    straddle = (V[:, 1] > py) != (W[:, 1] > py)
+    if np.any(straddle):
+        vi, di = V[straddle], (W - V)[straddle]
+        xc = vi[:, 0] + (py - vi[:, 1]) / di[:, 1] * di[:, 0]
+        if int(np.count_nonzero(px < xc)) % 2 == 1:
+            return True
+    if P.edge_tol == 0.0:
+        return False
+    d = W - V
+    lens2 = np.einsum("ij,ij->i", d, d)
+    lens2[lens2 == 0.0] = 1.0
+    t = np.clip(np.einsum("ij,ij->i", x - V, d) / lens2, 0.0, 1.0)
+    proj = V + t[:, None] * d
+    dist2 = np.einsum("ij,ij->i", x - proj, x - proj)
+    return bool(np.min(dist2) <= P.edge_tol ** 2)
+
+
+def _sector_reference(C, v) -> bool:
+    nrm = float(np.linalg.norm(v))
+    if nrm <= TOL:
+        return True
+    v = v / nrm
+    units = C.generators / np.linalg.norm(C.generators, axis=1, keepdims=True)
+    perp = np.stack([-units[:, 1], units[:, 0]], axis=1)
+    dots = perp @ units.T
+    if not (np.any(np.all(dots >= -TOL, axis=1)) or np.any(np.all(dots <= TOL, axis=1))):
+        return True
+    cross_gv = units[:, 0] * v[1] - units[:, 1] * v[0]
+    if np.any((np.abs(cross_gv) <= TOL) & (units @ v > 0.0)):
+        return True
+    sectors = (units[:, 0][:, None] * units[:, 1][None, :]
+               - units[:, 1][:, None] * units[:, 0][None, :]) > TOL
+    return bool(np.any(sectors & (cross_gv[:, None] >= -TOL) & (-cross_gv[None, :] >= -TOL)))
+
+
+# ---------------------------------------------------------------------------
+# the oracles, each with its adversarial points
+
+def _hyperplane_points(rows, offsets=None):
+    """Points on each hyperplane a.x = b and TOL, 2 TOL off it either way."""
+    rows = np.asarray(rows, float)
+    b = np.zeros(len(rows)) if offsets is None else np.asarray(offsets, float)
+    rng = np.random.default_rng(1)
+    pts = []
+    for a, off in zip(rows, b):
+        foot = off * a / (a @ a)
+        for _ in range(3):
+            z = rng.standard_normal(len(a))
+            z -= (z @ a) / (a @ a) * a
+            for s in (0.0, TOL, -TOL, 2 * TOL, -2 * TOL, 0.5 * TOL, -0.5 * TOL):
+                pts.append(foot + z + s * a / (a @ a))
+    return pts
+
+
+def _polygon_points(P):
+    """Vertices, edge midpoints, and points edge_tol and 2 edge_tol off
+    the middle of each edge on either side."""
+    V = P.vertices
+    W = np.roll(V, -1, axis=0)
+    d = W - V
+    n = np.stack([-d[:, 1], d[:, 0]], axis=1)
+    lens = np.linalg.norm(n, axis=1, keepdims=True)
+    n = n / np.where(lens == 0.0, 1.0, lens)
+    mid = 0.5 * (V + W)
+    tol = P.edge_tol or 1e-12
+    pts = [V, mid]
+    for s in (tol, 2 * tol, 0.5 * tol):
+        pts += [mid + s * n, mid - s * n]
+    return list(np.concatenate(pts))
+
+
+def _cone_points(gens):
+    """Generator rays, their negatives, the zero vector and, in 2-D,
+    directions TOL off each generator."""
+    G = np.asarray(gens, float)
+    pts = list(G) + list(-G) + list(1e-10 * G) + [np.zeros(G.shape[1])]
+    if G.shape[1] == 2:
+        perp = np.stack([-G[:, 1], G[:, 0]], axis=1)
+        for s in (TOL, -TOL, 2 * TOL, -2 * TOL):
+            pts += list(G + s * perp)
+    return pts
+
+
+STAIRS = PolygonRegion(frozen_array([[0, 0], [2, 0], [2, 1], [2, 1], [1, 1], [1, 2], [0, 2]], 2),
+                       edge_tol=1e-3, name="stairs")  # horizontal and zero-length edges
+CARDIOID = cardioid_region(512)
+CUSP = [[0.0, 0.0], [-1e-3, 0.0], [-1e-9, 0.0], [-1e-12, 1e-30], [-0.5, 0.0],
+        [1e-6, 1e-9], [1e-6, -1e-9], [-1e-6, 1e-9]]
+HALF = HalfspaceCone.from_rows([[1.0, 2.0], [0.0, 1.0]])
+H3 = HalfspaceCone.from_rows([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
+BOX3 = PolyhedralSet.from_rows(np.vstack([np.eye(3), -np.eye(3)]), [0.0] * 3 + [-1.0] * 3)
+STRIP = PolyhedralSet.from_rows([[1.0, 1.0], [-1.0, 0.5]], [0.0, -1.0])
+SECTOR = [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+RAY = [[-1.0, 0.0]]
+PLANE = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+GEN3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
+BALL = ImplicitSet(2, lambda x: float(np.linalg.norm(x)) <= 1.0, "ball")
+CURVE_HALF = curve_halfplane_set(256)
+INTER = IntersectionSet((closed_curve_region(256), STRIP))
+
+ORACLES = {
+    "halfspace-2d": (HALF, _hyperplane_points(HALF.rows)),
+    "halfspace-3d": (H3, _hyperplane_points(H3.rows)),
+    "polyhedron-2d": (STRIP, _hyperplane_points(STRIP.rows, STRIP.offsets)),
+    "polyhedron-3d": (BOX3, _hyperplane_points(BOX3.rows, BOX3.offsets)),
+    "generator-1d": (GeneratorCone.from_generators([[2.0]]), [[0.0], [1.0], [-1.0], [1e-10]]),
+    "generator-sector": (GeneratorCone.from_generators(SECTOR), _cone_points(SECTOR)),
+    "generator-ray": (GeneratorCone.from_generators(RAY), _cone_points(RAY)),
+    "generator-plane": (GeneratorCone.from_generators(PLANE), _cone_points(PLANE)),
+    "generator-3d": (GeneratorCone.from_generators(GEN3), _cone_points(GEN3)),
+    "polygon": (closed_curve_region(64), _polygon_points(closed_curve_region(64))),
+    "polygon-stairs": (STAIRS, _polygon_points(STAIRS)),
+    "polygon-cardioid": (CARDIOID, _polygon_points(CARDIOID)[:300] + CUSP),
+    "implicit": (BALL, [[1.0, 0.0], [0.6, 0.8], [0.0, 0.0]]),
+    "union": (CURVE_HALF, _polygon_points(CURVE_HALF.parts[1].parts[0])[::3] + CUSP),
+    "intersection": (INTER, _polygon_points(INTER.parts[0])[::3]
+                     + _hyperplane_points(STRIP.rows, STRIP.offsets)),
+}
+
+REFERENCES = {
+    "generator-sector": _sector_reference,
+    "generator-ray": _sector_reference,
+    "generator-plane": _sector_reference,
+    "polygon": _polygon_reference,
+    "polygon-stairs": _polygon_reference,
+    "polygon-cardioid": _polygon_reference,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_contains_many_matches_one_point(name, data):
+    obj, special = ORACLES[name]
+    coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    point = st.one_of(st.sampled_from(range(len(special))).map(lambda i: special[i]),
+                      st.lists(coord, min_size=obj.dim, max_size=obj.dim))
+    X = np.array(data.draw(st.lists(point, max_size=60)), dtype=float).reshape(-1, obj.dim)
+    batch = obj.contains_many(X)
+    assert batch.dtype == bool and batch.shape == (len(X),)
+    assert batch.tolist() == [obj.contains(x) for x in X]
+    if name in REFERENCES:
+        assert batch.tolist() == [REFERENCES[name](obj, x) for x in X]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_contains_many_on_every_special_point(name):
+    obj, special = ORACLES[name]
+    X = np.array(special, dtype=float)
+    assert obj.contains_many(X).tolist() == [obj.contains(x) for x in X]
+    assert obj.contains_many(np.zeros((0, obj.dim))).shape == (0,)
+
+
+@pytest.mark.parametrize("L", [
+    DirectionSet.finite([[1.0, 0.0], [0.0, 1.0]]),
+    DirectionSet.finite([[1.0]]),
+    DirectionSet.full_sphere(2),
+    DirectionSet.cone_section(H3),
+], ids=["finite-2d", "finite-1d", "full-sphere", "section-3d"])
+def test_cone_contains_many_matches_one_point(L):
+    rng = np.random.default_rng(3)
+    X = np.concatenate([rng.standard_normal((200, L.dim)), 1e-10 * rng.standard_normal((5, L.dim)),
+                        np.zeros((1, L.dim))])
+    if L.variant == "cone_section":
+        X = np.concatenate([X, _hyperplane_points(L.section.rows)])
+    assert cone_contains_many(L, X).tolist() == [cone_contains(L, x) for x in X]
+
+
+def test_contains_many_rejects_bad_batches():
+    with pytest.raises(GeometryError):
+        HALF.contains_many([1.0, 2.0])  # one point, not a batch
+    with pytest.raises(GeometryError):
+        STAIRS.contains_many(np.zeros((2, 3)))
+    with pytest.raises(GeometryError):
+        CURVE_HALF.contains_many([[np.nan, 0.0]])

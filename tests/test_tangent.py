@@ -2,14 +2,19 @@
 cardioid boundary pair, and the exact intersection law on random
 polyhedral triples."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
 from dirpareto.geometry import DirectionSet, GeometryError, HalfspaceCone
 from dirpareto.maps import SmoothMap, from_expressions
+from dirpareto.problemfile import parse_direction_set, parse_set, read, vector
 from dirpareto.sets import PolyhedralSet, cardioid_region
 from dirpareto.tangent import (
     TSchedule,
+    _ball_lattice,
     bouligand_polyhedral,
     derivative_image,
     tangent_membership_sampled,
@@ -121,6 +126,70 @@ def test_cardioid_unrestricted_tangent_member():
     assert v.status == "member"
     assert len(v.evidence) == TSchedule().levels
     assert all(hit is not None for _, hit in v.evidence)
+
+
+# ---------------------------------------------------------------------------
+# sampled verdicts pinned in full: status, note and every evidence entry.
+# tangent_evidence.json holds _evidence_record of each _evidence_cases
+# query as computed by the one-point search that tried each candidate and
+# sub-step in turn; the batched search must find the same first hits.
+
+HERE = os.path.dirname(__file__)
+
+
+def _box(dim):
+    """The unit box [0, 1]^dim."""
+    eye = np.eye(dim)
+    return PolyhedralSet.from_rows(np.vstack([eye, -eye]), [0.0] * dim + [-1.0] * dim)
+
+
+def _evidence_cases():
+    """name -> (A, xbar, L, u, schedule) for tangent_membership_sampled."""
+    left = DirectionSet.finite([[-1.0, 0.0]])
+    cases = {
+        "cardioid-restricted": (cardioid_region(), [0.0, 0.0], left, [-1.0, 0.0], TSchedule()),
+        "cardioid-unrestricted": (cardioid_region(), [0.0, 0.0], None, [-1.0, 0.0], TSchedule()),
+    }
+    for name in ("tangent-sampled-named-radius", "tangent-sampled-polyhedron"):
+        with open(os.path.join(HERE, "cli_golden", name + ".json"), encoding="utf-8") as fh:
+            fx = json.load(fh)
+        doc = fx["problem"]
+        A = read(doc, "set", parse_set)
+        sched = TSchedule(radius=float(fx["flags"][1])) if fx["flags"] else TSchedule()
+        cases[name] = (A, read(doc, "point", vector, A.dim),
+                       read(doc, "L", parse_direction_set, A.dim, default=None),
+                       read(doc, "direction", vector, A.dim), sched)
+    # in 3-D a finite L costs one LP per candidate, hence the smaller lattice
+    for dim, u, sched in ((2, [1.0, -0.25], TSchedule()),
+                          (3, [1.0, 0.5, -0.25], TSchedule(levels=12, lattice_size=343))):
+        ell = np.array(u) / np.linalg.norm(u)
+        L = DirectionSet.finite(np.vstack([np.eye(dim), ell]))
+        for tag, Lc in (("free", None), ("finite-L", L)):
+            cases[f"box{dim}-{tag}"] = (_box(dim), [0.0] * dim, Lc, u, sched)
+    return cases
+
+
+def _evidence_record(v):
+    return {"status": v.status, "note": v.note,
+            "evidence": [repr((float(t), None if hit is None else tuple(float(c) for c in hit)))
+                         for t, hit in v.evidence]}
+
+
+def test_ball_lattice_is_built_once_and_read_only():
+    lattice = _ball_lattice(3, 961)
+    assert lattice is _ball_lattice(3, 961)
+    assert not lattice.flags.writeable
+    assert len(lattice) <= 961 and np.all(np.linalg.norm(lattice, axis=1) <= 1.0 + 1e-12)
+
+
+def test_sampled_evidence_matches_pinned_fixture():
+    with open(os.path.join(HERE, "tangent_evidence.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    cases = _evidence_cases()
+    assert sorted(cases) == sorted(pinned)
+    for name, (A, xbar, L, u, sched) in cases.items():
+        got = _evidence_record(tangent_membership_sampled(A, xbar, L, u, sched))
+        assert got == pinned[name], name
 
 
 # ---------------------------------------------------------------------------
