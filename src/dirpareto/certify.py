@@ -79,7 +79,10 @@ class Problem:
             raise CertifyError("direction set lives in the wrong space")
         if self.K.dim != self.f.dim_out:
             raise CertifyError("ordering cone lives in the wrong space")
-        if not _feasible(self.constraint, x[None])[0]:
+        ok, error = _feasible(self.constraint, x[None])
+        if error is not None:
+            raise error
+        if not ok[0]:
             raise CertifyError("reference point is not feasible")
 
     @property
@@ -108,51 +111,65 @@ class CertReport:
         return d
 
 
-def _feasible(constraint, X) -> np.ndarray:
-    """Feasibility of each row of X: no constraint admits every row, an
-    ``IneqEq`` evaluates its maps row by row, a set tests membership."""
+def _feasible(constraint, X) -> tuple[np.ndarray, Exception | None]:
+    """``(ok, error)``: the feasibility of the rows of X before the first
+    row whose test raises, and that exception (None, with every row in
+    ok, when none raises).  No constraint admits every row and a set tests
+    membership; an ``IneqEq`` runs each of its maps, mu then nu, on the
+    rows that the earlier ones admit."""
     if constraint is None:
-        return np.ones(len(X), dtype=bool)
-    if isinstance(constraint, IneqEq):
-        return np.array([_satisfies(constraint, x) for x in X], dtype=bool)
-    return constraint.contains_many(X)
+        return np.ones(len(X), dtype=bool), None
+    if not isinstance(constraint, IneqEq):
+        return constraint.contains_many(X), None
+    ok = np.ones(len(X), dtype=bool)
+    stop, error = len(X), None  # rows from ``stop`` on come after one that raises
+    maps = [(m, False) for m in constraint.mu] + [(n, True) for n in constraint.nu]
+    for m, equality in maps:
+        rows = np.flatnonzero(ok[:stop])
+        V, exc = m.eval_rows(X[rows])
+        if exc is not None:
+            stop, error = rows[len(V)], exc
+        v = V[:, 0]
+        ok[rows[:len(V)]] = ~((np.abs(v) if equality else v) > FEAS_TOL)
+    return ok[:stop], error
 
 
-def _satisfies(c: IneqEq, x) -> bool:
-    for m in c.mu:
-        if m(x)[0] > FEAS_TOL:
-            return False
-    for n in c.nu:
-        if abs(n(x)[0]) > FEAS_TOL:
-            return False
-    return True
-
-
-def _violates(d: np.ndarray, K: HalfspaceCone, weak: bool) -> bool:
-    """Is d = f(x)-f(xbar) a minimality violation at this sample?"""
+def _violations(D: np.ndarray, K: HalfspaceCone, weak: bool) -> np.ndarray:
+    """Which rows d = f(x)-f(xbar) of D are minimality violations?"""
     if weak:
-        return K.contains(-d, strict=True)  # d in -int K
-    return K.contains(-d) and not K.contains(d)  # d in -K \ K
+        return K.contains_many(-D, strict=True)  # d in -int K
+    return K.contains_many(-D) & ~K.contains_many(D)  # d in -K \ K
 
 
 def _walk(points, levels: int, constraint, diff, K: HalfspaceCone,
           weak: bool) -> CertReport:
     """Walk the grid in order; the first feasible point whose difference
-    ``diff(x)`` violates minimality refutes, and no violation certifies.
-    Feasibility under ``constraint`` is decided one ray (``levels``
-    points) at a time, and ``diff`` runs point by point up to that
-    violation."""
+    violates minimality refutes, and no violation certifies.
+
+    Each step takes one ray (``levels`` points): its feasible points under
+    ``constraint``, their differences ``diff(ray) -> (D, error)`` and the
+    violation test on all of them.  Feasibility and ``diff`` stop at the
+    first point that raises and hand back its exception, which counts
+    only if no earlier row is non-finite or violating, as in a walk point
+    by point."""
     samples = 0
     for ray in points.reshape(-1, levels, points.shape[1]):
-        if constraint is not None:
-            ray = ray[_feasible(constraint, ray)]
-        for x in ray:
-            samples += 1
-            d = diff(x)
-            if not np.all(np.isfinite(d)):
-                raise CertifyError(f"non-finite objective value at {x.tolist()}")
-            if _violates(d, K, weak):
-                return CertReport("refuted", weak, samples, (tuple(x), tuple(d)))
+        ok, constraint_error = _feasible(constraint, ray)
+        ray = ray[:len(ok)][ok]
+        D, error = diff(ray)
+        nonfinite = np.flatnonzero(~np.isfinite(D).all(axis=1))
+        n = nonfinite[0] if nonfinite.size else len(D)  # rows before the first one
+        hits = np.flatnonzero(_violations(D[:n], K, weak))
+        if hits.size:
+            i = int(hits[0])
+            return CertReport("refuted", weak, samples + i + 1,
+                              (tuple(ray[i]), tuple(D[i])))
+        if n < len(D):
+            raise CertifyError(f"non-finite objective value at {ray[n].tolist()}")
+        for exc in (error, constraint_error):  # the objective's comes first on the ray
+            if exc is not None:
+                raise exc
+        samples += len(ray)
     # with no feasible sample the certificate is vacuous and says so
     note = "" if samples else "no feasible grid sample"
     return CertReport("certified_on_grid", weak, samples, note=note)
@@ -162,8 +179,12 @@ def certify_directional_min(p: Problem, weak: bool = False) -> CertReport:
     """Sample x = xbar + t*ell over the grid and hunt for a violation."""
     xbar = p.x0
     f0 = p.f(xbar)
-    return _walk(p.grid.points(xbar, p.L), p.grid.levels, p.constraint,
-                 lambda x: p.f(x) - f0, p.K, weak)
+
+    def diff(ray):
+        Y, error = p.f.eval_rows(ray)
+        return Y - f0, error
+
+    return _walk(p.grid.points(xbar, p.L), p.grid.levels, p.constraint, diff, p.K, weak)
 
 
 def certify_set_min(M, xbar, K: HalfspaceCone, L: DirectionSet,
@@ -180,7 +201,8 @@ def certify_set_min(M, xbar, K: HalfspaceCone, L: DirectionSet,
         raise CertifyError("ordering cone lives in the wrong space")
     if not M.contains(xbar):
         raise CertifyError("reference point is not in the set")
-    return _walk(grid.points(xbar, L), grid.levels, M, lambda x: x - xbar, K, weak)
+    return _walk(grid.points(xbar, L), grid.levels, M,
+                 lambda ray: (ray - xbar, None), K, weak)
 
 
 @dataclass(frozen=True)
@@ -201,24 +223,27 @@ def check_first_order_necessary(p: Problem, directions) -> dict:
     """
     xbar = p.x0
     jac = p.f.jacobian(xbar)
+    active, equality = [], []  # gradients of the active mu_i and of every nu_j
+    if isinstance(p.constraint, IneqEq):
+        active = [m.jacobian(xbar)[0] for m in p.constraint.mu
+                  if abs(m(xbar)[0]) <= FEAS_TOL]
+        equality = [n.jacobian(xbar)[0] for n in p.constraint.nu]
     checks = []
     for u in directions:
         u = as_vector(u, p.f.dim_in)
         if not cone_contains(p.L, u):
             raise CertifyError(
                 f"direction {u.tolist()} is outside cone L: not admissible")
-        if isinstance(p.constraint, IneqEq):
-            for m in p.constraint.mu:
-                if abs(m(xbar)[0]) <= FEAS_TOL:  # active
-                    if float(m.jacobian(xbar)[0] @ u) > FEAS_TOL:
-                        raise CertifyError(
-                            f"direction {u.tolist()} violates an active "
-                            "inequality gradient: not admissible")
-            for n in p.constraint.nu:
-                if abs(float(n.jacobian(xbar)[0] @ u)) > FEAS_TOL:
-                    raise CertifyError(
-                        f"direction {u.tolist()} violates an equality "
-                        "gradient: not admissible")
+        for g in active:
+            if float(g @ u) > FEAS_TOL:
+                raise CertifyError(
+                    f"direction {u.tolist()} violates an active "
+                    "inequality gradient: not admissible")
+        for g in equality:
+            if abs(float(g @ u)) > FEAS_TOL:
+                raise CertifyError(
+                    f"direction {u.tolist()} violates an equality "
+                    "gradient: not admissible")
         img = jac @ u
         checks.append(DirectionCheck(tuple(u), tuple(img),
                                      p.K.contains(-img, strict=True)))
@@ -318,7 +343,7 @@ def openness_falsifier(f: SmoothMap, xbar, L: DirectionSet, C: DirectionSet,
     steps = np.linspace(0.0, 1.0, 513)
     for eps in eps_schedule:
         xs = ray_points(xbar, dirs, eps * steps[1:])
-        images = np.array([f0] + [f(x) for x in xs])
+        images = np.vstack([f0, f.eval_many(xs)])
         rs = list(r_schedule if r_schedule is not None
                   else [eps * 0.5 ** j for j in range(1, 7)])
         missed = []

@@ -16,6 +16,7 @@ Variables are x0..x{n-1}.  '^' binds tighter than unary minus, so
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,9 +282,15 @@ def evaluate(node, x: np.ndarray) -> float:
                 raise EvaluationError("division by zero")
             return a / b
         if node.op == "^":
-            if abs(b - round(b)) > 1e-12:
+            if not math.isfinite(b) or abs(b - round(b)) > 1e-12:
                 raise EvaluationError(f"exponent must be an integer, got {b}")
-            return float(a ** int(round(b)))
+            k = int(round(b))
+            try:
+                return float(a ** k)
+            except ZeroDivisionError:
+                raise EvaluationError(f"zero raised to the negative power {k}") from None
+            except OverflowError:
+                raise EvaluationError(f"{a!r}^{k} overflows the float range") from None
         raise EvaluationError(f"unknown operator {node.op}")
     if isinstance(node, Call):
         args = [evaluate(a, x) for a in node.args]
@@ -310,6 +317,142 @@ def evaluate(node, x: np.ndarray) -> float:
                 return evaluate(expr, x)
         raise EvaluationError("no piecewise branch matched")
     raise EvaluationError(f"cannot evaluate node {node!r}")
+
+
+# -- evaluation over the rows of an array ----------------------------------
+#
+# ``compile_rows`` turns a node into a closure that computes ``evaluate`` on
+# every row of an array, bit for bit.  The four arithmetic operations,
+# negation, ``abs`` and ``sqrt`` are correctly rounded in numpy as in
+# Python; ``^`` and the ``math`` functions call the one-point function on
+# each element, because numpy's own ``power`` and ``arctan`` loops differ
+# from libm in the last place on some inputs.  A closure never raises: it
+# marks the rows where ``evaluate`` may raise, and its caller settles those
+# rows one point at a time.
+
+def elementwise(fn, nargs: int):
+    """``fn`` called on each element of ``nargs`` float arrays, as the
+    one-point path calls it; nan where it raises an arithmetic or domain
+    error."""
+    def call(*args):
+        try:
+            return fn(*args)
+        except (ArithmeticError, ValueError):
+            return math.nan
+    ufunc = np.frompyfunc(call, nargs, 1)
+    return lambda *arrays: ufunc(*arrays).astype(float)
+
+
+_POWER = elementwise(operator.pow, 2)
+_MATH = {name: elementwise(FUNCTIONS[name][1], FUNCTIONS[name][0])
+         for name in ("sin", "cos", "atan", "atan2")}
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply}
+_COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater,
+            ">=": np.greater_equal, "==": np.equal, "!=": np.not_equal}
+
+
+def _on_rows(g, X, rows, redo):
+    """The closure ``g`` on the given rows of X only, marking into ``redo``."""
+    marks = np.zeros(len(rows), dtype=bool)
+    out = g(X[rows], marks)
+    redo[rows] |= marks
+    return out
+
+
+def _redo_all(X, redo):
+    redo[:] = True
+    return np.zeros(len(X))
+
+
+def compile_rows(node, dim: int):
+    """``g(X, redo)``: ``evaluate(node, x)`` for each row x of the (n, dim)
+    array X, as an array.
+
+    The rows where ``evaluate`` may raise are marked True in the bool array
+    ``redo`` (no mark is ever cleared) and hold unspecified values; every
+    other row is exact.  A guard or branch of a ``Piecewise`` and the right
+    side of a ``BoolOp`` run only on the rows that reach them.
+    """
+    if isinstance(node, Num):
+        value = node.value
+        return lambda X, redo: np.full(len(X), value, dtype=float)
+    if isinstance(node, Var):
+        i = node.index
+        return _redo_all if i >= dim else (lambda X, redo: X[:, i])
+    if isinstance(node, Neg):
+        a = compile_rows(node.operand, dim)
+        return lambda X, redo: -a(X, redo)
+    if isinstance(node, Bin):
+        a, b = compile_rows(node.left, dim), compile_rows(node.right, dim)
+        if node.op in _ARITHMETIC:
+            op = _ARITHMETIC[node.op]
+            return lambda X, redo: op(a(X, redo), b(X, redo))
+        if node.op == "/":
+            def divide(X, redo):
+                num, den = a(X, redo), b(X, redo)
+                redo |= den == 0.0
+                return num / den
+            return divide
+        if node.op == "^":
+            def power(X, redo):
+                base, e = a(X, redo), b(X, redo)
+                k = np.round(e)
+                redo |= ~(np.abs(e - k) <= 1e-12)  # not an integer, or not finite
+                out = _POWER(base, k)
+                redo |= np.isnan(out)  # zero to a negative power, overflow
+                return out
+            return power
+    if isinstance(node, Call) and node.name in FUNCTIONS:
+        args = [compile_rows(a, dim) for a in node.args]
+        if node.name == "sqrt":
+            def sqrt(X, redo):
+                v = args[0](X, redo)
+                redo |= v < 0
+                return np.sqrt(v)
+            return sqrt
+        if node.name == "abs":
+            return lambda X, redo: np.abs(args[0](X, redo))
+        fn = _MATH[node.name]
+
+        def call(X, redo):
+            out = fn(*[g(X, redo) for g in args])
+            redo |= np.isnan(out)  # a domain error
+            return out
+        return call
+    if isinstance(node, Compare) and node.op in _COMPARE:
+        a, b = compile_rows(node.left, dim), compile_rows(node.right, dim)
+        op = _COMPARE[node.op]
+        return lambda X, redo: op(a(X, redo), b(X, redo))
+    if isinstance(node, BoolOp):
+        a, b = compile_rows(node.left, dim), compile_rows(node.right, dim)
+        want = node.op == "and"  # the left value that makes the right side run
+
+        def boolop(X, redo):
+            t = a(X, redo) != 0
+            rows = np.flatnonzero(t == want)
+            t[rows] = _on_rows(b, X, rows, redo) != 0
+            return t
+        return boolop
+    if isinstance(node, Piecewise):
+        branches = [(None if cond is None else compile_rows(cond, dim),
+                     compile_rows(expr, dim)) for cond, expr in node.branches]
+
+        def piecewise(X, redo):
+            out = np.zeros(len(X))
+            left = np.arange(len(X))  # rows that no guard has taken yet
+            for cond, expr in branches:
+                if cond is None:
+                    take, left = left, left[:0]
+                else:
+                    t = _on_rows(cond, X, left, redo) != 0
+                    take, left = left[t], left[~t]
+                out[take] = _on_rows(expr, X, take, redo)
+                if not left.size:
+                    break
+            redo[left] = True  # no branch matched
+            return out
+        return piecewise
+    return _redo_all  # evaluate raises on every row
 
 
 def piecewise_from_spec(branches) -> Piecewise:

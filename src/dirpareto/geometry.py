@@ -115,9 +115,12 @@ class HalfspaceCone:
             return bool(np.all(prods > tol))
         return bool(np.all(prods >= -tol))
 
-    def contains_many(self, X) -> np.ndarray:
-        """``contains`` (non-strict, tolerance TOL) for each row of X."""
-        return np.all(row_products(self.rows, as_points(X, self.dim)) >= -TOL, axis=1)
+    def contains_many(self, X, strict: bool = False) -> np.ndarray:
+        """``contains`` (tolerance TOL) for each row of X."""
+        prods = row_products(self.rows, as_points(X, self.dim))
+        if strict:
+            return np.all(prods > TOL, axis=1)
+        return np.all(prods >= -TOL, axis=1)
 
     def interior_point(self) -> np.ndarray | None:
         """A point with a_i . y >= 1 for all i, or None (empty interior)."""

@@ -2,10 +2,15 @@
 
 Builtins carry analytic Jacobians; maps parsed from expressions fall back
 to central finite differences with step 1e-6 * (1 + |x|).
+
+``SmoothMap.eval_many`` evaluates a whole array of points.  Builtins and
+expression maps carry a batch form that equals the one-point call bit for
+bit; a map given only ``fn`` loops over the rows.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +20,10 @@ from .geometry import as_vector
 
 FD_STEP = 1e-6
 
+# ``np.float64 ** k`` and Python's ``v ** k`` both call libm's pow, which
+# numpy's array ``power`` does not always match in the last place
+_POWER = ex.elementwise(operator.pow, 2)
+
 
 @dataclass(frozen=True)
 class SmoothMap:
@@ -23,6 +32,10 @@ class SmoothMap:
     dim_out: int
     fn: object                 # callable ndarray -> ndarray
     jac: object = None         # optional callable ndarray -> (dim_out, dim_in) ndarray
+    # optional callable (n, dim_in) ndarray -> new (n, dim_out) ndarray, equal
+    # to ``fn`` on each row where it is finite and non-finite wherever the
+    # one-point call may raise or warn; such rows get the one-point call
+    fn_many: object = None
 
     def __call__(self, x) -> np.ndarray:
         x = as_vector(x, self.dim_in)
@@ -30,6 +43,35 @@ class SmoothMap:
         if y.shape != (self.dim_out,):
             raise ValueError(f"{self.name}: output shape {y.shape}, expected ({self.dim_out},)")
         return y
+
+    def eval_many(self, X) -> np.ndarray:
+        """``np.array([self(x) for x in X])`` as an (n, dim_out) array,
+        bit for bit; raises what the one-point call on the first row that
+        raises raises."""
+        Y, error = self.eval_rows(X)
+        if error is not None:
+            raise error
+        return Y
+
+    def eval_rows(self, X) -> tuple[np.ndarray, Exception | None]:
+        """``(Y, error)``: Y holds the values of ``eval_many(X)`` on the
+        rows before the first row whose one-point call raises, and error is
+        that exception (None, with every row in Y, when no row raises)."""
+        X = np.asarray(X, dtype=float)
+        if self.fn_many is None or X.ndim != 2 or X.shape[1] != self.dim_in:
+            Y, rows = np.empty((len(X), self.dim_out)), range(len(X))
+        else:
+            with np.errstate(all="ignore"):
+                Y = self.fn_many(X)
+            # the batch form leaves these rows to the one-point call, which
+            # also rejects a non-finite point
+            rows = np.flatnonzero(~(np.isfinite(Y).all(axis=1) & np.isfinite(X).all(axis=1)))
+        for i in rows:
+            try:
+                Y[i] = self(X[i])
+            except Exception as exc:  # handed to the caller, raised in row order
+                return Y[:i], exc
+        return Y, None
 
     def jacobian(self, x) -> np.ndarray:
         x = as_vector(x, self.dim_in)
@@ -59,7 +101,17 @@ def from_expressions(exprs, dim_in: int, name: str = "expr") -> SmoothMap:
     def fn(x, _nodes=tuple(nodes)):
         return np.array([ex.evaluate(n, x) for n in _nodes])
 
-    return SmoothMap(name, dim_in, len(nodes), fn)
+    columns = tuple(ex.compile_rows(n, dim_in) for n in nodes)
+
+    def fn_many(X):
+        redo = np.zeros(len(X), dtype=bool)
+        Y = np.empty((len(X), len(columns)))
+        for j, column in enumerate(columns):
+            Y[:, j] = column(X, redo)
+        Y[redo] = np.nan  # left to the one-point call
+        return Y
+
+    return SmoothMap(name, dim_in, len(nodes), fn, fn_many=fn_many)
 
 
 def _saddle_x2_y2():
@@ -67,6 +119,7 @@ def _saddle_x2_y2():
         "saddle-x2-y2", 2, 1,
         lambda x: np.array([x[0] ** 2 - x[1] ** 2]),
         lambda x: np.array([[2 * x[0], -2 * x[1]]]),
+        lambda X: (_POWER(X[:, 0], 2.0) - _POWER(X[:, 1], 2.0))[:, None],
     )
 
 
@@ -75,13 +128,18 @@ def _saddle_x2_y3():
         "saddle-x2-y3", 2, 1,
         lambda x: np.array([x[0] ** 2 - x[1] ** 3]),
         lambda x: np.array([[2 * x[0], -3 * x[1] ** 2]]),
+        lambda X: (_POWER(X[:, 0], 2.0) - _POWER(X[:, 1], 3.0))[:, None],
     )
 
 
 def _sin_inv_x():
     def fn(x):
         return np.array([np.sin(1.0 / x[0]) if x[0] != 0.0 else 0.0])
-    return SmoothMap("sin-inv-x", 1, 1, fn)
+
+    def fn_many(X):
+        t = X[:, 0]
+        return np.where(t != 0.0, np.sin(1.0 / t), 0.0)[:, None]
+    return SmoothMap("sin-inv-x", 1, 1, fn, fn_many=fn_many)
 
 
 def _x3_sin_inv_x():
@@ -93,7 +151,11 @@ def _x3_sin_inv_x():
             return np.array([[0.0]])
         t = x[0]
         return np.array([[3 * t ** 2 * np.sin(1.0 / t) - t * np.cos(1.0 / t)]])
-    return SmoothMap("x3-sin-inv-x", 1, 1, fn, jac)
+
+    def fn_many(X):
+        t = X[:, 0]
+        return np.where(t != 0.0, _POWER(t, 3.0) * np.sin(1.0 / t), 0.0)[:, None]
+    return SmoothMap("x3-sin-inv-x", 1, 1, fn, jac, fn_many)
 
 
 def sector_map(theta1: float, theta2: float) -> SmoothMap:
@@ -109,7 +171,17 @@ def sector_map(theta1: float, theta2: float) -> SmoothMap:
             return np.array([-1.0])
         ang = np.arctan(x[1] / x[0])
         return np.array([(theta2 - ang) * (ang - theta1)])
-    return SmoothMap(f"sector-{theta1:.6f}-{theta2:.6f}", 2, 1, fn)
+
+    def fn_many(X):
+        q = X[:, 1] / X[:, 0]
+        ang = np.arctan(q)
+        out = np.where(X[:, 0] == 0.0, 0.0,
+                       np.where((X[:, 0] < 0.0) & (X[:, 1] < 0.0), -1.0,
+                                (theta2 - ang) * (ang - theta1)))
+        # an infinite slope overflowed (a warning) in the one-point division
+        out[np.isinf(q) & (X[:, 0] != 0.0)] = np.nan
+        return out[:, None]
+    return SmoothMap(f"sector-{theta1:.6f}-{theta2:.6f}", 2, 1, fn, fn_many=fn_many)
 
 
 def _vector_2x_x():
@@ -117,6 +189,7 @@ def _vector_2x_x():
         "vector-2x-x", 1, 2,
         lambda x: np.array([2 * x[0], x[0]]),
         lambda x: np.array([[2.0], [1.0]]),
+        lambda X: np.stack([2 * X[:, 0], X[:, 0]], axis=1),
     )
 
 
@@ -125,12 +198,14 @@ def _vector_pair_saddle():
         "vector-pair-saddle", 2, 2,
         lambda x: np.array([x[0] ** 2 - x[1] ** 2, x[0] ** 2 - x[1] ** 3]),
         lambda x: np.array([[2 * x[0], -2 * x[1]], [2 * x[0], -3 * x[1] ** 2]]),
+        lambda X: np.stack([_POWER(X[:, 0], 2.0) - _POWER(X[:, 1], 2.0),
+                            _POWER(X[:, 0], 2.0) - _POWER(X[:, 1], 3.0)], axis=1),
     )
 
 
 def _identity(dim):
     return SmoothMap(f"identity-{dim}", dim, dim, lambda x: x.copy(),
-                     lambda x: np.eye(dim))
+                     lambda x: np.eye(dim), lambda X: X.copy())
 
 
 BUILTINS = {

@@ -19,8 +19,10 @@ from .geometry import (
     GeometryError,
     as_vector,
     cone_contains,
+    cone_contains_many,
     direction_samples,
     frozen_array,
+    row_norms,
 )
 from .lp import LPProblem, lp_minimize
 from .maps import SmoothMap
@@ -151,23 +153,37 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
     return _min_ray_time(x, direction_samples(L, 512), poly), False
 
 
-def _sup_ratio(points, ratio, pair) -> RatioEstimate:
-    """Supremum of ``ratio(x)`` over the grid points where it is defined
-    (not None); the witness is ``pair(x)`` at the best point."""
-    best = 0.0
-    witness = None
-    used = 0
-    for x in points:
-        r = ratio(x)
-        if r is None:
-            continue
-        used += 1
-        if r > best:
-            best = r
-            witness = pair(x)
-    if used == 0:
+def _point_times(L: DirectionSet, D: np.ndarray) -> np.ndarray:
+    """T_L(y, {y + d}) in the euclidean norm for each row d of D, as
+    ``minimal_time`` gives it for a point target."""
+    norms = row_norms(D)
+    times = np.where(cone_contains_many(L, D), norms, INF)
+    times[norms <= TOL] = 0.0
+    return times
+
+
+def _image_times(f: SmoothMap, fx0, M: DirectionSet, X) -> np.ndarray:
+    """T_M(f(xbar), {f(x)}) for each row x of X.  As one point at a time,
+    a non-finite image (a GeometryError) before the first point where f
+    raises comes first, and that point's exception next."""
+    FX, error = f.eval_rows(X)
+    times = _point_times(M, FX - fx0)
+    if error is not None:
+        raise error
+    return times
+
+
+def _sup_ratio(points, ratios, pair) -> RatioEstimate:
+    """Supremum of ``ratios`` (one per row of ``points``, nan where the
+    ratio is undefined); the witness is ``pair(x)`` at the first row x
+    that attains it."""
+    used = np.flatnonzero(~np.isnan(ratios))
+    if not used.size:
         return RatioEstimate(0.0, None, 0, note="no admissible grid point")
-    return RatioEstimate(best, witness, used)
+    best = used[np.argmax(ratios[used])]
+    if ratios[best] > 0.0:
+        return RatioEstimate(float(ratios[best]), pair(points[best]), used.size)
+    return RatioEstimate(0.0, None, used.size)
 
 
 def calmness_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
@@ -180,19 +196,16 @@ def calmness_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
     """
     grid = GridSpec(radius, levels, rays)
     xbar = as_vector(xbar, f.dim_in)
-    fx0 = f(xbar)
-
-    def ratio(x):
-        denom = float(np.linalg.norm(x - xbar))
-        if denom <= TOL:
-            return None
-        num, _ = minimal_time(M, fx0, Target.point(f(x)))
-        if not np.isfinite(num):
-            return None  # inadmissible point: sup over the empty set is 0
-        return num / denom
-
-    return _sup_ratio(grid.points(xbar, L), ratio,
-                      lambda x: (tuple(xbar), tuple(x)))
+    fx0 = as_vector(f(xbar), M.dim)
+    points = grid.points(xbar, L)
+    denom = row_norms(points - xbar)
+    rows = np.flatnonzero(denom > TOL)
+    num = _image_times(f, fx0, M, points[rows])
+    # an infinite numerator is an inadmissible point: sup over the empty set is 0
+    ok = np.isfinite(num)
+    ratios = np.full(len(points), np.nan)
+    ratios[rows[ok]] = num[ok] / denom[rows[ok]]
+    return _sup_ratio(points, ratios, lambda x: (tuple(xbar), tuple(x)))
 
 
 def subregularity_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
@@ -205,17 +218,13 @@ def subregularity_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
     """
     grid = GridSpec(radius, levels, rays)
     xbar = as_vector(xbar, f.dim_in)
-    fx0 = f(xbar)
-
-    def ratio(x):
-        num, _ = minimal_time(L, x, Target.point(xbar))
-        if not np.isfinite(num) or num <= TOL:
-            return None
-        denom, _ = minimal_time(M, fx0, Target.point(f(x)))
-        if not np.isfinite(denom) or denom <= TOL:
-            return None
-        return num / denom
-
+    fx0 = as_vector(f(xbar), M.dim)
     # the steps t*ell of the grid at the origin, taken back from xbar
-    steps = grid.points(np.zeros_like(xbar), L)
-    return _sup_ratio(xbar - steps, ratio, lambda x: (tuple(x), tuple(xbar)))
+    points = xbar - grid.points(np.zeros_like(xbar), L)
+    num = _point_times(L, xbar - points)
+    rows = np.flatnonzero(np.isfinite(num) & (num > TOL))
+    denom = _image_times(f, fx0, M, points[rows])
+    ok = np.isfinite(denom) & (denom > TOL)
+    ratios = np.full(len(points), np.nan)
+    ratios[rows[ok]] = num[rows[ok]] / denom[ok]
+    return _sup_ratio(points, ratios, lambda x: (tuple(x), tuple(xbar)))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from dirpareto.certify import (
+    FEAS_TOL,
     CertifyError,
+    CertReport,
     GridSpec,
     IneqEq,
     Problem,
@@ -31,8 +33,9 @@ from dirpareto.gallery import (
     gallery_names,
     run_example,
 )
+from dirpareto.expressions import EvaluationError, piecewise_from_spec
 from dirpareto.geometry import DirectionSet, HalfspaceCone, direction_samples
-from dirpareto.maps import SmoothMap, builtin, sector_map
+from dirpareto.maps import SmoothMap, builtin, from_expressions, sector_map
 from dirpareto.sets import ImplicitSet, PolygonRegion, PolyhedralSet, curve_halfplane_set
 
 ORTHANT2 = PolyhedralSet.from_rows([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
@@ -128,6 +131,106 @@ def test_vacuous_set_certificate_says_so():
     refu = certify_set_min(M, (0.0, 0.0), R2_PLUS,
                            DirectionSet.finite([(-1.0, 0.0)]))
     assert refu.verdict == "refuted" and refu.note == ""
+
+
+# ---------------------------------------------------------------------------
+# the walker takes one ray per step and decides as a walk point by point
+
+def _pointwise_walk(p, weak=False):
+    """Reference: the grid walked one point at a time, the constraint and
+    f evaluated only up to the first non-finite or violating sample."""
+    def feasible(x):
+        c = p.constraint
+        return c is None or (all(not m(x)[0] > FEAS_TOL for m in c.mu)
+                             and all(not abs(n(x)[0]) > FEAS_TOL for n in c.nu))
+
+    f0 = p.f(p.x0)
+    samples = 0
+    for x in p.grid.points(p.x0, p.L):
+        if not feasible(x):
+            continue
+        samples += 1
+        d = p.f(x) - f0
+        if not np.all(np.isfinite(d)):
+            raise CertifyError(f"non-finite objective value at {x.tolist()}")
+        if (p.K.contains(-d, strict=True) if weak
+                else p.K.contains(-d) and not p.K.contains(d)):
+            return CertReport("refuted", weak, samples, (tuple(x), tuple(d)))
+    return CertReport("certified_on_grid", weak, samples,
+                      note="" if samples else "no feasible grid sample")
+
+
+def _outcome(run):
+    """The report as a dict, or the type and text of what was raised."""
+    try:
+        return run().as_dict()
+    except (CertifyError, EvaluationError) as exc:
+        return type(exc), str(exc)
+
+
+RAY = GridSpec(radius=0.5, levels=6, rays_per_level=1)  # t = 0.5, 0.25, 0.125, ...
+
+
+@pytest.mark.parametrize("objective, expected", [
+    ("-x0 + 0 / (x0 - 0.125)", "refuted"),
+    ("x0 * (x0 - 0.3) + 0 / (x0 - 0.25)", (EvaluationError, "division by zero")),
+    ([("x0 > 0.4", "1e308 * 10"), (None, "-x0")],
+     (CertifyError, "non-finite objective value at [0.5]")),
+    ([("x0 > 0.2 or x0 == 0", "-x0"), (None, "1e308 * 10")], "refuted"),
+], ids=["undefined-after-violation", "undefined-before-violation",
+        "non-finite-before-violation", "non-finite-after-violation"])
+def test_walk_stops_where_the_point_by_point_walk_stops(objective, expected):
+    node = piecewise_from_spec(objective) if isinstance(objective, list) else objective
+    p = Problem(from_expressions([node], 1), R_PLUS, L_PLUS, (0.0,), RAY)
+    got = _outcome(lambda: certify_directional_min(p))
+    assert got == _outcome(lambda: _pointwise_walk(p))
+    if expected == "refuted":
+        assert got["verdict"] == "refuted" and got["samples"] == 1
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("objective, mu, nu, expected", [
+    ("x0", "x0 - 0.2", "0 / (x0 - 0.5)", 4),
+    ("-x0", "x0 - 0.2", "0 / (x0 - 0.5)", 1),
+    ("-x0", "0 / (x0 - 0.125) + x0 - 1", None, 1),
+    ("x0 * (x0 - 0.3)", "0 / (x0 - 0.25) + x0 - 1", None,
+     (EvaluationError, "division by zero")),
+], ids=["equality-undefined-where-mu-fails", "same-refuted",
+        "constraint-undefined-after-violation", "constraint-undefined-before-violation"])
+def test_constraint_is_evaluated_where_the_point_by_point_walk_evaluates_it(
+        objective, mu, nu, expected):
+    """nu = 0/(x0 - 0.5) is undefined only at x0 = 0.5, where mu = x0 - 0.2
+    already fails, so it is never evaluated there; a constraint undefined
+    after the first violation on the ray does not stop the refutation."""
+    con = IneqEq(mu=(from_expressions([mu], 1),),
+                 nu=() if nu is None else (from_expressions([nu], 1),))
+    p = Problem(from_expressions([objective], 1), R_PLUS, L_PLUS, (0.0,), RAY, con)
+    got = _outcome(lambda: certify_directional_min(p))
+    assert got == _outcome(lambda: _pointwise_walk(p))
+    assert (got["samples"] if isinstance(got, dict) else got) == expected
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_gallery_walks_match_the_point_by_point_walk(weak):
+    for name, p in _gallery_function_problems():
+        assert (certify_directional_min(p, weak=weak).as_dict()
+                == _pointwise_walk(p, weak).as_dict()), name
+
+
+def test_walk_evaluates_f_one_ray_at_a_time(monkeypatch):
+    """One batch per ray, and no one-point call but f(xbar)."""
+    calls = {"__call__": 0, "eval_rows": 0}
+    for name in calls:
+        def counted(self, x, _original=getattr(SmoothMap, name), _name=name):
+            calls[_name] += 1
+            return _original(self, x)
+        monkeypatch.setattr(SmoothMap, name, counted)
+    p = Problem(builtin("saddle_x2_y2"), R_PLUS, _circle(32), (0.0, 0.0))
+    rep = certify_directional_min(p)
+    assert rep.verdict == "refuted"
+    assert calls["__call__"] == 1
+    assert 0 < calls["eval_rows"] <= 32
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +413,24 @@ def test_first_order_rejects_inadmissible_constrained_direction():
         check_first_order_necessary(p, [[1.0]])  # active grad mu . u > 0
     out = check_first_order_necessary(p, [[-1.0]])
     assert not out["holds"]
+
+
+def test_first_order_computes_each_constraint_gradient_once(monkeypatch):
+    """The active mu and nu gradients are taken once, not per direction."""
+    calls = []
+    original = SmoothMap.jacobian
+    monkeypatch.setattr(SmoothMap, "jacobian",
+                        lambda self, x: calls.append(self.name) or original(self, x))
+    con = IneqEq(mu=(from_expressions(["x0 + x1"], 2, name="mu0"),
+                     from_expressions(["x1 - 1"], 2, name="mu1")),  # inactive
+                 nu=(from_expressions(["x0 - x1"], 2, name="nu0"),))
+    p = Problem(builtin("saddle_x2_y2"), R_PLUS, DirectionSet.full_sphere(2),
+                (0.0, 0.0), constraint=con)
+    out = check_first_order_necessary(p, [[-1.0, -1.0]] * 5)
+    assert len(out["checks"]) == 5
+    assert sorted(calls) == ["mu0", "nu0", "saddle-x2-y2"]
+    with pytest.raises(CertifyError, match="violates an active inequality gradient"):
+        check_first_order_necessary(p, [[-1.0, -1.0], [1.0, 1.0]])
 
 
 def test_weakly_certified_gallery_passes_first_order():

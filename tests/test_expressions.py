@@ -74,6 +74,26 @@ def test_evaluation_errors():
         ev("x3", 1.0)
 
 
+@pytest.mark.parametrize("text, xs, message", [
+    ("(x0 - x0)^(-1) + x1", (0.0, 0.0), "zero raised to the negative power -1"),
+    ("(x0 + 10)^400 - x1^2", (0.0, 0.0), "10.0^400 overflows the float range"),
+    ("x0^(-3)", (1e-200,), "1e-200^-3 overflows the float range"),
+    ("2^(x0 * 1e308 * 10)", (1.0,), "exponent must be an integer, got inf"),
+], ids=["zero-base-negative-power", "overflow", "negative-power-overflow",
+        "infinite-exponent"])
+def test_power_errors_are_evaluation_errors(text, xs, message):
+    """Python's ZeroDivisionError and OverflowError (and round() of an
+    infinite exponent) surface as one-line EvaluationErrors."""
+    with pytest.raises(EvaluationError) as info:
+        ev(text, *xs)
+    assert str(info.value) == message
+
+
+def test_power_underflow_is_zero():
+    assert ev("x0^3", 1e-110) == 0.0
+    assert ev("x0^(-400)", 10.0) == 0.0
+
+
 def test_conditions():
     cond = parse_condition("x0 > 0 and x1 <= 2")
     assert evaluate(cond, np.array([1.0, 2.0]))

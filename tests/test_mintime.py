@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from dirpareto.certify import CertifyError
-from dirpareto.geometry import DirectionSet, GeometryError, HalfspaceCone
-from dirpareto.maps import SmoothMap, builtin
+from dirpareto.certify import CertifyError, GridSpec
+from dirpareto.expressions import EvaluationError
+from dirpareto.geometry import TOL, DirectionSet, GeometryError, HalfspaceCone
+from dirpareto.maps import SmoothMap, builtin, from_expressions
 from dirpareto.mintime import (
+    RatioEstimate,
     Target,
     calmness_ratio,
     minimal_time,
@@ -180,6 +182,74 @@ def test_calmness_no_admissible_grid_flagged_zero():
     est = calmness_ratio(f, (0.0,), D((1.0,)), D((1.0,)))
     assert est.supremum_ratio == 0.0
     assert est.note != ""
+
+
+def _ratio_reference(kind, f, xbar, L, M, radius, levels, rays):
+    """Reference: the ratio supremum one grid point at a time, through
+    ``minimal_time``."""
+    xbar = np.asarray(xbar, dtype=float)
+    fx0 = f(xbar)
+    steps = GridSpec(radius, levels, rays).points(np.zeros_like(xbar), L)
+    best, witness, used = 0.0, None, 0
+    for step in steps:
+        if kind == "calmness":
+            x = xbar + step
+            denom = float(np.linalg.norm(x - xbar))
+            if denom <= TOL:
+                continue
+            num, _ = minimal_time(M, fx0, Target.point(f(x)))
+            if not np.isfinite(num):
+                continue
+            pair = (tuple(xbar), tuple(x))
+        else:
+            x = xbar - step
+            num, _ = minimal_time(L, x, Target.point(xbar))
+            if not np.isfinite(num) or num <= TOL:
+                continue
+            denom, _ = minimal_time(M, fx0, Target.point(f(x)))
+            if not np.isfinite(denom) or denom <= TOL:
+                continue
+            pair = (tuple(x), tuple(xbar))
+        used += 1
+        if num / denom > best:
+            best, witness = num / denom, pair
+    if used == 0:
+        return RatioEstimate(0.0, None, 0, note="no admissible grid point")
+    return RatioEstimate(best, witness, used)
+
+
+def _arc(lo, hi, n):
+    ang = np.linspace(lo, hi, n)
+    return DirectionSet.finite(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+
+
+@pytest.mark.parametrize("kind, ratio", [("calmness", calmness_ratio),
+                                         ("subregularity", subregularity_ratio)])
+@pytest.mark.parametrize("f, xbar, L, M", [
+    (builtin("identity_2"), (0.0, 0.0), _arc(0.0, 2.0, 16), _arc(-0.5, 1.5, 9)),
+    (builtin("vector_pair_saddle"), (0.3, -0.2), _arc(-1.0, 4.0, 24), _arc(0.0, 3.0, 12)),
+    (from_expressions(["0.7*x0 - 1.1*x1 + 0.4*x0^2", "x1 + 0.2*x0*x1"], 2),
+     (0.1, 0.2), DirectionSet.full_sphere(2), _arc(1.0, 5.0, 16)),
+    (from_expressions(["x0 + x1^3", "atan(x0) - x1"], 2), (0.0, 0.0),
+     _arc(0.0, 6.0, 32), DirectionSet.full_sphere(2)),
+    (builtin("x3_sin_inv_x"), (0.0,), D((1.0,), (-1.0,)), D((1.0,))),
+    (builtin("vector_2x_x"), (0.5,), D((1.0,), (-1.0,)), D(_unit((1.0, 0.5)), (-1.0, 0.0))),
+], ids=["identity", "pair-saddle", "expression-affine", "expression-atan",
+        "x3-sin", "2x-x"])
+def test_ratio_matches_the_one_point_loop(kind, ratio, f, xbar, L, M):
+    got = ratio(f, xbar, L, M, radius=0.2, levels=5, rays=32)
+    want = _ratio_reference(kind, f, xbar, L, M, 0.2, 5, 32)
+    assert got == want
+    assert type(got.supremum_ratio) is float and type(got.samples_used) is int
+
+
+@pytest.mark.parametrize("ratio", [calmness_ratio, subregularity_ratio])
+def test_ratio_raises_what_the_first_undefined_point_raises(ratio):
+    """f is undefined at x0 = 0.05 on the grid of the ray x0 > 0 (calmness)
+    or x0 < 0 (subregularity, which walks the rays backwards)."""
+    f = from_expressions(["x0 + 0 / (abs(x0) - 0.05)"], 1)
+    with pytest.raises(EvaluationError, match="^division by zero$"):
+        ratio(f, (0.0,), D((1.0,), (-1.0,)), D((1.0,)), radius=0.1, levels=3)
 
 
 @pytest.mark.parametrize("ratio", [calmness_ratio, subregularity_ratio])
