@@ -298,7 +298,11 @@ def evaluate(node, x: np.ndarray) -> float:
             if args[0] < 0:
                 raise EvaluationError("sqrt of a negative number")
             return math.sqrt(args[0])
-        return float(FUNCTIONS[node.name][1](*args))
+        try:
+            return float(FUNCTIONS[node.name][1](*args))
+        except ValueError:  # math's domain error, e.g. sin(inf)
+            shown = ", ".join(repr(a) for a in args)
+            raise EvaluationError(f"{node.name}({shown}) is undefined") from None
     if isinstance(node, Compare):
         a = evaluate(node.left, x)
         b = evaluate(node.right, x)

@@ -2,11 +2,16 @@
 
 Polyhedra are exact; curved regions (cardioid, the closed-curve example)
 are polygon approximations with even-odd point-in-polygon membership.
+A polygon compiles its edges once, on its first membership query, into a
+slab index of horizontal bands, so each point is tested only against the
+few edges of its band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,14 +65,53 @@ class PolyhedralSet:
         return self.rows[np.abs(self.rows @ x - self.offsets) <= TOL]
 
 
-# A polygon tests a batch in blocks of rows holding at most about this
-# many (point, edge) pairs, which bounds each temporary of the block.
+# A polygon tests a batch in blocks of rows holding at most this many
+# (point, edge) pairs, which bounds each temporary of the block.
 BLOCK_ELEMENTS = 1 << 16
 
 
-def _pairs(mask: np.ndarray) -> tuple:
-    """(row, column) indices of the true entries of a 2-D mask, row-major."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+def _ranges(first: np.ndarray, count: np.ndarray) -> tuple:
+    """(owner, position) of the concatenated ranges first[i] ... first[i] +
+    count[i] - 1: position j belongs to range owner[j]."""
+    owner = np.repeat(np.arange(len(first)), count)
+    ends = np.cumsum(count)
+    return owner, np.arange(ends[-1]) + np.repeat(first - ends + count, count)
+
+
+class Slabs(NamedTuple):
+    """Horizontal bands of a polygon and the edges each band may meet.
+
+    Height y lies in band ``np.searchsorted(bounds, y, "right")``; band k
+    lists ``band_edges[band_start[k]:band_start[k + 1]]``, every edge whose
+    grown box reaches into it.  ``width`` is the longest list.
+    """
+
+    bounds: np.ndarray
+    band_start: np.ndarray
+    band_edges: np.ndarray
+    width: int
+
+
+def _slabs(heights: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Slabs:
+    """Slab decomposition (Dobkin & Lipton 1976) for edges spanning the
+    heights lo[i] ... hi[i].  The bounds are the sorted vertex heights,
+    every other one dropped while the bands would list more than 8 entries
+    per edge: edges that all span the full height end up in a few bands
+    instead of in every band."""
+    bounds = np.sort(heights)
+    while True:
+        first = np.searchsorted(bounds, lo, "right")
+        count = np.searchsorted(bounds, hi, "right") - first + 1
+        if count.sum() <= 8 * len(lo):
+            break
+        bounds = bounds[::2]
+    edge, band = _ranges(first, count)
+    sizes = np.bincount(band, minlength=len(bounds) + 1)
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    edges = edge[np.argsort(band, kind="stable")]
+    for a in (bounds, start, edges):
+        a.setflags(write=False)
+    return Slabs(bounds, start, edges, int(sizes.max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +123,8 @@ class PolygonRegion:
     to ``next_vertices[i]`` along ``edges[i]``, whose squared length is
     ``edge_lengths2[i]`` (1 for a zero-length edge), inside the box from
     ``box_lo[i]`` to ``box_hi[i]`` grown by ``2*edge_tol`` on every side.
+    The first membership query builds ``slabs``, which it keeps: a point
+    is tested only against the edges listed in its height's band.
     """
 
     vertices: np.ndarray
@@ -92,17 +138,27 @@ class PolygonRegion:
     box_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        W = np.roll(self.vertices, -1, axis=0)
-        d = W - self.vertices
+        V = frozen_array(self.vertices, 2)
+        if V.shape[1:] != (2,) or len(V) < 3:
+            raise GeometryError(f"a polygon needs an (n, 2) array of n >= 3 vertices, "
+                                f"got shape {V.shape}")
+        if not (np.isfinite(self.edge_tol) and self.edge_tol >= 0.0):
+            raise GeometryError(f"a polygon's edge_tol must be finite and >= 0, got {self.edge_tol}")
+        W = np.roll(V, -1, axis=0)
+        d = W - V
         lens2 = np.einsum("ij,ij->i", d, d)
         lens2[lens2 == 0.0] = 1.0
         grow = 2.0 * self.edge_tol
-        lo = np.minimum(self.vertices, W) - grow
-        hi = np.maximum(self.vertices, W) + grow
-        for name, a in (("next_vertices", W), ("edges", d), ("edge_lengths2", lens2),
-                        ("box_lo", lo), ("box_hi", hi)):
+        lo = np.minimum(V, W) - grow
+        hi = np.maximum(V, W) + grow
+        for name, a in (("vertices", V), ("next_vertices", W), ("edges", d),
+                        ("edge_lengths2", lens2), ("box_lo", lo), ("box_hi", hi)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    @cached_property
+    def slabs(self) -> Slabs:
+        return _slabs(self.vertices[:, 1], self.box_lo[:, 1], self.box_hi[:, 1])
 
     def contains(self, x) -> bool:
         return bool(self.contains_many(as_vector(x, 2)[None])[0])
@@ -111,36 +167,41 @@ class PolygonRegion:
         """Membership of each row of X, in row blocks of bounded size."""
         X = as_points(X, 2)
         out = np.empty(len(X), dtype=bool)
-        step = max(1, BLOCK_ELEMENTS // len(self.vertices))
+        bounds, start, band_edges, width = self.slabs
+        step = max(1, BLOCK_ELEMENTS // width)
         for s in range(0, len(X), step):
             block = X[s:s + step]
-            inside = self._crosses_odd(block)
-            rest = np.flatnonzero(~inside)
-            if self.edge_tol != 0.0 and rest.size:
-                inside[rest] = self._near_boundary(block[rest])
+            k = np.searchsorted(bounds, block[:, 1], "right")
+            pi, at = _ranges(start[k], start[k + 1] - start[k])
+            ei = band_edges[at]
+            inside = self._crosses_odd(block, pi, ei)
+            if self.edge_tol != 0.0:
+                rest = ~inside[pi]
+                inside |= self._near_boundary(block, pi[rest], ei[rest])
             out[s:s + step] = inside
         return out
 
-    def _crosses_odd(self, X) -> np.ndarray:
+    def _crosses_odd(self, X, pi, ei) -> np.ndarray:
         """Even-odd test: a rightward ray from each point crosses the
-        boundary an odd number of times.  ``xc`` is computed only for the
-        (point, edge) pairs whose edge straddles the point's height."""
+        boundary an odd number of times.  (pi, ei) are (point, edge) pairs
+        holding every edge that straddles the point's height; ``xc`` is
+        computed only for the pairs whose edge does."""
         V, W, d = self.vertices, self.next_vertices, self.edges
-        py = X[:, 1:]
-        pi, ei = _pairs((V[:, 1] > py) != (W[:, 1] > py))
-        xc = V[ei, 0] + (X[pi, 1] - V[ei, 1]) / d[ei, 1] * d[ei, 0]
+        py = X[pi, 1]
+        straddle = (V[ei, 1] > py) != (W[ei, 1] > py)
+        pi, ei, py = pi[straddle], ei[straddle], py[straddle]
+        xc = V[ei, 0] + (py - V[ei, 1]) / d[ei, 1] * d[ei, 0]
         return np.bincount(pi[X[pi, 0] < xc], minlength=len(X)) % 2 == 1
 
-    def _near_boundary(self, X) -> np.ndarray:
-        """Rows of X within ``edge_tol`` of an edge.  Only the edges whose
-        grown box holds a point are projected on: any other edge lies more
-        than ``2*edge_tol`` away in one coordinate, so its distance cannot
-        pass."""
-        px, py = X[:, :1], X[:, 1:]
-        lo, hi = self.box_lo, self.box_hi
-        pi, ei = _pairs((px >= lo[:, 0]) & (px <= hi[:, 0])
-                        & (py >= lo[:, 1]) & (py <= hi[:, 1]))
-        P, Vp, dp = X[pi], self.vertices[ei], self.edges[ei]
+    def _near_boundary(self, X, pi, ei) -> np.ndarray:
+        """Rows of X within ``edge_tol`` of an edge of their (point, edge)
+        pairs.  Only the edges whose grown box holds a point are projected
+        on: any other edge lies more than ``2*edge_tol`` away in one
+        coordinate, so its distance cannot pass."""
+        P, lo, hi = X[pi], self.box_lo[ei], self.box_hi[ei]
+        box = np.all((P >= lo) & (P <= hi), axis=1)
+        pi, ei, P = pi[box], ei[box], P[box]
+        Vp, dp = self.vertices[ei], self.edges[ei]
         t = np.clip(np.einsum("ij,ij->i", P - Vp, dp) / self.edge_lengths2[ei], 0.0, 1.0)
         proj = Vp + t[:, None] * dp
         dist2 = np.einsum("ij,ij->i", P - proj, P - proj)

@@ -7,6 +7,8 @@ import functools
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -160,9 +162,10 @@ def test_exit_1_on_malformed_problem(tmp_path):
     ("certify", dict(SADDLE_DOC, L={"finite": [[0, 0], [1, 0]]})),
     ("certify", dict(SADDLE_DOC, objective={"expressions": ["(x0 - x0)^(-1) + x1"]})),
     ("certify", dict(SADDLE_DOC, objective={"expressions": ["(x0 + 10)^400 - x1^2"]})),
+    ("certify", dict(SADDLE_DOC, objective={"expressions": ["sin(x0 * 1e308 * 10) + x1"]})),
 ], ids=["bad-expression", "evaluation-error", "e-outside-int-K",
         "grid-not-object", "grid-empty-list", "zero-direction",
-        "zero-base-negative-power", "power-overflow"])
+        "zero-base-negative-power", "power-overflow", "sin-of-inf"])
 def test_exit_1_single_error_line(tmp_path, capsys, command, doc):
     path = _write(tmp_path, doc)
     code = main([command, "--problem", path, "--out", str(tmp_path)])
@@ -250,6 +253,15 @@ def test_help_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "certify" in capsys.readouterr().out
+
+
+def test_python_m_dirpareto_help_exits_0():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "dirpareto", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert "certify" in done.stdout
 
 
 def test_integral_floats_are_accepted(tmp_path):

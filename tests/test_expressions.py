@@ -89,6 +89,18 @@ def test_power_errors_are_evaluation_errors(text, xs, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("sin(x0 * 1e308 * 10) + x1", "sin(inf) is undefined"),
+    ("cos(-x0 * 1e308 * 10)", "cos(-inf) is undefined"),
+])
+def test_math_domain_errors_are_evaluation_errors(text, message):
+    """math's bare ValueError surfaces as an EvaluationError naming the
+    function and its argument."""
+    with pytest.raises(EvaluationError) as info:
+        ev(text, 1.0, 0.0)
+    assert str(info.value) == message
+
+
 def test_power_underflow_is_zero():
     assert ev("x0^3", 1e-110) == 0.0
     assert ev("x0^(-400)", 10.0) == 0.0

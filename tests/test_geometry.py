@@ -202,12 +202,14 @@ def _tangent_rays():
     (lambda: PolyhedralSet.from_rows([[1.0, 0.0], [0.0, 1.0]], [0.0, -1.0]),
      ["rows", "offsets"], ["matrix", "rhs"]),
     (lambda: closed_curve_region(64),
-     ["vertices", "next_vertices", "edges", "edge_lengths2", "box_lo", "box_hi"], []),
+     ["vertices", "next_vertices", "edges", "edge_lengths2", "box_lo", "box_hi"], ["slabs"]),
+    (lambda: closed_curve_region(64).slabs,
+     ["bounds", ("band_start", np.intp), ("band_edges", np.intp)], []),
     (_tangent_rays, ["rays"], []),
     (lambda: Target.finite_points([[1.0, 2.0], [0.0, 3.0]]), ["points"], []),
     (lambda: ScalarizationContext.create(orthant(2), [1.0, 2.0]), ["e"], []),
 ], ids=["cone", "generator-cone", "finite-L", "sphere-L", "polyhedron",
-        "polygon", "tangent-rays", "target", "scalarization-e"])
+        "polygon", "polygon-slabs", "tangent-rays", "target", "scalarization-e"])
 def test_stored_arrays_are_read_only(build, fields, aliases):
     obj = build()
     for name in fields:

@@ -247,9 +247,10 @@ def test_piecewise_cases_on_guard_boundaries(spec):
     (["(x0 + 10)^400"], [[-10.5], [0.0]], "10.0^400 overflows the float range"),
     (["x0^(x0 * 1e308 * 10)"], [[1.0]], "exponent must be an integer, got inf"),
     (["x1"], [[1.0]], "variable x1 out of range for dim 1"),
+    (["sin(x0 * 1e308 * 10)"], [[0.0], [1.0], [2.0]], "sin(inf) is undefined"),
 ], ids=["division", "first-row-first-output", "first-row-second-output",
         "fractional-exponent", "zero-power", "overflow", "infinite-exponent",
-        "variable-range"])
+        "variable-range", "sin-of-inf"])
 def test_eval_many_raises_the_first_raising_rows_error(texts, rows, message):
     f = from_expressions(texts, 1)
     _assert_parity(f, np.array(rows))

@@ -211,3 +211,115 @@ def test_contains_many_rejects_bad_batches():
         STAIRS.contains_many(np.zeros((2, 3)))
     with pytest.raises(GeometryError):
         CURVE_HALF.contains_many([[np.nan, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# the slab index of a polygon against the all-edges test it replaced: every
+# point compared with every edge, in one (points x edges) mask
+
+def _all_edges_reference(P, X) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if len(X) > 256:
+        return np.concatenate([_all_edges_reference(P, X[s:s + 256]) for s in range(0, len(X), 256)])
+    V, W, d = P.vertices, P.next_vertices, P.edges
+    py = X[:, 1:]
+    pi, ei = np.nonzero((V[:, 1] > py) != (W[:, 1] > py))
+    xc = V[ei, 0] + (X[pi, 1] - V[ei, 1]) / d[ei, 1] * d[ei, 0]
+    inside = np.bincount(pi[X[pi, 0] < xc], minlength=len(X)) % 2 == 1
+    if P.edge_tol == 0.0:
+        return inside
+    px, py = X[:, :1], X[:, 1:]
+    lo, hi = P.box_lo, P.box_hi
+    pi, ei = np.nonzero((px >= lo[:, 0]) & (px <= hi[:, 0]) & (py >= lo[:, 1]) & (py <= hi[:, 1]))
+    P_, Vp, dp = X[pi], V[ei], d[ei]
+    t = np.clip(np.einsum("ij,ij->i", P_ - Vp, dp) / P.edge_lengths2[ei], 0.0, 1.0)
+    proj = Vp + t[:, None] * dp
+    dist2 = np.einsum("ij,ij->i", P_ - proj, P_ - proj)
+    return inside | (np.bincount(pi[dist2 <= P.edge_tol ** 2], minlength=len(X)) > 0)
+
+
+def _comb(teeth: int) -> PolygonRegion:
+    """Vertices alternating between heights 0 and 1 above a base at -1:
+    every tooth edge spans the same heights, so the index must coarsen its
+    bands."""
+    x = np.arange(2 * teeth, dtype=float)
+    top = np.stack([x, (np.arange(2 * teeth) % 2).astype(float)], axis=1)
+    base = [[2 * teeth - 1.0, -1.0], [0.0, -1.0]]
+    return PolygonRegion(frozen_array(np.concatenate([top, base]), 2), edge_tol=1e-9, name="comb")
+
+
+SLAB_POLYGONS = {
+    **{f"cardioid-{n}": cardioid_region(n) for n in (4096, 64, 7)},
+    **{f"closed-curve-{n}": closed_curve_region(n) for n in (4096, 64, 7)},
+    "stairs": STAIRS,
+    "comb": _comb(512),
+    # horizontal edges, a zero-length edge and many repeated heights
+    "zigzag": PolygonRegion(frozen_array(
+        [[0, 0], [1, 0], [1, 0], [2, 1], [3, 1], [4, 0], [5, 0], [5, 2], [3, 2], [3, 1],
+         [1, 1], [1, 2], [0, 2]], 2), edge_tol=1e-6, name="zigzag"),
+    # every vertex at one height: a single band, only the boundary is a member
+    "flat": PolygonRegion(frozen_array([[0, 0], [1, 0], [3, 0]], 2), name="flat"),
+}
+
+
+def _slab_points(P):
+    """Vertices, edge midpoints and points 1e-13 off them; points at each
+    vertex height (a band bound) left of, inside and right of the polygon;
+    points above and below it; and points at 1e-9 to 1e-14 scale around
+    the origin, where the cardioid has its cusp."""
+    V, W = P.vertices, P.next_vertices
+    mid = 0.5 * (V + W)
+    lo, hi = V.min(axis=0), V.max(axis=0)
+    rng = np.random.default_rng(7)
+    at_heights = np.stack([rng.uniform(lo[0] - 1.0, hi[0] + 1.0, len(V)), V[:, 1]], axis=1)
+    outside = np.stack([rng.uniform(lo[0] - 1.0, hi[0] + 1.0, 40),
+                        np.repeat([lo[1] - 1e-9, lo[1] - 1.0, hi[1] + 1e-9, hi[1] + 1.0], 10)], axis=1)
+    pts = [V, mid, V + 1e-13, V - 1e-13, mid + 1e-13, mid - 1e-13, at_heights, outside]
+    pts += [s * rng.uniform(-1.0, 1.0, (50, 2)) for s in (1e-9, 1e-11, 1e-12, 1e-14)]
+    pts += [[[-1e-9, 0.0], [-1e-14, 0.0], [-1e-12, 1e-30], [1e-14, 1e-21], [1e-14, -1e-21]]]
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("name", sorted(SLAB_POLYGONS))
+def test_slab_index_matches_all_edges_on_special_points(name):
+    P = SLAB_POLYGONS[name]
+    X = _slab_points(P)
+    assert P.contains_many(X).tolist() == _all_edges_reference(P, X).tolist()
+    slabs = P.slabs
+    assert len(slabs.band_edges) <= 8 * len(P.vertices)
+    assert slabs.width == np.max(np.diff(slabs.band_start))
+    if name == "comb":
+        assert len(slabs.bounds) <= 16  # coarsened
+
+
+@pytest.mark.parametrize("name", sorted(SLAB_POLYGONS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_slab_index_matches_all_edges(name, data):
+    P = SLAB_POLYGONS[name]
+    special = _slab_points(P)
+    lo, hi = P.vertices.min(axis=0) - 1.0, P.vertices.max(axis=0) + 1.0
+    heights = np.unique(P.vertices[:, 1])
+    y = st.one_of(st.sampled_from(heights.tolist()), st.floats(lo[1], hi[1]),
+                  st.floats(-1e-9, 1e-9))
+    point = st.one_of(st.tuples(st.floats(lo[0], hi[0]), y),
+                      st.sampled_from(range(len(special))).map(lambda i: tuple(special[i])))
+    X = np.array(data.draw(st.lists(point, max_size=60)), dtype=float).reshape(-1, 2)
+    assert P.contains_many(X).tolist() == _all_edges_reference(P, X).tolist()
+
+
+@pytest.mark.parametrize("vertices", [
+    np.zeros((0, 2)), [[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], np.eye(3), [0.0, 1.0, 2.0],
+    [[0.0, 0.0], [1.0, 0.0], [0.0, np.inf]], [[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]],
+    [[0.0, 0.0], [1.0], [0.0, 1.0]],
+], ids=["empty", "one-vertex", "two-vertices", "three-columns", "flat-list",
+        "infinite", "nan", "ragged"])
+def test_polygon_rejects_bad_vertices(vertices):
+    with pytest.raises(GeometryError):
+        PolygonRegion(vertices)
+
+
+@pytest.mark.parametrize("edge_tol", [-1e-12, np.nan, np.inf])
+def test_polygon_rejects_bad_edge_tol(edge_tol):
+    with pytest.raises(GeometryError):
+        PolygonRegion([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], edge_tol=edge_tol)
