@@ -14,10 +14,13 @@ import numpy as np
 
 from .geometry import (
     DirectionSet,
+    GeometryError,
     HalfspaceCone,
     as_vector,
-    cone_contains,
+    cone_contains_many,
     direction_samples,
+    row_dots,
+    row_products,
 )
 from .lp import LPProblem, lp_feasible
 from .maps import SmoothMap
@@ -55,6 +58,22 @@ def ray_points(xbar, dirs, ts) -> np.ndarray:
     pts = np.asarray(ts)[None, :, None] * np.asarray(dirs)[:, None, :]
     pts += xbar  # in place: the grid is the one array allocated
     return pts.reshape(-1, pts.shape[2])
+
+
+# Rays (grid walk) or candidates (sampled tangent search) per batch: the
+# blocks double from 1 up to this cap, so an early hit costs little and a
+# full walk takes few steps.
+MAX_BLOCK = 64
+
+
+def doubling_blocks(n: int):
+    """``(start, stop)`` of consecutive blocks covering ``range(n)``, of
+    sizes 1, 2, 4, ... up to MAX_BLOCK."""
+    start, size = 0, 1
+    while start < n:
+        yield start, min(start + size, n)
+        start += size
+        size = min(2 * size, MAX_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -146,30 +165,32 @@ def _walk(points, levels: int, constraint, diff, K: HalfspaceCone,
     """Walk the grid in order; the first feasible point whose difference
     violates minimality refutes, and no violation certifies.
 
-    Each step takes one ray (``levels`` points): its feasible points under
-    ``constraint``, their differences ``diff(ray) -> (D, error)`` and the
-    violation test on all of them.  Feasibility and ``diff`` stop at the
-    first point that raises and hand back its exception, which counts
+    Each step takes a block of whole rays (``levels`` points each), the
+    blocks doubling from 1 ray up to MAX_BLOCK: its feasible points under
+    ``constraint``, their differences ``diff(chunk) -> (D, error)`` and
+    the violation test on all of them.  Feasibility and ``diff`` stop at
+    the first point that raises and hand back its exception, which counts
     only if no earlier row is non-finite or violating, as in a walk point
     by point."""
     samples = 0
-    for ray in points.reshape(-1, levels, points.shape[1]):
-        ok, constraint_error = _feasible(constraint, ray)
-        ray = ray[:len(ok)][ok]
-        D, error = diff(ray)
+    for start, stop in doubling_blocks(len(points) // levels):
+        chunk = points[start * levels:stop * levels]
+        ok, constraint_error = _feasible(constraint, chunk)
+        chunk = chunk[:len(ok)][ok]
+        D, error = diff(chunk)
         nonfinite = np.flatnonzero(~np.isfinite(D).all(axis=1))
         n = nonfinite[0] if nonfinite.size else len(D)  # rows before the first one
         hits = np.flatnonzero(_violations(D[:n], K, weak))
         if hits.size:
             i = int(hits[0])
             return CertReport("refuted", weak, samples + i + 1,
-                              (tuple(ray[i]), tuple(D[i])))
+                              (tuple(chunk[i]), tuple(D[i])))
         if n < len(D):
-            raise CertifyError(f"non-finite objective value at {ray[n].tolist()}")
-        for exc in (error, constraint_error):  # the objective's comes first on the ray
+            raise CertifyError(f"non-finite objective value at {chunk[n].tolist()}")
+        for exc in (error, constraint_error):  # the objective's comes first in the chunk
             if exc is not None:
                 raise exc
-        samples += len(ray)
+        samples += len(chunk)
     # with no feasible sample the certificate is vacuous and says so
     note = "" if samples else "no feasible grid sample"
     return CertReport("certified_on_grid", weak, samples, note=note)
@@ -180,8 +201,8 @@ def certify_directional_min(p: Problem, weak: bool = False) -> CertReport:
     xbar = p.x0
     f0 = p.f(xbar)
 
-    def diff(ray):
-        Y, error = p.f.eval_rows(ray)
+    def diff(chunk):
+        Y, error = p.f.eval_rows(chunk)
         return Y - f0, error
 
     return _walk(p.grid.points(xbar, p.L), p.grid.levels, p.constraint, diff, p.K, weak)
@@ -202,7 +223,7 @@ def certify_set_min(M, xbar, K: HalfspaceCone, L: DirectionSet,
     if not M.contains(xbar):
         raise CertifyError("reference point is not in the set")
     return _walk(grid.points(xbar, L), grid.levels, M,
-                 lambda ray: (ray - xbar, None), K, weak)
+                 lambda chunk: (chunk - xbar, None), K, weak)
 
 
 @dataclass(frozen=True)
@@ -219,35 +240,48 @@ def check_first_order_necessary(p: Problem, directions) -> dict:
     inequality/equality constraints, satisfy grad mu_i(xbar).u <= 0 for
     active i and grad nu_j(xbar).u = 0), checks whether the derivative
     image J_f(xbar) u falls in -int K.  Any violation refutes weak
-    directional minimality; non-admissible directions are rejected.
+    directional minimality; non-admissible directions are rejected, the
+    first one in input order, as is a malformed direction that comes
+    before any non-admissible one.
     """
     xbar = p.x0
+    dim = p.f.dim_in
     jac = p.f.jacobian(xbar)
     active, equality = [], []  # gradients of the active mu_i and of every nu_j
     if isinstance(p.constraint, IneqEq):
         active = [m.jacobian(xbar)[0] for m in p.constraint.mu
                   if abs(m(xbar)[0]) <= FEAS_TOL]
         equality = [n.jacobian(xbar)[0] for n in p.constraint.nu]
-    checks = []
+    U, malformed = [], None
     for u in directions:
-        u = as_vector(u, p.f.dim_in)
-        if not cone_contains(p.L, u):
-            raise CertifyError(
-                f"direction {u.tolist()} is outside cone L: not admissible")
-        for g in active:
-            if float(g @ u) > FEAS_TOL:
-                raise CertifyError(
-                    f"direction {u.tolist()} violates an active "
-                    "inequality gradient: not admissible")
-        for g in equality:
-            if abs(float(g @ u)) > FEAS_TOL:
-                raise CertifyError(
-                    f"direction {u.tolist()} violates an equality "
-                    "gradient: not admissible")
-        img = jac @ u
-        checks.append(DirectionCheck(tuple(u), tuple(img),
-                                     p.K.contains(-img, strict=True)))
-    holds = not any(c.violated for c in checks)
+        try:
+            U.append(as_vector(u, dim))
+        except (GeometryError, TypeError, ValueError) as exc:
+            malformed = exc  # raised below unless an earlier direction fails
+            break
+    U = np.reshape(U, (-1, dim))
+    outside = ~cone_contains_many(p.L, U)
+    # a non-finite gradient or Jacobian would warn about directions that a
+    # loop stopping at the first failure never reaches; the tests below
+    # decide on the values alone
+    with np.errstate(all="ignore"):
+        ascent = (row_dots(np.reshape(active, (-1, dim)), U) > FEAS_TOL).any(axis=1)
+        off = (np.abs(row_dots(np.reshape(equality, (-1, dim)), U)) > FEAS_TOL).any(axis=1)
+        images = row_products(jac, U)
+    bad = np.flatnonzero(outside | ascent | off)
+    n = bad[0] if bad.size else len(U)  # directions before the first one
+    # raises on a non-finite image, as the one-point test on that direction does
+    violated = p.K.contains_many(-images[:n], strict=True)
+    if bad.size:
+        reason = ("is outside cone L" if outside[n]
+                  else "violates an active inequality gradient" if ascent[n]
+                  else "violates an equality gradient")
+        raise CertifyError(f"direction {U[n].tolist()} {reason}: not admissible")
+    if malformed is not None:
+        raise malformed
+    checks = [DirectionCheck(tuple(u), tuple(img), bool(v))
+              for u, img, v in zip(U, images, violated)]
+    holds = not violated.any()
     return {"holds": holds, "checks": checks}
 
 

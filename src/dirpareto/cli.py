@@ -182,7 +182,7 @@ def _cmd_certify_set(doc, args) -> tuple:
 
 def _cmd_first_order(doc, args) -> tuple:
     p = parse_problem(doc)
-    dirs = read(doc, "directions", rows)
+    dirs = read(doc, "directions", rows, p.f.dim_in)
     res = check_first_order_necessary(p, [np.array(u) for u in dirs])
     return ({"holds": res["holds"],
              "checks": [{"direction": list(c.direction), "image": list(c.image),

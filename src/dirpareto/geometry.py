@@ -47,10 +47,11 @@ def as_points(X, dim: int) -> np.ndarray:
     return a
 
 
-# The batched forms of ``np.linalg.norm(x)`` and ``rows @ x``.  Both give
-# the one-point result on every row, bit for bit, so a batched membership
-# test decides exactly as the one-point test it replaces; ``einsum`` and
-# ``X @ rows.T`` differ from them in the last place on some rows.
+# The batched forms of ``np.linalg.norm(x)``, ``rows @ x`` and ``g @ x``.
+# All give the one-point result on every row, bit for bit, so a batched
+# membership test decides exactly as the one-point test it replaces;
+# ``einsum`` and ``X @ rows.T`` differ from them in the last place on some
+# rows.
 
 def row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of X."""
@@ -60,6 +61,13 @@ def row_norms(X: np.ndarray) -> np.ndarray:
 def row_products(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``rows @ x`` for each row x of X, shape (n, len(rows))."""
     return np.matmul(rows, X[:, :, None])[..., 0]
+
+
+def row_dots(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``g @ x`` for each row g of G and each row x of X, shape (n, len(G)):
+    each entry is one inner product of two vectors, as in the one-point
+    ``g @ x`` (``rows @ x`` may sum a row in another order)."""
+    return np.matmul(G[None, :, None, :], X[:, None, :, None])[:, :, 0, 0]
 
 
 def frozen_array(x, ndim: int) -> np.ndarray:

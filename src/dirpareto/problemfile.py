@@ -124,11 +124,11 @@ def vector(value, size: int | None = None) -> list:
     return [_number(c) for c in value]
 
 
-def rows(value) -> list:
-    """A list of number lists, as float lists."""
+def rows(value, size: int | None = None) -> list:
+    """A list of number lists, as float lists; ``size`` numbers each if given."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise ProblemFileError(f"expected a list of number lists, got {_show(value)}")
-    return [vector(r) for r in value]
+    return [vector(r, size) for r in value]
 
 
 def _entry(name, table: dict):

@@ -24,7 +24,7 @@ from .geometry import (
     frozen_array,
     row_norms,
 )
-from .certify import ray_points
+from .certify import doubling_blocks, ray_points
 from .maps import SmoothMap
 from .sets import PolyhedralSet
 
@@ -141,11 +141,6 @@ def _perturbations(u: np.ndarray, eps: float, L: DirectionSet | None,
     return cands[keep]
 
 
-# Candidates per membership batch in the sampled tangent search: the
-# blocks double from 1 up to this cap, so an early hit costs little.
-MAX_BLOCK = 64
-
-
 def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
                                schedule: TSchedule = TSchedule()) -> TangentVerdict:
     """Sampled verdict for u in T_B^L(A, xbar) (L=None: plain T_B).
@@ -178,15 +173,13 @@ def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
         # first hit counts in candidate-major, sub-step-minor order
         substeps = t * 0.5 ** (0.5 * np.arange(8))
         found = None
-        start, size = 0, 1
-        while found is None and start < len(cands):
-            block = cands[start:start + size]
+        for start, stop in doubling_blocks(len(cands)):
+            block = cands[start:stop]
             inside = np.flatnonzero(A.contains_many(ray_points(xbar, block, substeps)))
             if inside.size:
                 c, s = divmod(int(inside[0]), len(substeps))
                 found = (float(substeps[s]), block[c])
-            start += size
-            size = min(2 * size, MAX_BLOCK)
+                break
         if found:
             evidence.append((found[0], tuple(found[1])))
             hits += 1

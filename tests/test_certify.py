@@ -2,13 +2,19 @@
 examples, first-order checks, exact tangent sufficiency, and the
 openness falsifier."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirpareto.certify import (
     FEAS_TOL,
+    MAX_BLOCK,
     CertifyError,
     CertReport,
+    DirectionCheck,
     GridSpec,
     IneqEq,
     Problem,
@@ -34,7 +40,14 @@ from dirpareto.gallery import (
     run_example,
 )
 from dirpareto.expressions import EvaluationError, piecewise_from_spec
-from dirpareto.geometry import DirectionSet, HalfspaceCone, direction_samples
+from dirpareto.geometry import (
+    DirectionSet,
+    GeometryError,
+    HalfspaceCone,
+    as_vector,
+    cone_contains,
+    direction_samples,
+)
 from dirpareto.maps import SmoothMap, builtin, from_expressions, sector_map
 from dirpareto.sets import ImplicitSet, PolygonRegion, PolyhedralSet, curve_halfplane_set
 
@@ -134,7 +147,8 @@ def test_vacuous_set_certificate_says_so():
 
 
 # ---------------------------------------------------------------------------
-# the walker takes one ray per step and decides as a walk point by point
+# the walker takes doubling blocks of rays and decides as a walk point by
+# point
 
 def _pointwise_walk(p, weak=False):
     """Reference: the grid walked one point at a time, the constraint and
@@ -219,7 +233,7 @@ def test_gallery_walks_match_the_point_by_point_walk(weak):
 
 
 def test_walk_evaluates_f_one_ray_at_a_time(monkeypatch):
-    """One batch per ray, and no one-point call but f(xbar)."""
+    """One batch per block of rays, and no one-point call but f(xbar)."""
     calls = {"__call__": 0, "eval_rows": 0}
     for name in calls:
         def counted(self, x, _original=getattr(SmoothMap, name), _name=name):
@@ -230,7 +244,99 @@ def test_walk_evaluates_f_one_ray_at_a_time(monkeypatch):
     rep = certify_directional_min(p)
     assert rep.verdict == "refuted"
     assert calls["__call__"] == 1
-    assert 0 < calls["eval_rows"] <= 32
+    assert 0 < calls["eval_rows"] <= 6  # 32 rays: blocks of 1, 2, 4, 8, 16, 1
+
+
+# A multi-ray grid with events placed at chosen (ray, level) points: the
+# objective is -1 (a violation under R_PLUS), undefined or infinite there,
+# and the constraint raises or rejects there; elsewhere f = 1 and every
+# point is feasible.  Twelve rays split into blocks [0,1) [1,3) [3,7) and
+# the partial [7,12).
+EVENT_RAYS = 12
+EVENT_GRID = GridSpec(radius=0.5, levels=3, rays_per_level=EVENT_RAYS)
+EVENT_L = _circle(EVENT_RAYS)
+EVENTS = ("violation", "undefined", "nonfinite", "constraint-raises", "infeasible")
+# both sides of each block boundary (0|1, 2|3, 6|7), then inside and at
+# the end of the partial last block
+BOUNDARY_RAYS = (0, 1, 2, 3, 6, 7, 9, 11)
+
+
+def _event_problem(events):
+    """A Problem on EVENT_GRID whose objective and constraint act on
+    ``events``, a dict (ray, level) -> event kind."""
+    pts = EVENT_GRID.points(np.zeros(2), EVENT_L)
+    at = {tuple(pts[ray * EVENT_GRID.levels + level]): kind
+          for (ray, level), kind in events.items()}
+
+    def objective(x):
+        kind = at.get(tuple(x))
+        if kind == "undefined":
+            raise EvaluationError(f"undefined at {x.tolist()}")
+        if not x.any():
+            return np.array([0.0])
+        return np.array([{"violation": -1.0, "nonfinite": np.inf}.get(kind, 1.0)])
+
+    def constraint(x):
+        kind = at.get(tuple(x))
+        if kind == "constraint-raises":
+            raise EvaluationError(f"constraint undefined at {x.tolist()}")
+        return np.array([1.0 if kind == "infeasible" else -1.0])
+
+    f = SmoothMap("events", 2, 1, objective)
+    mu = SmoothMap("events-mu", 2, 1, constraint)
+    return Problem(f, R_PLUS, EVENT_L, (0.0, 0.0), EVENT_GRID, IneqEq(mu=(mu,)))
+
+
+@pytest.mark.parametrize("ray", BOUNDARY_RAYS)
+@pytest.mark.parametrize("kind", EVENTS)
+def test_walk_event_at_a_block_boundary_matches_the_point_by_point_walk(kind, ray):
+    p = _event_problem({(ray, 1): kind})
+    assert _outcome(lambda: certify_directional_min(p)) == _outcome(lambda: _pointwise_walk(p))
+
+
+@pytest.mark.parametrize("later", ["undefined", "nonfinite", "constraint-raises"])
+@pytest.mark.parametrize("first, second", [(3, 5), (3, 6), (7, 11), (1, 2)])
+def test_walk_refutes_before_a_later_event_in_the_same_block(later, first, second):
+    """A violation in one ray refutes even if a later ray of its block is
+    undefined, non-finite or has a raising constraint."""
+    p = _event_problem({(first, 2): "violation", (second, 0): later})
+    got = _outcome(lambda: certify_directional_min(p))
+    assert got == _outcome(lambda: _pointwise_walk(p))
+    assert got["verdict"] == "refuted"
+    assert got["samples"] == first * EVENT_GRID.levels + 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, EVENT_RAYS - 1),
+                                 st.integers(0, EVENT_GRID.levels - 1)),
+                       st.sampled_from(EVENTS), max_size=4),
+       st.booleans())
+def test_walk_with_random_events_matches_the_point_by_point_walk(events, weak):
+    p = _event_problem(events)
+    assert (_outcome(lambda: certify_directional_min(p, weak=weak))
+            == _outcome(lambda: _pointwise_walk(p, weak)))
+
+
+@pytest.mark.parametrize("rays", [EVENT_RAYS, 200])
+def test_walk_refuted_at_ray_r_evaluates_at_most_2r_plus_1_rays(monkeypatch, rays):
+    """The walk refuted at ray r (counted from 0) evaluates the rays of
+    its block and the blocks before: at most 2r + 1 rays, and at most
+    r + MAX_BLOCK once the blocks stop doubling."""
+    rows = []
+    original = SmoothMap.eval_rows
+    monkeypatch.setattr(SmoothMap, "eval_rows",
+                        lambda self, X: rows.append(len(X)) or original(self, X))
+    f = from_expressions(["x1"], 2)  # violated exactly on the one downward ray
+    grid = GridSpec(radius=0.5, levels=2, rays_per_level=rays)
+    upward = np.linspace(0.1, 3.0, rays)
+    for r in range(rays):
+        ang = np.where(np.arange(rays) == r, -np.pi / 2, upward)
+        L = DirectionSet.finite(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+        rows.clear()
+        rep = certify_directional_min(Problem(f, R_PLUS, L, (0.0, 0.0), grid))
+        assert rep.verdict == "refuted" and rep.samples == 2 * r + 1
+        evaluated = sum(rows) // grid.levels
+        assert r < evaluated <= min(2 * r + 1, r + MAX_BLOCK), r
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +417,9 @@ def test_set_min_rejects_mismatched_dimensions(K, L, message):
 
 
 def test_set_walk_tests_membership_one_ray_at_a_time(monkeypatch):
-    """The walker asks the set about a whole ray at once: the polygon
-    inside curve_halfplane_set gets at most one batch per ray and no
-    one-point query."""
+    """The walker asks the set about a block of whole rays at once: the
+    polygon inside curve_halfplane_set gets one batch per block of rays
+    and no one-point query."""
     calls = {"contains": 0, "contains_many": 0}
     for name in calls:
         def counted(self, x, _original=getattr(PolygonRegion, name), _name=name):
@@ -323,7 +429,7 @@ def test_set_walk_tests_membership_one_ray_at_a_time(monkeypatch):
     rep = certify_set_min(curve_halfplane_set(), (0.0, 0.0), R2_PLUS, _circle(128))
     assert rep.verdict == "refuted"
     assert calls["contains"] == 0
-    assert 0 < calls["contains_many"] <= 128
+    assert 0 < calls["contains_many"] <= 8  # 128 rays: blocks of 1, 2, ... 64, 1
 
 
 LOWER_LEFT = PolyhedralSet.from_rows([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
@@ -431,6 +537,119 @@ def test_first_order_computes_each_constraint_gradient_once(monkeypatch):
     assert sorted(calls) == ["mu0", "nu0", "saddle-x2-y2"]
     with pytest.raises(CertifyError, match="violates an active inequality gradient"):
         check_first_order_necessary(p, [[-1.0, -1.0], [1.0, 1.0]])
+
+
+def _pointwise_first_order(p, directions):
+    """Reference: each direction in turn, checked for admissibility and
+    then mapped through the Jacobian, with one-point products."""
+    xbar = p.x0
+    jac = p.f.jacobian(xbar)
+    active, equality = [], []
+    if isinstance(p.constraint, IneqEq):
+        active = [m.jacobian(xbar)[0] for m in p.constraint.mu
+                  if abs(m(xbar)[0]) <= FEAS_TOL]
+        equality = [n.jacobian(xbar)[0] for n in p.constraint.nu]
+    checks = []
+    for u in directions:
+        u = as_vector(u, p.f.dim_in)
+        if not cone_contains(p.L, u):
+            raise CertifyError(f"direction {u.tolist()} is outside cone L: not admissible")
+        if any(float(g @ u) > FEAS_TOL for g in active):
+            raise CertifyError(f"direction {u.tolist()} violates an active "
+                               "inequality gradient: not admissible")
+        if any(abs(float(g @ u)) > FEAS_TOL for g in equality):
+            raise CertifyError(f"direction {u.tolist()} violates an equality "
+                               "gradient: not admissible")
+        img = jac @ u
+        checks.append(DirectionCheck(tuple(u), tuple(img), p.K.contains(-img, strict=True)))
+    return {"holds": not any(c.violated for c in checks), "checks": checks}
+
+
+def _first_order_outcome(run):
+    """The holds flag and checks, or what was raised; float warnings (an
+    infinite Jacobian entry times 0) aside."""
+    try:
+        with np.errstate(all="ignore"):
+            out = run()
+    except (CertifyError, GeometryError, ValueError) as exc:
+        return type(exc), str(exc)
+    return out["holds"], [(c.direction, c.image, type(c.violated), c.violated)
+                          for c in out["checks"]]
+
+
+# x1 <= 0 for L; mu = x0 + x1 is active at the origin and x0 - 2 is not;
+# nu = x0 - 2 x1.  The objective has two outputs, so its image is a
+# matrix-vector product, and a third input makes cone L a 3-D section.
+FIRST_ORDER = Problem(
+    from_expressions(["x0 + 2 * x1 - x2", "x1 + 3 * x2"], 3), R2_PLUS,
+    DirectionSet.cone_section(HalfspaceCone.from_rows([[0.0, -1.0, 0.0]])),
+    (0.0, 0.0, 0.0),
+    constraint=IneqEq(mu=(from_expressions(["x0 + x1"], 3),
+                          from_expressions(["x0 - 2"], 3)),
+                      nu=(from_expressions(["x0 - 2 * x1"], 3),)))
+FIRST_ORDER_DIRECTIONS = {
+    "violated": [-2.0, -1.0, 0.0],       # admissible, image in -int K
+    "held": [-2.0, -1.0, 1.0],           # admissible, image outside -int K
+    "zero": [0.0, 0.0, 0.0],
+    "outside-L": [2.0, 1.0, 0.0],        # also breaks mu: the cone L reason wins
+    "ascent": [2.0, -1.0, 0.0],          # breaks the active mu, and nu
+    "off-equality": [-1.0, -1.0, 0.0],   # only nu
+    "short": [1.0, 0.0],
+    "non-finite": [np.nan, 0.0, 0.0],
+    "matrix": [[1.0, 0.0, 0.0]],
+    "ragged": [[1.0], [0.0, 0.0]],
+}
+
+
+INFINITE_JACOBIAN = Problem(
+    SmoothMap("infinite-jacobian", 3, 2, FIRST_ORDER.f.fn,
+              lambda x: np.array([[1.0, 2.0, np.inf], [0.0, 1.0, 3.0]])),
+    R2_PLUS, FIRST_ORDER.L, FIRST_ORDER.xbar, constraint=FIRST_ORDER.constraint)
+
+
+def test_first_order_warns_about_no_direction_past_the_first_failure():
+    """(0, 0, 1) maps to (inf, 3), which the test against K rejects; the
+    zero direction after it would make inf * 0, but the one-point loop
+    never reaches it, so the batch raises the same error and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="^vector has non-finite entries$"):
+            check_first_order_necessary(INFINITE_JACOBIAN, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("names", [
+    ["violated", "held", "zero"],
+    ["held", "outside-L", "violated"],
+    ["held", "ascent", "outside-L"],
+    ["off-equality", "ascent"],
+    ["held", "short", "outside-L"],
+    ["held", "outside-L", "short"],
+    ["violated", "non-finite"],
+    ["matrix", "ascent"],
+    ["zero", "ragged"],
+    [],
+])
+def test_first_order_matches_a_one_point_loop(names):
+    """The first non-admissible direction in input order raises, and a
+    malformed one only when no direction before it is non-admissible."""
+    dirs = [FIRST_ORDER_DIRECTIONS[n] for n in names]
+    got = _first_order_outcome(lambda: check_first_order_necessary(FIRST_ORDER, dirs))
+    assert got == _first_order_outcome(lambda: _pointwise_first_order(FIRST_ORDER, dirs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from(sorted(FIRST_ORDER_DIRECTIONS)),
+    st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)), max_size=8))
+def test_first_order_with_random_directions_matches_a_one_point_loop(items):
+    """Also with no constraint, and with a Jacobian whose images are not
+    finite, which the one-point loop rejects at the first admissible
+    direction."""
+    dirs = [FIRST_ORDER_DIRECTIONS[i] if isinstance(i, str) else i for i in items]
+    for p in (FIRST_ORDER, INFINITE_JACOBIAN,
+              Problem(FIRST_ORDER.f, R2_PLUS, DirectionSet.full_sphere(3), (0.0, 0.0, 0.0))):
+        assert (_first_order_outcome(lambda: check_first_order_necessary(p, dirs))
+                == _first_order_outcome(lambda: _pointwise_first_order(p, dirs)))
 
 
 def test_weakly_certified_gallery_passes_first_order():

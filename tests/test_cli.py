@@ -213,6 +213,7 @@ def _run(argv, doc, tmp_dir):
     (["certify"], dict(SADDLE_DOC, point=5)),
     (["certify-set"], dict(CERTIFY_SET_DOC, point=5)),
     (["first-order"], dict(SADDLE_DOC, directions=7)),
+    (["first-order"], dict(SADDLE_DOC, directions=[[1, 0, 0]])),
     (["certify-set"], dict(CERTIFY_SET_DOC, set=3)),
     (["gerstewitz"], _without(GERSTEWITZ_DOC, "y")),
     (["certify"], dict(SADDLE_DOC, objective={"expressions": [5]})),
@@ -231,7 +232,7 @@ def _run(argv, doc, tmp_dir):
     (["mintime", "--problem", "p.json", "--norm", "l3"], None),
     (["examples"], None),
 ], ids=["L-finite-flat", "K-flat", "L-list", "point-number", "set-point-number",
-        "directions-number", "set-number", "gerstewitz-no-y", "expression-number",
+        "directions-number", "directions-wrong-length", "set-number", "gerstewitz-no-y", "expression-number",
         "mu-number", "dim_in-fraction", "dim_in-bool", "levels-fraction",
         "rays-bool", "seed-fraction", "penalized-named-A", "tangent-radius-0",
         "tangent-radius-negative", "no-problem-flag",
@@ -246,6 +247,12 @@ def test_malformed_input_exits_1_with_one_error_line(tmp_path, argv, doc):
 def test_error_line_names_the_missing_field(tmp_path):
     _, err, _ = _run(["gerstewitz"], _without(GERSTEWITZ_DOC, "y"), str(tmp_path))
     assert err[0].startswith("error: y: ")
+
+
+def test_error_line_names_a_wrong_length_direction(tmp_path):
+    _, err, _ = _run(["first-order"], dict(SADDLE_DOC, directions=[[1, 0], [1, 0, 0]]),
+                     str(tmp_path))
+    assert err == ["error: directions: expected 2 numbers, got [1, 0, 0]"]
 
 
 def test_help_exits_0(capsys):

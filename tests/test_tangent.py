@@ -11,7 +11,7 @@ import pytest
 from dirpareto.geometry import DirectionSet, GeometryError, HalfspaceCone
 from dirpareto.maps import SmoothMap, from_expressions
 from dirpareto.problemfile import parse_direction_set, parse_set, read, vector
-from dirpareto.sets import PolyhedralSet, cardioid_region
+from dirpareto.sets import PolygonRegion, PolyhedralSet, cardioid_region
 from dirpareto.tangent import (
     TSchedule,
     _ball_lattice,
@@ -126,6 +126,26 @@ def test_cardioid_unrestricted_tangent_member():
     assert v.status == "member"
     assert len(v.evidence) == TSchedule().levels
     assert all(hit is not None for _, hit in v.evidence)
+
+
+@pytest.mark.parametrize("L, batches", [
+    (DirectionSet.finite([[-1.0, 0.0]]), 151),
+    (None, 53),
+], ids=["restricted", "unrestricted"])
+def test_cardioid_search_asks_the_polygon_in_doubling_blocks(monkeypatch, L, batches):
+    """The candidates go to the set in blocks of 1, 2, 4, ... up to
+    MAX_BLOCK, a search stopping at its first hit: a fixed number of
+    membership batches per cardioid run, and one one-point query, for the
+    reference point."""
+    calls = {"contains": 0, "contains_many": 0}
+    for name in calls:
+        def counted(self, x, _original=getattr(PolygonRegion, name), _name=name):
+            calls[_name] += 1
+            return _original(self, x)
+        monkeypatch.setattr(PolygonRegion, name, counted)
+    region = cardioid_region()
+    tangent_membership_sampled(region, [0.0, 0.0], L, [-1.0, 0.0])
+    assert calls == {"contains": 1, "contains_many": batches}
 
 
 # ---------------------------------------------------------------------------
