@@ -295,33 +295,22 @@ def _tangent_plus_K_witness(T_rows: np.ndarray, K: HalfspaceCone,
     must lie in K), then nonnegative weights gamma with v = sum gamma_k
     ell_k for finite L.
     """
-    dim = K.dim
-    gens = L.vectors
-    lp = LPProblem(2 * dim + len(gens), nonneg=range(2 * dim, 2 * dim + len(gens)))
-    for r in T_rows:
-        row = np.zeros(lp.n)
-        row[dim:2 * dim] = r
-        lp.add_ge(row, 0.0)
-    for r in K.rows:
-        row = np.zeros(lp.n)
-        row[:dim] = r
-        row[dim:2 * dim] = -r
-        lp.add_ge(row, 0.0)  # r.(v - s) >= 0
+    dim, ng = K.dim, len(L.vectors)
+    lp = LPProblem(2 * dim + ng, nonneg=range(2 * dim, 2 * dim + ng))
+
+    def rows(v, s=None):
+        """Constraint rows with v-part ``v`` and s-part ``s`` (zero if None)."""
+        s = np.zeros_like(v) if s is None else s
+        return np.hstack([v, s, np.zeros((len(v), ng))])
+
+    lp.add_ge(rows(np.zeros_like(T_rows), T_rows), 0.0)
+    lp.add_ge(rows(K.rows, -K.rows), 0.0)  # r.(v - s) >= 0
     if L.variant == "cone_section":
-        for r in L.section.rows:
-            row = np.zeros(lp.n)
-            row[:dim] = r
-            lp.add_ge(row, 0.0)
+        lp.add_ge(rows(L.section.rows), 0.0)
     elif L.variant == "finite":
-        for i in range(dim):
-            row = np.zeros(lp.n)
-            row[i] = 1.0
-            row[2 * dim:] = -gens[:, i]
-            lp.add_eq(row, 0.0)  # v = sum gamma_k ell_k
-    for r, d in zip(K.rows, depth):
-        row = np.zeros(lp.n)
-        row[:dim] = -r
-        lp.add_ge(row, d)  # r.v <= -depth
+        # v = sum gamma_k ell_k
+        lp.add_eq(np.hstack([np.eye(dim), np.zeros((dim, dim)), -L.vectors.T]), 0.0)
+    lp.add_ge(rows(-K.rows), depth)  # r.v <= -depth
     w = lp_feasible(lp)
     return None if w is None else w[:dim]
 

@@ -286,25 +286,31 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+GRID_FLAGS = ("--radius", "--levels", "--rays", "--seed")
+# the flags each subcommand reads besides --out (and --problem); any other
+# flag is a usage error
+FLAGS = {"certify": GRID_FLAGS + ("--weak",), "certify-set": GRID_FLAGS + ("--weak",),
+         "tangent": ("--radius",), "mintime": ("--norm",), "examples": GRID_FLAGS}
+FLAG_SPECS = {"--radius": {"type": float}, "--levels": {"type": int},
+              "--rays": {"type": int}, "--seed": {"type": int},
+              "--weak": {"action": "store_true"},
+              "--norm": {"choices": ["l2", "linf"], "default": "l2"}}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one command-line parser, built on first use."""
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--out", default=".", help="report directory")
-    grid.add_argument("--radius", type=float, default=None)
-    grid.add_argument("--levels", type=int, default=None)
-    grid.add_argument("--rays", type=int, default=None)
-    grid.add_argument("--seed", type=int, default=None)
-    problem = argparse.ArgumentParser(add_help=False, parents=[grid])
-    problem.add_argument("--problem", required=True, help="JSON problem file")
-    problem.add_argument("--weak", action="store_true")
-    problem.add_argument("--norm", choices=["l2", "linf"], default="l2")
     ap = _Parser(prog="dirpareto",
                  description="Directional Pareto minimality toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[problem])
-    ex = sub.add_parser("examples", parents=[grid])
+    for name in [*COMMANDS, "examples"]:
+        cmd = sub.add_parser(name)
+        cmd.add_argument("--out", default=".", help="report directory")
+        if name in COMMANDS:
+            cmd.add_argument("--problem", required=True, help="JSON problem file")
+        for flag in FLAGS.get(name, ()):
+            cmd.add_argument(flag, **FLAG_SPECS[flag])
+    ex = sub.choices["examples"]
     ex.add_argument("action", choices=["list", "run"])
     ex.add_argument("name", nargs="?")
     return ap

@@ -347,7 +347,7 @@ def elementwise(fn, nargs: int):
     return lambda *arrays: ufunc(*arrays).astype(float)
 
 
-_POWER = elementwise(operator.pow, 2)
+POWER = elementwise(operator.pow, 2)
 _MATH = {name: elementwise(FUNCTIONS[name][1], FUNCTIONS[name][0])
          for name in ("sin", "cos", "atan", "atan2")}
 _ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply}
@@ -402,7 +402,7 @@ def compile_rows(node, dim: int):
                 base, e = a(X, redo), b(X, redo)
                 k = np.round(e)
                 redo |= ~(np.abs(e - k) <= 1e-12)  # not an integer, or not finite
-                out = _POWER(base, k)
+                out = POWER(base, k)
                 redo |= np.isnan(out)  # zero to a negative power, overflow
                 return out
             return power

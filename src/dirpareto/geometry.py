@@ -133,8 +133,7 @@ class HalfspaceCone:
     def interior_point(self) -> np.ndarray | None:
         """A point with a_i . y >= 1 for all i, or None (empty interior)."""
         p = LPProblem(self.dim)
-        for r in self.rows:
-            p.add_ge(r, 1.0)
+        p.add_ge(self.rows, 1.0)
         return lp_feasible(p)
 
 
@@ -210,8 +209,7 @@ class GeneratorCone:
     def _contains_lp(self, v) -> bool:
         gens = self.generators
         p = LPProblem(len(gens), nonneg=range(len(gens)))
-        for k in range(self.dim):
-            p.add_eq(gens[:, k], v[k])
+        p.add_eq(gens.T, v)
         return lp_feasible(p) is not None
 
     def _in_sectors(self, U) -> np.ndarray:
@@ -279,14 +277,11 @@ class DirectionSet:
     @staticmethod
     def cone_section(cone: HalfspaceCone) -> "DirectionSet":
         # nontrivial: the cone must contain a point with some coordinate >= 1
-        for k in range(cone.dim):
-            for sign in (1.0, -1.0):
+        for e in np.eye(cone.dim):
+            for unit in (e, 0.0 - e):  # 0.0 - e keeps the zeros +0.0
                 p = LPProblem(cone.dim)
-                for r in cone.rows:
-                    p.add_ge(r, 0.0)
-                e = np.zeros(cone.dim)
-                e[k] = sign
-                p.add_ge(e, 1.0)
+                p.add_ge(cone.rows, 0.0)
+                p.add_ge(unit, 1.0)
                 if lp_feasible(p) is not None:
                     return DirectionSet(cone.dim, "cone_section",
                                         frozen_array(np.zeros((0, cone.dim)), 2),

@@ -47,19 +47,25 @@ class LPProblem:
             raise LPError(f"nonneg index out of range for {self.n} variables")
 
     def add_ge(self, coef, rhs):
-        coef = np.asarray(coef, dtype=float)
-        if coef.shape != (self.n,):
-            raise LPError(f"inequality row has shape {coef.shape}, expected ({self.n},)")
-        self.a_ub.append((coef, float(rhs)))
+        """Add ``coef . v >= rhs``: one row, or a (k, n) block of rows with
+        one rhs for all of them or one per row."""
+        self.a_ub += self._rows(coef, rhs, "inequality")
 
     def add_le(self, coef, rhs):
-        self.add_ge(-np.asarray(coef, dtype=float), -float(rhs))
+        self.add_ge(-np.asarray(coef, dtype=float), -np.asarray(rhs, dtype=float))
 
     def add_eq(self, coef, rhs):
+        self.a_eq += self._rows(coef, rhs, "equality")
+
+    def _rows(self, coef, rhs, kind) -> list:
+        """The (row, rhs) pairs of one row or a block of rows."""
         coef = np.asarray(coef, dtype=float)
-        if coef.shape != (self.n,):
-            raise LPError(f"equality row has shape {coef.shape}, expected ({self.n},)")
-        self.a_eq.append((coef, float(rhs)))
+        rows = coef[None] if coef.ndim == 1 else coef
+        rhs = np.asarray(rhs, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.n or rhs.ndim and rhs.shape != rows.shape[:1]:
+            raise LPError(f"{kind} rows of shape {coef.shape} with rhs of shape {rhs.shape}, "
+                          f"expected ({self.n},) or (k, {self.n}) with () or (k,)")
+        return list(zip(rows, rhs.tolist() if rhs.ndim else [float(rhs)] * len(rows)))
 
 
 def _pivot(tab, basis, row, col):

@@ -1,7 +1,9 @@
 """Evaluable vector functions with Jacobians.
 
 Builtins carry analytic Jacobians; maps parsed from expressions fall back
-to central finite differences with step 1e-6 * (1 + |x|).
+to central finite differences with step 1e-6 * (1 + |x|), whose stencil is
+evaluated in one batch.  A non-finite finite-difference Jacobian is an
+EvaluationError.
 
 ``SmoothMap.eval_many`` evaluates a whole array of points.  Builtins and
 expression maps carry a batch form that equals the one-point call bit for
@@ -10,7 +12,6 @@ bit; a map given only ``fn`` loops over the rows.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,6 @@ from . import expressions as ex
 from .geometry import as_vector
 
 FD_STEP = 1e-6
-
-# ``np.float64 ** k`` and Python's ``v ** k`` both call libm's pow, which
-# numpy's array ``power`` does not always match in the last place
-_POWER = ex.elementwise(operator.pow, 2)
 
 
 @dataclass(frozen=True)
@@ -84,11 +81,14 @@ class SmoothMap:
 def finite_difference_jacobian(f: SmoothMap, x: np.ndarray) -> np.ndarray:
     x = as_vector(x, f.dim_in)
     h = FD_STEP * (1.0 + np.linalg.norm(x))
-    J = np.zeros((f.dim_out, f.dim_in))
-    for k in range(f.dim_in):
-        e = np.zeros(f.dim_in)
-        e[k] = h
-        J[:, k] = (f(x + e) - f(x - e)) / (2.0 * h)
+    steps = h * np.eye(f.dim_in)
+    # the stencil x + e_k, x - e_k for each k in turn, in one batch
+    Y = f.eval_many(np.stack([x + steps, x - steps], axis=1).reshape(-1, f.dim_in))
+    with np.errstate(all="ignore"):
+        J = np.ascontiguousarray(((Y[0::2] - Y[1::2]) / (2.0 * h)).T)
+    if not np.all(np.isfinite(J)):
+        raise ex.EvaluationError(
+            f"{f.name}: the finite-difference Jacobian at {x.tolist()} has non-finite entries")
     return J
 
 
@@ -119,7 +119,7 @@ def _saddle_x2_y2():
         "saddle-x2-y2", 2, 1,
         lambda x: np.array([x[0] ** 2 - x[1] ** 2]),
         lambda x: np.array([[2 * x[0], -2 * x[1]]]),
-        lambda X: (_POWER(X[:, 0], 2.0) - _POWER(X[:, 1], 2.0))[:, None],
+        lambda X: (ex.POWER(X[:, 0], 2.0) - ex.POWER(X[:, 1], 2.0))[:, None],
     )
 
 
@@ -128,7 +128,7 @@ def _saddle_x2_y3():
         "saddle-x2-y3", 2, 1,
         lambda x: np.array([x[0] ** 2 - x[1] ** 3]),
         lambda x: np.array([[2 * x[0], -3 * x[1] ** 2]]),
-        lambda X: (_POWER(X[:, 0], 2.0) - _POWER(X[:, 1], 3.0))[:, None],
+        lambda X: (ex.POWER(X[:, 0], 2.0) - ex.POWER(X[:, 1], 3.0))[:, None],
     )
 
 
@@ -154,7 +154,7 @@ def _x3_sin_inv_x():
 
     def fn_many(X):
         t = X[:, 0]
-        return np.where(t != 0.0, _POWER(t, 3.0) * np.sin(1.0 / t), 0.0)[:, None]
+        return np.where(t != 0.0, ex.POWER(t, 3.0) * np.sin(1.0 / t), 0.0)[:, None]
     return SmoothMap("x3-sin-inv-x", 1, 1, fn, jac, fn_many)
 
 
@@ -198,8 +198,8 @@ def _vector_pair_saddle():
         "vector-pair-saddle", 2, 2,
         lambda x: np.array([x[0] ** 2 - x[1] ** 2, x[0] ** 2 - x[1] ** 3]),
         lambda x: np.array([[2 * x[0], -2 * x[1]], [2 * x[0], -3 * x[1] ** 2]]),
-        lambda X: np.stack([_POWER(X[:, 0], 2.0) - _POWER(X[:, 1], 2.0),
-                            _POWER(X[:, 0], 2.0) - _POWER(X[:, 1], 3.0)], axis=1),
+        lambda X: np.stack([ex.POWER(X[:, 0], 2.0) - ex.POWER(X[:, 1], 2.0),
+                            ex.POWER(X[:, 0], 2.0) - ex.POWER(X[:, 1], 3.0)], axis=1),
     )
 
 

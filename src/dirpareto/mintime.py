@@ -1,9 +1,10 @@
 """Directional minimal-time function and empirical regularity moduli.
 
 T_L(x, Omega) = inf{t >= 0 : x + t u in Omega for some u in L}.  Point
-and finite targets are closed-form; polyhedral targets are solved per
-ray (finite L) or by one LP (cone-section L, sup norm).  The calmness /
-subregularity ratios are grid suprema: evidence, never proofs.
+and finite targets are closed-form; polyhedral targets are answered by
+one array rule over (ray, inequality) pairs (finite L, or sampled rays
+for an upper bound) or by one LP (cone-section L, sup norm).  The
+calmness / subregularity ratios are grid suprema: evidence, never proofs.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from .geometry import (
     DirectionSet,
     GeometryError,
     as_vector,
-    cone_contains,
     cone_contains_many,
     direction_samples,
     frozen_array,
+    row_dots,
     row_norms,
+    row_products,
 )
 from .lp import LPProblem, lp_minimize
 from .maps import SmoothMap
@@ -68,32 +70,20 @@ class RatioEstimate:
     note: str = ""
 
 
-def _norm(v, norm: str) -> float:
-    return float(np.max(np.abs(v))) if norm == "linf" else float(np.linalg.norm(v))
-
-
-def _ray_time_to_polyhedron(x, ell, poly: PolyhedralSet):
-    """min{t >= 0 : x + t ell in poly}, closed form over the inequalities."""
-    num = poly.offsets - poly.rows @ x
-    den = poly.rows @ ell
-    lo, hi = 0.0, INF
-    for nu, de in zip(num, den):
-        if abs(de) <= 1e-14:
-            if nu > TOL:
-                return None
-        elif de > 0:
-            lo = max(lo, nu / de)
-        else:
-            hi = min(hi, nu / de)
-    if lo > hi + TOL:
-        return None
-    return max(lo, 0.0)
-
-
 def _min_ray_time(x, dirs, poly: PolyhedralSet) -> float:
-    """Least time to reach poly from x along one of the rays ``dirs``."""
-    times = [_ray_time_to_polyhedron(x, ell, poly) for ell in dirs]
-    return min((t for t in times if t is not None), default=INF)
+    """Least t >= 0 with x + t ell in poly for a ray ell of ``dirs``: each
+    a . (x + t ell) >= b bounds t below (a . ell > 0) or above (a . ell < 0),
+    or shuts out a ray parallel to a facet it violates."""
+    num = poly.offsets - poly.rows @ x
+    den = row_products(poly.rows, dirs)              # (rays, rows)
+    flat = np.abs(den) <= 1e-14
+    with np.errstate(all="ignore"):
+        ratio = num / den
+    # ratio > 0 keeps a zero time +0.0; fmin lets a nan ratio (an overflowed a . x) set no bound
+    lo = np.max(np.where(~flat & (den > 0) & (ratio > 0), ratio, 0.0), axis=1, initial=0.0)
+    hi = np.fmin.reduce(np.where(~flat & (den < 0), ratio, INF), axis=1, initial=INF)
+    enters = ~(flat & (num > TOL)).any(axis=1) & ~(lo > hi + TOL)
+    return float(np.min(lo, where=enters, initial=INF))
 
 
 def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
@@ -107,14 +97,10 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
         raise GeometryError(f"unknown norm {norm!r}")
 
     if target.variant in ("point", "finite_points"):
-        best = INF
-        for u in target.points:
-            d = u - x
-            if np.linalg.norm(d) <= TOL:
-                return 0.0, True
-            if cone_contains(L, d):
-                best = min(best, _norm(d, norm))
-        return best, True
+        D = target.points - x
+        if np.any(row_norms(D) <= TOL):  # x is a target point: no cone test needed
+            return 0.0, True
+        return float(np.min(_point_times(L, D, norm))), True
 
     poly = target.polyhedron
     if poly is None:
@@ -130,19 +116,14 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
         # x + d in poly
         p = LPProblem(n + 1)
         if L.variant == "cone_section":
-            for r in L.section.rows:
-                p.add_ge(np.append(r, 0.0), 0.0)
-        for k in range(n):
-            ek = np.zeros(n + 1)
-            ek[k] = 1.0
-            ek[n] = 1.0
-            p.add_ge(ek, 0.0)        # d_k + t >= 0
-            ek2 = np.zeros(n + 1)
-            ek2[k] = -1.0
-            ek2[n] = 1.0
-            p.add_ge(ek2, 0.0)       # t - d_k >= 0
-        for a, b in zip(poly.rows, poly.offsets):
-            p.add_ge(np.append(a, 0.0), b - float(np.dot(a, x)))
+            p.add_ge(np.hstack([L.section.rows, np.zeros((len(L.section.rows), 1))]), 0.0)
+        # the rows d_k + t >= 0 and t - d_k >= 0 in turn (0.0 - eye, not
+        # -eye, keeps the zero coefficients +0.0)
+        eye = np.eye(n)
+        p.add_ge(np.hstack([np.stack([eye, 0.0 - eye], axis=1).reshape(2 * n, n),
+                            np.ones((2 * n, 1))]), 0.0)
+        p.add_ge(np.hstack([poly.rows, np.zeros((len(poly.rows), 1))]),
+                 poly.offsets - row_dots(poly.rows, x[None])[0])
         p.objective = np.append(np.zeros(n), 1.0)
         res = lp_minimize(p)
         if res is None:
@@ -153,11 +134,12 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
     return _min_ray_time(x, direction_samples(L, 512), poly), False
 
 
-def _point_times(L: DirectionSet, D: np.ndarray) -> np.ndarray:
-    """T_L(y, {y + d}) in the euclidean norm for each row d of D, as
-    ``minimal_time`` gives it for a point target."""
+def _point_times(L: DirectionSet, D: np.ndarray, norm: str = "l2") -> np.ndarray:
+    """T_L(y, {y + d}) for each row d of D, as ``minimal_time`` gives it
+    for a point target."""
     norms = row_norms(D)
-    times = np.where(cone_contains_many(L, D), norms, INF)
+    sizes = np.max(np.abs(D), axis=1) if norm == "linf" else norms
+    times = np.where(cone_contains_many(L, D), sizes, INF)
     times[norms <= TOL] = 0.0
     return times
 

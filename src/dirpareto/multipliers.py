@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import FEAS_TOL, CertifyError, IneqEq, Problem
-from .geometry import CHECK_TOL, TOL, DirectionSet, HalfspaceCone, as_vector
+from .geometry import (
+    CHECK_TOL,
+    TOL,
+    DirectionSet,
+    HalfspaceCone,
+    as_vector,
+    row_dots,
+    row_products,
+)
 from .lp import LPProblem, lp_feasible
 from .maps import SmoothMap
 from .sets import PolyhedralSet
@@ -51,27 +59,20 @@ def fritz_john(p: Problem, g: SmoothMap | None = None,
     if g is not None:
         if Q is None:
             raise CertifyError("constraint map g needs its cone Q")
-        jg = g.jacobian(xbar)
-        q_rows = Q.rows
-        ns = q_rows.shape[0]
+        jg, q_rows = g.jacobian(xbar), Q.rows
     else:
-        jg = None
-        q_rows = np.zeros((0, 0))
-        ns = 0
+        jg, q_rows = np.zeros((0, len(xbar))), np.zeros((0, 0))
+    ns = q_rows.shape[0]
     lp = LPProblem(nw + ns, nonneg=range(nw + ns))
     # (y* o grad f + z* o grad g)(ell_k) >= 0
-    for ell in gens:
-        row = np.empty(nw + ns)
-        row[:nw] = a_rows @ (jf @ ell)
-        if ns:
-            row[nw:] = q_rows @ (jg @ ell)
-        lp.add_ge(row, 0.0)
+    lp.add_ge(np.hstack([row_products(a_rows, row_products(jf, gens)),
+                         row_products(q_rows, row_products(jg, gens))]), 0.0)
     lp.add_eq(np.ones(nw + ns), 1.0)          # excludes (y*, z*) = 0
     w = lp_feasible(lp)
     if w is None:
         return None
     ystar = a_rows.T @ w[:nw]
-    zstar = q_rows.T @ w[nw:] if ns else np.zeros(0)
+    zstar = q_rows.T @ w[nw:]
     return tuple(ystar), tuple(zstar)
 
 
@@ -94,29 +95,18 @@ def kkt_multipliers(p: Problem, e) -> MultiplierCert | None:
     nw = a_rows.shape[0]
     nmu, nnu = len(con.mu), len(con.nu)
     active = [abs(m(xbar)[0]) <= FEAS_TOL for m in con.mu]
-    grads_mu = [m.jacobian(xbar)[0] for m in con.mu]
-    grads_nu = [n.jacobian(xbar)[0] for n in con.nu]
+    grads_mu = np.array([m.jacobian(xbar)[0] for m in con.mu]).reshape(nmu, len(xbar))
+    grads_nu = np.array([n.jacobian(xbar)[0] for n in con.nu]).reshape(nnu, len(xbar))
 
     # variables: w (nw, >=0), lambda (nmu, >=0), tau (nnu, free)
     lp = LPProblem(nw + nmu + nnu, nonneg=range(nw + nmu))
-    for i, act in enumerate(active):
-        if not act:                            # complementarity: lambda_i = 0
-            row = np.zeros(lp.n)
-            row[nw + i] = 1.0
-            lp.add_eq(row, 0.0)
-    row = np.zeros(lp.n)
-    row[:nw] = a_rows @ e
-    lp.add_eq(row, 1.0)                        # y*(e) = 1
+    # complementarity: lambda_i = 0 off the active constraints
+    lp.add_eq(np.eye(lp.n)[nw:nw + nmu][np.logical_not(active)], 0.0)
+    lp.add_eq(np.append(a_rows @ e, np.zeros(nmu + nnu)), 1.0)  # y*(e) = 1
     # residual G = y* o grad f + sum lam grad mu + sum tau grad nu;
     # -G in L^-  <=>  G(ell_k) >= 0 for all generators
-    for ell in gens:
-        row = np.zeros(lp.n)
-        row[:nw] = a_rows @ (jf @ ell)
-        for i, gmu in enumerate(grads_mu):
-            row[nw + i] = float(gmu @ ell)
-        for j, gnu in enumerate(grads_nu):
-            row[nw + nmu + j] = float(gnu @ ell)
-        lp.add_ge(row, 0.0)
+    lp.add_ge(np.hstack([row_products(a_rows, row_products(jf, gens)),
+                         row_dots(grads_mu, gens), row_dots(grads_nu, gens)]), 0.0)
     v = lp_feasible(lp)
     if v is None:
         return None
@@ -160,11 +150,9 @@ def sufficiency_certificate(p: Problem, cert: MultiplierCert,
             return {"verdict": "invalid certificate",
                     "reason": "complementarity fails"}
     gens = _cone_generators(p.L)
-    minus_res = -np.array(cert.residual)
-    for ell in gens:
-        if float(minus_res @ ell) < -CHECK_TOL:
-            return {"verdict": "invalid certificate",
-                    "reason": "residual leaves the polar cone"}
+    if np.any(row_dots(-np.array(cert.residual)[None], gens) < -CHECK_TOL):
+        return {"verdict": "invalid certificate",
+                "reason": "residual leaves the polar cone"}
     dim = p.f.dim_in
     failures = []
     for a, b in _midpoint_pairs(dim, spot_checks, seed):
@@ -213,16 +201,9 @@ def _normal_plus_polar_lp(target, normal_gens, gens_L, lead=None,
     nw = lead.shape[1]
     m = normal_gens.shape[0]
     lp = LPProblem(nw + m + dim + extra, nonneg=range(nw + m))
-    for ell in gens_L:
-        row = np.zeros(lp.n)
-        row[nw + m:nw + m + dim] = -ell
-        lp.add_ge(row, 0.0)
-    for k in range(dim):
-        row = np.zeros(lp.n)
-        row[:nw] = lead[k]
-        row[nw:nw + m] = normal_gens[:, k]
-        row[nw + m + k] = 1.0
-        lp.add_eq(row, float(target[k]))
+    ng = len(gens_L)
+    lp.add_ge(np.hstack([np.zeros((ng, nw + m)), -gens_L, np.zeros((ng, extra))]), 0.0)
+    lp.add_eq(np.hstack([lead, normal_gens.T, np.eye(dim), np.zeros((dim, extra))]), target)
     return lp
 
 
@@ -267,22 +248,13 @@ def stationarity_penalized(f: SmoothMap, A: PolyhedralSet, xbar,
     coef = (jf.T @ a_rows.T)                   # dim x nw; x* = coef @ w
     lp = _normal_plus_polar_lp(np.zeros(dim), normal_gens, gens_L,
                                lead=coef, extra=dim)
-    row = np.zeros(lp.n)
-    row[:nw] = a_rows @ e
-    lp.add_eq(row, 1.0)
-    # u_k >= |x*_k| and sum u <= lip * y*(e) = lip
-    for k in range(dim):
-        row = np.zeros(lp.n)
-        row[:nw] = -coef[k]
-        row[nw + m + dim + k] = 1.0
-        lp.add_ge(row, 0.0)
-        row = np.zeros(lp.n)
-        row[:nw] = coef[k]
-        row[nw + m + dim + k] = 1.0
-        lp.add_ge(row, 0.0)
-    row = np.zeros(lp.n)
-    row[nw + m + dim:] = -1.0
-    lp.add_ge(row, -lip)
+    lp.add_eq(np.append(a_rows @ e, np.zeros(m + 2 * dim)), 1.0)
+    # u_k >= |x*_k| (the rows -x*_k + u_k >= 0 and x*_k + u_k >= 0 in turn)
+    # and sum u <= lip * y*(e) = lip
+    lp.add_ge(np.hstack([np.stack([-coef, coef], axis=1).reshape(2 * dim, nw),
+                         np.zeros((2 * dim, m + dim)),
+                         np.repeat(np.eye(dim), 2, axis=0)]), 0.0)
+    lp.add_ge(np.append(np.zeros(nw + m + dim), np.full(dim, -1.0)), -lip)
     w = lp_feasible(lp)
     if w is None:
         return None

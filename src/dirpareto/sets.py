@@ -35,8 +35,7 @@ class PolyhedralSet:
         if mat.size == 0 or offs.shape != mat.shape[:1]:
             raise GeometryError("polyhedron rows/offsets mismatch or empty")
         p = LPProblem(mat.shape[1])
-        for a, b in zip(mat, offs):
-            p.add_ge(a, b)
+        p.add_ge(mat, offs)
         w = lp_feasible(p)
         if w is None:
             raise GeometryError("polyhedron is empty")

@@ -102,8 +102,8 @@ def tangent_polyhedral(A: PolyhedralSet, xbar, L: DirectionSet) -> ExactTangentC
     xbar = as_vector(xbar, A.dim)
     base = bouligand_polyhedral(A, xbar)
     if L.variant == "finite":
-        keep = [base is None or base.contains(ell) for ell in L.vectors]
-        return ExactTangentCone(A.dim, rays=frozen_array(L.vectors[keep], 2))
+        rays = L.vectors if base is None else L.vectors[base.contains_many(L.vectors)]
+        return ExactTangentCone(A.dim, rays=frozen_array(rays, 2))
     pieces = [] if base is None else [base]
     if L.variant == "cone_section":
         pieces.append(L.section)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,9 @@ SADDLE_DOC = {
 }
 
 CIRCLE_DOC = dict(SADDLE_DOC, L={"full_sphere": True})
+# the difference quotient of the objective overflows in the x0 column
+FD_OVERFLOW_DOC = dict(SADDLE_DOC, objective={"expressions": ["x0 * 1e308 * 10 + x1"]},
+                       directions=[[1, 0], [-2, 0]], e=[1.0])
 
 
 def _write(tmp_path, doc, name="problem.json"):
@@ -163,15 +167,24 @@ def test_exit_1_on_malformed_problem(tmp_path):
     ("certify", dict(SADDLE_DOC, objective={"expressions": ["(x0 - x0)^(-1) + x1"]})),
     ("certify", dict(SADDLE_DOC, objective={"expressions": ["(x0 + 10)^400 - x1^2"]})),
     ("certify", dict(SADDLE_DOC, objective={"expressions": ["sin(x0 * 1e308 * 10) + x1"]})),
+    ("first-order", FD_OVERFLOW_DOC),
+    ("kkt", FD_OVERFLOW_DOC),
+    ("fritz-john", FD_OVERFLOW_DOC),
 ], ids=["bad-expression", "evaluation-error", "e-outside-int-K",
         "grid-not-object", "grid-empty-list", "zero-direction",
-        "zero-base-negative-power", "power-overflow", "sin-of-inf"])
+        "zero-base-negative-power", "power-overflow", "sin-of-inf",
+        "fd-overflow-first-order", "fd-overflow-kkt", "fd-overflow-fritz-john"])
 def test_exit_1_single_error_line(tmp_path, capsys, command, doc):
     path = _write(tmp_path, doc)
-    code = main([command, "--problem", path, "--out", str(tmp_path)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--problem", path, "--out", str(tmp_path)])
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: ")
+    if doc is FD_OVERFLOW_DOC:
+        assert err == ["error: expr: the finite-difference Jacobian at [0.0, 0.0] "
+                       "has non-finite entries"]
 
 
 CERTIFY_SET_DOC = {"set": {"polyhedron": {"rows": [[1, 0], [0, 1]], "offsets": [0, 0]}},
@@ -242,6 +255,37 @@ def test_malformed_input_exits_1_with_one_error_line(tmp_path, argv, doc):
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: ")
     assert reports == []
+
+
+# the flags each subcommand reads besides --out and --problem
+GRID_FLAGS = ("--radius", "--levels", "--rays", "--seed")
+READS = {"certify": GRID_FLAGS + ("--weak",), "certify-set": GRID_FLAGS + ("--weak",),
+         "tangent": ("--radius",), "mintime": ("--norm",), "examples": GRID_FLAGS}
+FLAG_VALUES = {"--radius": ["0.3"], "--levels": ["4"], "--rays": ["6"], "--seed": ["3"],
+               "--weak": [], "--norm": ["linf"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in [*cli.COMMANDS, "examples"]
+    for flag in FLAG_VALUES if flag not in READS.get(command, ())])
+def test_flag_a_subcommand_ignores_is_a_usage_error(tmp_path, command, flag):
+    argv = [command, flag, *FLAG_VALUES[flag]]
+    if command == "examples":
+        argv = ["examples", "run", "saddle-x2-y2", "--out", str(tmp_path / "out"), *argv[1:]]
+    code, err, reports = _run(argv, None if command == "examples" else SADDLE_DOC,
+                              str(tmp_path))
+    assert code == 1
+    assert err == [f"error: unrecognized arguments: {' '.join(argv[-1 - len(FLAG_VALUES[flag]):])}"]
+    assert reports == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in READS.items() for flag in flags])
+def test_flags_a_subcommand_reads_are_accepted(command, flag):
+    head = ["examples", "run"] if command == "examples" else [command, "--problem", "p.json"]
+    args = cli._parser().parse_args(head + [flag, *FLAG_VALUES[flag]])
+    given = getattr(args, flag[2:])
+    assert given is True if flag == "--weak" else str(given) == FLAG_VALUES[flag][0]
 
 
 def test_error_line_names_the_missing_field(tmp_path):

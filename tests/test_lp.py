@@ -237,3 +237,63 @@ def test_badly_scaled_rows_match_highs(decades):
             assert np.all(a_ge @ w >= b_ge - 1e-6)
             assert np.all(np.abs(a_eq @ w - b_eq) <= 1e-6)
             assert np.all(w[nonneg] >= -1e-6)
+
+
+# ---------------------------------------------------------------------------
+# blocks of rows: one add_* call on a (k, n) block stores what k one-row
+# calls store, byte for byte
+
+def _entries(p):
+    return ([(c.tobytes(), np.float64(b).tobytes()) for c, b in p.a_ub],
+            [(c.tobytes(), np.float64(b).tobytes()) for c, b in p.a_eq])
+
+
+def _block():
+    block = np.random.default_rng(5).normal(size=(4, 3))
+    block[1, 2], block[2, 0] = 0.0, -0.0
+    return block
+
+
+@pytest.mark.parametrize("method", ["add_ge", "add_le", "add_eq"])
+@pytest.mark.parametrize("rhs", [0.7, -0.0, [1.5, -2.0, 0.0, -0.0]], ids=["one", "zero", "per-row"])
+def test_block_matches_one_row_calls(method, rhs):
+    block = _block()
+    one, many = LPProblem(3), LPProblem(3)
+    for row, b in zip(block, np.broadcast_to(rhs, len(block))):
+        getattr(one, method)(row, float(b))
+    getattr(many, method)(block, rhs)
+    assert _entries(many) == _entries(one)
+    assert len(many.a_ub) + len(many.a_eq) == len(block)
+
+
+@pytest.mark.parametrize("method", ["add_ge", "add_le", "add_eq"])
+def test_empty_block_adds_nothing(method):
+    p = LPProblem(3)
+    getattr(p, method)(np.zeros((0, 3)), 1.0)
+    getattr(p, method)(np.zeros((0, 3)), np.zeros(0))
+    assert p.a_ub == [] and p.a_eq == []
+
+
+@pytest.mark.parametrize("method", ["add_ge", "add_le", "add_eq"])
+@pytest.mark.parametrize("coef, rhs", [
+    (np.ones((2, 4)), 0.0),
+    (np.ones((2, 3, 1)), 0.0),
+    (np.ones((2, 3)), [1.0, 2.0, 3.0]),
+    (np.ones((2, 3)), [1.0]),
+    (np.ones((2, 3)), [[1.0, 2.0]]),
+    (np.ones(3), [1.0, 2.0]),
+], ids=["too-wide", "3-d", "rhs-too-long", "rhs-too-short", "rhs-2-d", "row-two-rhs"])
+def test_malformed_block_raises(method, coef, rhs):
+    p = LPProblem(3)
+    with pytest.raises(LPError):
+        getattr(p, method)(coef, rhs)
+    assert p.a_ub == [] and p.a_eq == []
+
+
+def test_add_le_block_negates_rows_and_rhs():
+    block = _block()
+    rhs = np.array([1.5, -2.0, 0.0, -0.0])
+    p = LPProblem(3)
+    p.add_le(block, rhs)
+    assert _entries(p)[0] == [((-r).tobytes(), np.float64(-b).tobytes())
+                              for r, b in zip(block, rhs)]

@@ -6,6 +6,7 @@ on the first raising row raises."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,15 @@ from dirpareto.expressions import (
 )
 from dirpareto.gallery import SECTOR_T1, SECTOR_T2
 from dirpareto.geometry import GeometryError
-from dirpareto.maps import BUILTINS, SmoothMap, builtin, from_expressions, sector_map
+from dirpareto.maps import (
+    BUILTINS,
+    FD_STEP,
+    SmoothMap,
+    builtin,
+    finite_difference_jacobian,
+    from_expressions,
+    sector_map,
+)
 
 # signed zeros, the extremes of the float range, subnormals, the edge where
 # 1/x overflows (|x| near 5.56e-309), where x^2 and x^3 overflow, and plain
@@ -299,3 +308,48 @@ def test_parsed_and_built_nodes_agree():
     X = np.array([[1.5, 2.0], [-3.0, 0.5]])
     assert (from_expressions([node], 2).eval_many(X).tobytes()
             == from_expressions(["x0^2 - x1"], 2).eval_many(X).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# finite-difference Jacobian: one batch over the stencil
+
+def _fd_one_point(f, x):
+    """Central differences one stencil pair at a time."""
+    h = FD_STEP * (1.0 + np.linalg.norm(x))
+    J = np.zeros((f.dim_out, f.dim_in))
+    for k in range(f.dim_in):
+        e = np.zeros(f.dim_in)
+        e[k] = h
+        J[:, k] = (f(x + e) - f(x - e)) / (2.0 * h)
+    return J
+
+
+@pytest.mark.parametrize("texts", [["x0 * x1 - x2^3", "sin(x0) + x1 / (1 + x2^2)"],
+                                   ["atan2(x1, x0) * x2"]])
+@pytest.mark.parametrize("x", [[0.0, -0.0, 1.5], [-2.0, 0.25, 1e-3], [3.0, -4.0, 12.0]])
+def test_fd_jacobian_matches_one_pair_at_a_time(texts, x):
+    f = from_expressions(texts, 3)
+    x = np.array(x)
+    J = finite_difference_jacobian(f, x)
+    assert J.flags.c_contiguous and J.shape == (len(texts), 3)
+    assert J.tobytes() == _fd_one_point(f, x).tobytes()
+
+
+def test_fd_jacobian_raises_at_the_first_raising_stencil_point():
+    """The stencil runs x + e_0, x - e_0, x + e_1, ...: x - e_0 raises first."""
+    def fn(x):
+        if x[0] < 0.0 or x[1] > 0.0:
+            raise ValueError(f"undefined at {x.tolist()}")
+        return x[:1]
+    h = FD_STEP
+    with pytest.raises(ValueError, match=re.escape(f"undefined at {[-h, 0.0]}")):
+        finite_difference_jacobian(SmoothMap("edge", 2, 1, fn), np.zeros(2))
+
+
+def test_non_finite_fd_jacobian_is_an_evaluation_error():
+    f = from_expressions(["x0 * 1e308 * 10 + x1"], 2, name="overflow")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=re.escape(
+                "overflow: the finite-difference Jacobian at [0.0, 1.0] has non-finite entries")):
+            f.jacobian([0.0, 1.0])

@@ -1,6 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from dirpareto import mintime
 from dirpareto.certify import CertifyError, GridSpec
 from dirpareto.expressions import EvaluationError
 from dirpareto.geometry import TOL, DirectionSet, GeometryError, HalfspaceCone
@@ -154,6 +158,122 @@ def test_cone_section_l2_upper_bound_flagged():
     val, exact = minimal_time(L, (0.0, 1.0), Target.polyhedral(poly))
     assert not exact          # sampled upper bound, flagged approximate
     assert val >= 2.0 - 1e-9  # never below the true value
+
+
+# ---------------------------------------------------------------------------
+# finite L over a polyhedron, and point targets in the sup norm, against
+# references that do not call the package
+
+def _ray_time_exact(rows, offsets, x, ell):
+    """min{t >= 0 : a . (x + t ell) >= b on every row} in exact rationals,
+    with the documented cut-offs: a row with |a . ell| <= 1e-14 is parallel
+    to the ray (and shuts it out when a . x < b - TOL), and the ray enters
+    unless its lower bound passes its upper one by more than TOL.  Returns
+    (time or None, how the ray was decided)."""
+    F = Fraction
+    lo, hi = F(0), None
+    for a, b in zip(rows, offsets):
+        num = F(float(b)) - sum(F(float(ai)) * F(float(xi)) for ai, xi in zip(a, x))
+        den = sum(F(float(ai)) * F(float(li)) for ai, li in zip(a, ell))
+        if abs(den) <= F(1e-14):
+            if num > F(TOL):
+                return None, "parallel"
+        elif den > 0:
+            lo = max(lo, num / den)
+        else:
+            hi = num / den if hi is None else min(hi, num / den)
+    if hi is not None and lo > hi + F(TOL):
+        return None, "leaves-first"
+    return float(lo), "enters"
+
+
+def _finite_L_cases(seed):
+    """(rows, offsets, x, rays) in 2-4 D: integer rows, and rays that
+    include an axis (parallel to the rows without that coordinate), a unit
+    vector orthogonal to a row in floating point, and the opposite rays."""
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        poly = _random_polyhedron(rng, n)
+        rays = [_unit(rng.normal(size=n)) for _ in range(int(rng.integers(1, 4)))]
+        rays.append(tuple(np.eye(n)[int(rng.integers(n))]))
+        a = poly.rows[0]
+        perp = rng.normal(size=n)
+        perp -= (perp @ a) / (a @ a) * a
+        rays.append(_unit(perp))
+        rays += [tuple(-np.array(r)) for r in rays]
+        yield poly, rng.uniform(-4, 4, n), rays
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_finite_L_polyhedron_matches_exact_per_ray_reference(seed):
+    seen = set()
+    for poly, x, rays in _finite_L_cases(seed):
+        ref = [_ray_time_exact(poly.rows, poly.offsets, x, ell) for ell in rays]
+        seen.update(how for _, how in ref)
+        want = min((t for t, _ in ref if t is not None), default=INF)
+        for dirs, (t, _) in [(rays, (want, None))] + [([r], w) for r, w in zip(rays, ref)]:
+            got, exact = minimal_time(D(*dirs), x, Target.polyhedral(poly))
+            assert exact
+            if t is None or t == INF:
+                assert got == INF
+            else:
+                assert got == pytest.approx(t, rel=1e-12, abs=1e-12)
+    assert seen == {"parallel", "leaves-first", "enters"}
+
+
+def test_ray_parallel_to_a_facet_and_ray_leaving_first():
+    # the thin box [2, 2.1]^2 seen from the origin
+    box = PolyhedralSet.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]],
+                                  [2.0, -2.1, 2.0, -2.1])
+    target = Target.polyhedral(box)
+    assert minimal_time(D((1.0, 0.0)), (0.0, 0.0), target)[0] == INF      # parallel
+    assert minimal_time(D((0.8, 0.6)), (0.0, 0.0), target)[0] == INF      # leaves first
+    assert minimal_time(D((0.8, 0.6), _unit((1, 1))), (0.0, 0.0), target)[0] == \
+        pytest.approx(2.0 * np.sqrt(2.0))
+    # parallel to a facet it satisfies: the other rows decide
+    assert minimal_time(D((1.0, 0.0)), (0.0, 2.05), target)[0] == pytest.approx(2.0)
+
+
+def test_target_point_at_x_needs_no_cone_test(monkeypatch):
+    """In 3-D cone membership of a finite L costs one LP per point; none is
+    solved once x itself is a target point."""
+    def no_call(*args):
+        raise AssertionError("cone membership tested")
+    monkeypatch.setattr(mintime, "cone_contains_many", no_call)
+    L = D(*map(tuple, np.eye(3)))
+    for norm in ("l2", "linf"):
+        assert minimal_time(L, (0.0, 0.0, 0.0), Target.finite_points(
+            [(1.0, 2.0, 3.0), (0.0, 0.0, 0.0), (-1.0, 2.0, 3.0)]), norm) == (0.0, True)
+
+
+def test_time_zero_is_positive_zero():
+    """A ray starting on a facet written with offset -0.0 gets time +0.0."""
+    poly = PolyhedralSet.from_rows([[1.0, 0.0]], [-0.0])
+    for L in (D((1.0, 0.0)), D((1.0, 0.0), _unit((1.0, 1.0)))):
+        val, _ = minimal_time(L, (0.0, 0.0), Target.polyhedral(poly))
+        assert val == 0.0 and math.copysign(1.0, val) == 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_linf_point_targets_match_max_abs(dim):
+    """cone L = the nonnegative orthant: u - x is in it iff no entry is
+    negative, and then T_L in the sup norm is max |u - x|."""
+    rng = np.random.default_rng(60 + dim)
+    L = D(*map(tuple, np.eye(dim)))
+    for _ in range(40):
+        x = rng.uniform(-3, 3, dim)
+        us = x + rng.uniform(-1, 3, (int(rng.integers(1, 5)), dim))
+        if rng.random() < 0.2:
+            us[int(rng.integers(len(us)))] = x
+        want = min((float(np.max(np.abs(u - x))) for u in us if np.all(u - x >= 0)),
+                   default=INF)
+        got, exact = minimal_time(L, x, Target.finite_points(us), norm="linf")
+        assert exact and got == want
+        for u in us:
+            d = u - x
+            one = float(np.max(np.abs(d))) if np.all(d >= 0) else INF
+            assert minimal_time(L, x, Target.point(u), norm="linf")[0] == one
 
 
 def test_calmness_identity_is_one():
