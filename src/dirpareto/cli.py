@@ -222,7 +222,7 @@ def _cmd_kkt(doc, args) -> tuple:
 
 def _cmd_fritz_john(doc, args) -> tuple:
     p = parse_problem(doc)
-    g = read(doc, "g", parse_objective, p.f.dim_in, default=None)
+    g = read(doc, "g", parse_objective, p.f.dim_in, "g", default=None)
     Q = None if g is None else read(doc, "Q", parse_cone)
     res = fritz_john(p, g, Q)
     if res is None:
@@ -319,7 +319,7 @@ def _parser() -> argparse.ArgumentParser:
 # exit 1 with a single ``error:`` line
 ERRORS = (argparse.ArgumentError, ProblemFileError, CertifyError, GeometryError,
           LPError, ExpressionError, EvaluationError, ScalarizationError,
-          ValueError, OSError)
+          ValueError, OSError, RecursionError)
 
 
 def _examples(args) -> tuple:

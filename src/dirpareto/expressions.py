@@ -1,20 +1,18 @@
 """Arithmetic expression language for problem files.
 
-Grammar (precedence low to high): comparisons / boolean guards are only
-used in piecewise conditions; arithmetic is
-
-    expr    := term (('+'|'-') term)*
-    term    := unary (('*'|'/') unary)*
-    unary   := '-' unary | power
-    power   := atom ('^' unary)?          (right associative, integer exponent)
-    atom    := number | ident | ident '(' expr (',' expr)* ')' | '(' expr ')'
-
-Variables are x0..x{n-1}.  '^' binds tighter than unary minus, so
-``-x0^2`` is ``-(x0^2)``.
+Precedence, loosest first: ``or`` < ``and`` < one comparison (``<`` ``<=``
+``>`` ``>=`` ``==`` ``!=``, not chained) < ``+ -`` < ``* /`` < unary ``-``
+< ``^``.  A piecewise guard (``parse_condition``) starts at ``or``; an
+expression (``parse_expression``), a parenthesised group and a call
+argument start at ``+ -``, so only guards compare.  ``^`` is right
+associative, takes an integer exponent and binds tighter than unary minus,
+so ``-x0^2`` is ``-(x0^2)``.  Atoms are numbers, ``pi``, the variables
+x0..x{n-1} and the calls in ``FUNCTIONS``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -139,12 +137,21 @@ def tokenize(text: str):
     return tokens
 
 
+# binary operators by precedence, loosest first: (tokens, node type, chains)
+_LEVELS = (
+    (("or",), BoolOp, True),
+    (("and",), BoolOp, True),
+    (("<", ">", "<=", ">=", "==", "!="), Compare, False),
+    (("+", "-"), Bin, True),
+    (("*", "/"), Bin, True),
+)
+_GUARD, _ARITH = 0, 3  # where guards and arithmetic expressions start
+
+
 class _Parser:
-    def __init__(self, text: str, allow_compare: bool = False):
-        self.text = text
+    def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
-        self.allow_compare = allow_compare
 
     def peek(self):
         return self.tokens[self.pos]
@@ -160,47 +167,24 @@ class _Parser:
             raise ExpressionError(f"expected {value!r}, found {tok[0]!r}", tok[2])
         return tok
 
-    def parse(self):
-        node = self.parse_bool() if self.allow_compare else self.parse_expr()
+    def parse(self, level: int):
+        node = self.parse_binary(level)
         tok = self.peek()
         if tok[1] != "end":
             raise ExpressionError(f"unexpected trailing input {tok[0]!r}", tok[2])
         return node
 
-    def parse_bool(self):
-        node = self.parse_bool_and()
-        while self.peek()[0] == "or":
-            self.next()
-            node = BoolOp("or", node, self.parse_bool_and())
-        return node
-
-    def parse_bool_and(self):
-        node = self.parse_comparison()
-        while self.peek()[0] == "and":
-            self.next()
-            node = BoolOp("and", node, self.parse_comparison())
-        return node
-
-    def parse_comparison(self):
-        left = self.parse_expr()
-        tok = self.peek()
-        if tok[0] in ("<", ">", "<=", ">=", "==", "!="):
-            self.next()
-            return Compare(tok[0], left, self.parse_expr())
-        return left
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            node = Bin(op, node, self.parse_term())
-        return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            node = Bin(op, node, self.parse_unary())
+    def parse_binary(self, level: int):
+        """Left-associative operators from ``level`` of ``_LEVELS`` down."""
+        ops, node_type, chains = _LEVELS[level]
+        # a partial, not a lambda: it adds no Python frame per nesting level
+        operand = (functools.partial(self.parse_binary, level + 1)
+                   if level + 1 < len(_LEVELS) else self.parse_unary)
+        node = operand()
+        while self.peek()[0] in ops:
+            node = node_type(self.next()[0], node, operand())
+            if not chains:
+                break
         return node
 
     def parse_unary(self):
@@ -222,7 +206,7 @@ class _Parser:
         if kind == "num":
             return Num(value)
         if value == "(":
-            node = self.parse_expr()
+            node = self.parse_binary(_ARITH)
             self.expect(")")
             return node
         if kind == "ident":
@@ -232,10 +216,10 @@ class _Parser:
                 if value not in FUNCTIONS:
                     raise ExpressionError(f"unknown function {value!r}", at)
                 self.next()
-                args = [self.parse_expr()]
+                args = [self.parse_binary(_ARITH)]
                 while self.peek()[0] == ",":
                     self.next()
-                    args.append(self.parse_expr())
+                    args.append(self.parse_binary(_ARITH))
                 self.expect(")")
                 arity = FUNCTIONS[value][0]
                 if len(args) != arity:
@@ -251,12 +235,20 @@ class _Parser:
 
 def parse_expression(text: str):
     """Parse an arithmetic expression into its AST."""
-    return _Parser(text).parse()
+    return _Parser(text).parse(_ARITH)
 
 
 def parse_condition(text: str):
     """Parse a piecewise guard (comparisons joined with and/or)."""
-    return _Parser(text, allow_compare=True).parse()
+    return _Parser(text).parse(_GUARD)
+
+
+# operators that act alike on floats and on float arrays, so both evaluators
+# read them; division, power and the functions have a rule per evaluator
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+           ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+EXPONENT_TOL = 1e-12  # how far from an integer a '^' exponent may be
 
 
 def evaluate(node, x: np.ndarray) -> float:
@@ -271,18 +263,14 @@ def evaluate(node, x: np.ndarray) -> float:
     if isinstance(node, Bin):
         a = evaluate(node.left, x)
         b = evaluate(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
+        if node.op in ARITHMETIC:
+            return ARITHMETIC[node.op](a, b)
         if node.op == "/":
             if b == 0.0:
                 raise EvaluationError("division by zero")
             return a / b
         if node.op == "^":
-            if not math.isfinite(b) or abs(b - round(b)) > 1e-12:
+            if not math.isfinite(b) or abs(b - round(b)) > EXPONENT_TOL:
                 raise EvaluationError(f"exponent must be an integer, got {b}")
             k = int(round(b))
             try:
@@ -304,12 +292,7 @@ def evaluate(node, x: np.ndarray) -> float:
             shown = ", ".join(repr(a) for a in args)
             raise EvaluationError(f"{node.name}({shown}) is undefined") from None
     if isinstance(node, Compare):
-        a = evaluate(node.left, x)
-        b = evaluate(node.right, x)
-        return {
-            "<": a < b, "<=": a <= b, ">": a > b,
-            ">=": a >= b, "==": a == b, "!=": a != b,
-        }[node.op]
+        return COMPARE[node.op](evaluate(node.left, x), evaluate(node.right, x))
     if isinstance(node, BoolOp):
         a = evaluate(node.left, x)
         if node.op == "and":
@@ -350,9 +333,6 @@ def elementwise(fn, nargs: int):
 POWER = elementwise(operator.pow, 2)
 _MATH = {name: elementwise(FUNCTIONS[name][1], FUNCTIONS[name][0])
          for name in ("sin", "cos", "atan", "atan2")}
-_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply}
-_COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater,
-            ">=": np.greater_equal, "==": np.equal, "!=": np.not_equal}
 
 
 def _on_rows(g, X, rows, redo):
@@ -388,8 +368,8 @@ def compile_rows(node, dim: int):
         return lambda X, redo: -a(X, redo)
     if isinstance(node, Bin):
         a, b = compile_rows(node.left, dim), compile_rows(node.right, dim)
-        if node.op in _ARITHMETIC:
-            op = _ARITHMETIC[node.op]
+        if node.op in ARITHMETIC:
+            op = ARITHMETIC[node.op]
             return lambda X, redo: op(a(X, redo), b(X, redo))
         if node.op == "/":
             def divide(X, redo):
@@ -401,7 +381,7 @@ def compile_rows(node, dim: int):
             def power(X, redo):
                 base, e = a(X, redo), b(X, redo)
                 k = np.round(e)
-                redo |= ~(np.abs(e - k) <= 1e-12)  # not an integer, or not finite
+                redo |= ~(np.abs(e - k) <= EXPONENT_TOL)  # not an integer, or not finite
                 out = POWER(base, k)
                 redo |= np.isnan(out)  # zero to a negative power, overflow
                 return out
@@ -423,9 +403,9 @@ def compile_rows(node, dim: int):
             redo |= np.isnan(out)  # a domain error
             return out
         return call
-    if isinstance(node, Compare) and node.op in _COMPARE:
+    if isinstance(node, Compare) and node.op in COMPARE:
         a, b = compile_rows(node.left, dim), compile_rows(node.right, dim)
-        op = _COMPARE[node.op]
+        op = COMPARE[node.op]
         return lambda X, redo: op(a(X, redo), b(X, redo))
     if isinstance(node, BoolOp):
         a, b = compile_rows(node.left, dim), compile_rows(node.right, dim)

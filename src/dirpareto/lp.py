@@ -70,9 +70,9 @@ class LPProblem:
 
 def _pivot(tab, basis, row, col):
     tab[row] /= tab[row, col]
-    for r in range(tab.shape[0]):
-        if r != row and abs(tab[r, col]) > 0.0:
-            tab[r] -= tab[r, col] * tab[row]
+    rows = np.flatnonzero(np.abs(tab[:, col]) > 0.0)
+    rows = rows[rows != row]
+    tab[rows] -= tab[rows, col, None] * tab[row]
     basis[row] = col
 
 
@@ -165,7 +165,7 @@ def _solve(p: LPProblem):
 
     # phase 1: artificial basis
     tab = np.hstack([A, np.eye(m), b[:, None]])
-    basis = [ncols + i for i in range(m)]
+    basis = np.arange(ncols, ncols + m)
     cost1 = np.zeros(ncols + m)
     cost1[ncols:] = 1.0
     val = _simplex(tab, basis, cost1, ncols + m)
@@ -175,18 +175,14 @@ def _solve(p: LPProblem):
     if val > FEAS_TOL:
         return "infeasible", None
     # drive artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= ncols:
-            for j in range(ncols):
-                if abs(tab[i, j]) > PIVOT_TOL:
-                    _pivot(tab, basis, i, j)
-                    break
-    keep = [i for i in range(m) if basis[i] < ncols or abs(tab[i, -1]) <= FEAS_TOL]
-    tab = tab[keep][:, list(range(ncols)) + [ncols + m]]
-    basis = [basis[i] for i in keep]
-    live = [i for i in range(len(basis)) if basis[i] < ncols]
-    tab = tab[live]
-    basis = [basis[i] for i in live]
+    for i in np.flatnonzero(basis >= ncols):
+        j = np.flatnonzero(np.abs(tab[i, :ncols]) > PIVOT_TOL)
+        if j.size:
+            _pivot(tab, basis, i, j[0])
+    # a row an artificial still holds is round-off in every structural column
+    live = basis < ncols
+    tab = tab[live][:, list(range(ncols)) + [ncols + m]]
+    basis = basis[live]
 
     if p.objective is not None:
         cost2 = np.zeros(ncols)
@@ -197,8 +193,7 @@ def _solve(p: LPProblem):
             return "unbounded", None
 
     x = np.zeros(ncols)
-    for i, bi in enumerate(basis):
-        x[bi] = tab[i, -1]
+    x[basis] = tab[:, -1]
     witness = x[:n].copy()
     witness[free] -= x[n:nsplit]
     return "feasible", witness

@@ -153,30 +153,20 @@ def sufficiency_certificate(p: Problem, cert: MultiplierCert,
     if np.any(row_dots(-np.array(cert.residual)[None], gens) < -CHECK_TOL):
         return {"verdict": "invalid certificate",
                 "reason": "residual leaves the polar cone"}
-    dim = p.f.dim_in
-    failures = []
-    for a, b in _midpoint_pairs(dim, spot_checks, seed):
+    for a, b in _midpoint_pairs(p.f.dim_in, spot_checks, seed):
         mid = 0.5 * (a + b)
-        if f_K_convex:
-            gap = 0.5 * (p.f(a) + p.f(b)) - p.f(mid)
-            if not p.K.contains(gap, tol=CHECK_TOL):
-                failures.append(("f not K-convex", tuple(mid)))
-                break
-        if mu_convex:
-            for m in con.mu:
-                if m(mid)[0] > 0.5 * (m(a)[0] + m(b)[0]) + CHECK_TOL:
-                    failures.append(("mu not convex", tuple(mid)))
-                    break
-        if nu_affine:
-            for n in con.nu:
-                if abs(0.5 * (n(a)[0] + n(b)[0]) - n(mid)[0]) > TOL:
-                    failures.append(("nu not affine", tuple(mid)))
-                    break
-        if failures:
-            break
-    if failures:
-        return {"verdict": "convexity assertion refuted",
-                "failure": failures[0]}
+        if f_K_convex and not p.K.contains(0.5 * (p.f(a) + p.f(b)) - p.f(mid),
+                                           tol=CHECK_TOL):
+            failure = "f not K-convex"
+        elif mu_convex and any(m(mid)[0] > 0.5 * (m(a)[0] + m(b)[0]) + CHECK_TOL
+                               for m in con.mu):
+            failure = "mu not convex"
+        elif nu_affine and any(abs(0.5 * (n(a)[0] + n(b)[0]) - n(mid)[0]) > TOL
+                               for n in con.nu):
+            failure = "nu not affine"
+        else:
+            continue
+        return {"verdict": "convexity assertion refuted", "failure": (failure, tuple(mid))}
     return {"verdict":
             "globally weakly certified (conditionally on asserted convexity)",
             "spot_checks": spot_checks}

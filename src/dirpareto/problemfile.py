@@ -52,8 +52,9 @@ _REQUIRED = object()
 def read(doc, key: str, parse, *args, default=_REQUIRED):
     """``parse(doc[key], *args)``; ``default`` if the field is absent or null.
 
-    Whatever the parse rejects (a wrong shape, or geometry, grid or
-    expression errors) becomes a ProblemFileError naming the field.
+    Whatever the parse rejects (a wrong shape, geometry, grid or expression
+    errors, or nesting past the recursion limit) becomes a ProblemFileError
+    naming the field.
     """
     if not isinstance(doc, dict):
         raise ProblemFileError(f"expected an object, got {_show(doc)}")
@@ -66,7 +67,7 @@ def read(doc, key: str, parse, *args, default=_REQUIRED):
         return parse(value, *args)
     except ProblemFileError as exc:
         raise ProblemFileError(exc.reason, (key, *exc.path)) from None
-    except (GeometryError, CertifyError, ExpressionError) as exc:
+    except (GeometryError, CertifyError, ExpressionError, RecursionError) as exc:
         raise ProblemFileError(str(exc), (key,)) from None
 
 
@@ -155,7 +156,8 @@ _OBJECTIVES = {"builtin": _string, "sector": lambda v: vector(v, 2),
                "expressions": _strings}
 
 
-def parse_objective(spec, dim_in: int) -> SmoothMap:
+def parse_objective(spec, dim_in: int, field: str) -> SmoothMap:
+    """The map of ``spec``; an expression map is named after ``field``."""
     kind = _variant(spec, tuple(_OBJECTIVES))
     if kind == "builtin":
         f = read(spec, "builtin", _entry, BUILTINS)()
@@ -163,7 +165,7 @@ def parse_objective(spec, dim_in: int) -> SmoothMap:
         t1, t2 = read(spec, "sector", vector, 2)
         f = sector_map(t1, t2)
     else:
-        f = from_expressions(read(spec, "expressions", _strings), dim_in)
+        f = from_expressions(read(spec, "expressions", _strings), dim_in, name=field)
     if f.dim_in != dim_in:
         raise ProblemFileError(
             f"objective expects dimension {f.dim_in}, file says {dim_in}")
@@ -248,7 +250,7 @@ def parse_problem(doc: dict) -> Problem:
     if read(doc, "schema_version", _integer, default=SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ProblemFileError("unsupported schema_version")
     dim_in = read(doc, "dim_in", _integer)
-    f = read(doc, "objective", parse_objective, dim_in)
+    f = read(doc, "objective", parse_objective, dim_in, "objective")
     K = read(doc, "K", parse_cone)
     L = read(doc, "L", parse_direction_set, dim_in)
     xbar = read(doc, "point", vector, dim_in)
@@ -300,5 +302,5 @@ def load(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ProblemFileError(f"invalid JSON in {path}: {exc}") from exc

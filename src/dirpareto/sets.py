@@ -313,7 +313,7 @@ def closed_curve_region(segments: int = 4096) -> PolygonRegion:
 def curve_halfplane_set(segments: int = 4096) -> UnionSet:
     """H union (curve-region intersect -H) with H = {(x, y) : y >= -x}."""
     H = PolyhedralSet.from_rows([[1.0, 1.0]], [0.0])
-    minus_H = ImplicitSet(2, lambda p: p[0] + p[1] <= TOL, name="-H")
+    minus_H = PolyhedralSet.from_rows([[-1.0, -1.0]], [0.0])
     curve = closed_curve_region(segments)
     return UnionSet((H, IntersectionSet((curve, minus_H), name="curve&-H")),
                     name="curve-halfplane")

@@ -35,11 +35,19 @@ CIRCLE_DOC = dict(SADDLE_DOC, L={"full_sphere": True})
 # the difference quotient of the objective overflows in the x0 column
 FD_OVERFLOW_DOC = dict(SADDLE_DOC, objective={"expressions": ["x0 * 1e308 * 10 + x1"]},
                        directions=[[1, 0], [-2, 0]], e=[1.0])
+G_OVERFLOW_DOC = dict(SADDLE_DOC, g={"expressions": ["x0 * 1e308 * 10 + x1"]}, Q=[[1.0]])
+# deeper than the interpreter's recursion limit: in the parser, in the
+# evaluators and in ``json``
+DEEP_PARENS_DOC = dict(SADDLE_DOC, objective={"expressions": ["(" * 199 + "x0" + ")" * 199]})
+LONG_SUM_DOC = dict(SADDLE_DOC, objective={"expressions": [" + ".join(["x0"] * 1501)]})
+DEEP_K_TEXT = json.dumps(dict(SADDLE_DOC, K="deep")).replace(
+    '"deep"', "[" * 100000 + "]" * 100000)
 
 
 def _write(tmp_path, doc, name="problem.json"):
+    """Write ``doc`` as JSON, or as is when it is already text."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -170,10 +178,15 @@ def test_exit_1_on_malformed_problem(tmp_path):
     ("first-order", FD_OVERFLOW_DOC),
     ("kkt", FD_OVERFLOW_DOC),
     ("fritz-john", FD_OVERFLOW_DOC),
+    ("fritz-john", G_OVERFLOW_DOC),
+    ("certify", DEEP_PARENS_DOC),
+    ("certify", LONG_SUM_DOC),
+    ("certify", DEEP_K_TEXT),
 ], ids=["bad-expression", "evaluation-error", "e-outside-int-K",
         "grid-not-object", "grid-empty-list", "zero-direction",
         "zero-base-negative-power", "power-overflow", "sin-of-inf",
-        "fd-overflow-first-order", "fd-overflow-kkt", "fd-overflow-fritz-john"])
+        "fd-overflow-first-order", "fd-overflow-kkt", "fd-overflow-fritz-john",
+        "fd-overflow-fritz-john-g", "deep-parentheses", "long-sum", "deep-K"])
 def test_exit_1_single_error_line(tmp_path, capsys, command, doc):
     path = _write(tmp_path, doc)
     with warnings.catch_warnings():
@@ -182,8 +195,9 @@ def test_exit_1_single_error_line(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: ")
-    if doc is FD_OVERFLOW_DOC:
-        assert err == ["error: expr: the finite-difference Jacobian at [0.0, 0.0] "
+    if doc is FD_OVERFLOW_DOC or doc is G_OVERFLOW_DOC:
+        field = "objective" if doc is FD_OVERFLOW_DOC else "g"
+        assert err == [f"error: {field}: the finite-difference Jacobian at [0.0, 0.0] "
                        "has non-finite entries"]
 
 
@@ -306,13 +320,29 @@ def test_help_exits_0(capsys):
     assert "certify" in capsys.readouterr().out
 
 
-def test_python_m_dirpareto_help_exits_0():
+def _python_m_dirpareto(*args):
+    """``python -m dirpareto *args`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "dirpareto", "--help"], env=env,
+    return subprocess.run([sys.executable, "-m", "dirpareto", *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_dirpareto_help_exits_0():
+    done = _python_m_dirpareto("--help")
     assert done.returncode == 0
     assert "certify" in done.stdout
+
+
+@pytest.mark.parametrize("expression", ["(" * 195 + "x0" + ")" * 195,
+                                        " + ".join(["x0"] * 800)],
+                         ids=["196-parentheses", "800-term-sum"])
+def test_deep_expressions_certify_from_a_fresh_interpreter(tmp_path, expression):
+    """Nesting has no limit of its own: only the interpreter's stack bounds it."""
+    doc = dict(SADDLE_DOC, objective={"expressions": [f"({expression})^2 - x1^2"]})
+    done = _python_m_dirpareto("certify", "--problem", _write(tmp_path, doc),
+                               "--out", str(tmp_path))
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_integral_floats_are_accepted(tmp_path):

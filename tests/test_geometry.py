@@ -229,6 +229,26 @@ def test_tangent_rays_are_an_array_of_surviving_rays():
     assert tc.sample_rays() is tc.rays
 
 
+def test_direction_samples_of_a_thin_section_fall_back_to_an_interior_point():
+    """No lattice direction lies in a wedge 2e-6 wide around (0.6, 0.8)."""
+    t, w = np.arctan2(0.8, 0.6), 1e-6
+    C = HalfspaceCone.from_rows([[-np.sin(t - w), np.cos(t - w)],
+                                 [np.sin(t + w), -np.cos(t + w)]])
+    assert not C.contains([1.0, 0.0])  # the lattice's first direction
+    s = direction_samples(DirectionSet.cone_section(C), 8)
+    assert s.shape == (1, 2) and C.contains(s[0])
+    assert np.allclose(s, [[0.6, 0.8]], atol=1e-5)
+
+
+def test_direction_samples_of_a_ray_in_3d_raise():
+    u = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    n1 = np.cross(u, [1.0, 0.0, 0.0])
+    n2 = np.cross(u, n1)
+    ray = DirectionSet.cone_section(HalfspaceCone.from_rows([n1, -n1, n2, -n2, u]))
+    with pytest.raises(GeometryError, match="no direction of the cone section"):
+        direction_samples(ray, 8)
+
+
 def test_direction_samples_of_finite_L_cannot_corrupt_it():
     L = DirectionSet.finite([[0.0, 1.0], [1.0, 0.0]])
     s = direction_samples(L, 2)

@@ -353,3 +353,15 @@ def test_non_finite_fd_jacobian_is_an_evaluation_error():
         with pytest.raises(EvaluationError, match=re.escape(
                 "overflow: the finite-difference Jacobian at [0.0, 1.0] has non-finite entries")):
             f.jacobian([0.0, 1.0])
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, -1.7])
+def test_x3_sin_inv_x_analytic_jacobian(t):
+    """f'(0) = 0 (|f(t)| <= |t|^3); elsewhere the closed form, which the
+    difference quotient approaches."""
+    f = builtin("x3_sin_inv_x")
+    want = 0.0 if t == 0.0 else 3 * t ** 2 * math.sin(1 / t) - t * math.cos(1 / t)
+    J = f.jacobian([t])
+    assert J.shape == (1, 1) and J[0, 0] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert J[0, 0] == pytest.approx(finite_difference_jacobian(f, np.array([t]))[0, 0],
+                                    abs=1e-6)

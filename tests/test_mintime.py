@@ -93,6 +93,12 @@ def test_full_sphere_linf_equals_distance_hand():
     assert exact and val == pytest.approx(2.0, abs=1e-9)
 
 
+def test_linf_time_is_infinite_when_cone_L_never_reaches_the_target():
+    L = DirectionSet.cone_section(HalfspaceCone.from_rows([[1.0, 0.0]]))
+    poly = PolyhedralSet.from_rows([[-1.0, 0.0]], [1.0])  # x0 <= -1
+    assert minimal_time(L, (0.0, 0.0), Target.polyhedral(poly), norm="linf") == (math.inf, True)
+
+
 def _random_polyhedron(rng, n):
     for _ in range(50):
         m = int(rng.integers(1, 5))

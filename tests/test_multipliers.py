@@ -19,6 +19,7 @@ from dirpareto.gallery import (
 from dirpareto.geometry import DirectionSet, HalfspaceCone
 from dirpareto.maps import SmoothMap, builtin, from_expressions
 from dirpareto.multipliers import (
+    MultiplierCert,
     fritz_john,
     kkt_multipliers,
     stationarity_penalized,
@@ -206,6 +207,50 @@ def test_sufficiency_affine_nu_passes():
     assert cert is not None
     out = sufficiency_certificate(p, cert)
     assert out["verdict"].startswith("globally weakly certified")
+
+
+def _scalar_map(name, fn):
+    return SmoothMap(name, 1, 1, lambda x: np.array([fn(x[0])]),
+                     lambda x: np.array([[np.nan]]))
+
+
+def _cert(lam=(), tau=(), residual=(0.0,)):
+    return MultiplierCert(ystar=(1.0,), weights=(1.0,), lam=lam, tau=tau,
+                          normalization="ystar_e_eq_1", residual=residual)
+
+
+@pytest.mark.parametrize("xbar, mu, nu, cert, verdict, reason", [
+    ((0.0,), (_scalar_map("mu", lambda t: -t * t),), (), _cert(lam=(0.0,)),
+     "convexity assertion refuted", "mu not convex"),
+    ((0.0,), (), (_scalar_map("nu", lambda t: t * t),), _cert(tau=(0.0,)),
+     "convexity assertion refuted", "nu not affine"),
+    ((0.5,), (MU_NEG_X,), (), _cert(lam=(1.0,)),
+     "invalid certificate", "complementarity fails"),
+    ((0.0,), (), (), _cert(residual=(1.0,)),
+     "invalid certificate", "residual leaves the polar cone"),
+], ids=["mu-not-convex", "nu-not-affine", "complementarity", "residual-outside-polar"])
+def test_sufficiency_refutes_each_failed_check(xbar, mu, nu, cert, verdict, reason):
+    p = Problem(IDENT, R_PLUS, L_PLUS, xbar, constraint=IneqEq(mu=mu, nu=nu))
+    out = sufficiency_certificate(p, cert)
+    assert out["verdict"] == verdict
+    if verdict == "invalid certificate":
+        assert out == {"verdict": verdict, "reason": reason}
+    else:
+        assert out["failure"][0] == reason and len(out["failure"][1]) == 1
+
+
+def test_sufficiency_stops_at_the_first_failed_spot_check():
+    """A mu failure is the answer; the nu maps are not evaluated on its pair."""
+    def raises(t):  # zero at xbar, where the problem checks feasibility
+        if t != 0.0:
+            raise AssertionError("nu evaluated after a mu failure")
+        return 0.0
+
+    p = Problem(IDENT, R_PLUS, L_PLUS, (0.0,),
+                constraint=IneqEq(mu=(_scalar_map("mu", lambda t: -t * t),),
+                                  nu=(_scalar_map("nu", raises),)))
+    out = sufficiency_certificate(p, _cert(lam=(0.0,), tau=(0.0,)))
+    assert out["failure"][0] == "mu not convex"
 
 
 def test_sufficiency_rejects_missing_certificate():

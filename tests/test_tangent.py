@@ -52,6 +52,7 @@ def test_tangent_polyhedral_finite_L_filters_rays():
     assert rays == {(1.0, 0.0), (0.0, 1.0)}
     assert tc.contains([1.0, 0.0])
     assert not tc.contains([-1.0, 0.0])
+    assert tc.contains([0.0, 0.0])  # the zero direction is in every cone
 
 
 def test_tangent_polyhedral_cone_section_intersects():
