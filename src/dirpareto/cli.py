@@ -101,8 +101,8 @@ def _write_points_csv(out_dir: str, command: str, header: list,
     path = _out_path(out_dir, f"{command}.points.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in points:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        line = ",".join(["%.17g"] * points.shape[1]) + "\n"  # one format call per row
+        fh.writelines(line % tuple(row) for row in points.tolist())
     return path
 
 

@@ -244,11 +244,63 @@ def parse_condition(text: str):
 
 
 # operators that act alike on floats and on float arrays, so both evaluators
-# read them; division, power and the functions have a rule per evaluator
+# read them, as they read ``int_power``; division and the functions have a
+# rule per evaluator
 ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+CHAIN_OPS = ("+", "-", "*", "/")  # the left-associative operators
 EXPONENT_TOL = 1e-12  # how far from an integer a '^' exponent may be
+
+
+def int_power(a, k: int):
+    """``a`` to the integer power ``k`` from products only: square and
+    multiply over the bits of ``|k|`` (the binary method; Knuth, TAOCP
+    vol. 2, 4.6.3), then ``1.0 / a^|k|`` for ``k < 0``.
+
+    The same code serves a float, a float array and any value with ``*``
+    and ``/``.  Each product is correctly rounded IEEE arithmetic, so a
+    float and an array agree bit for bit on every platform; libm's ``pow``
+    may differ by a few ulp.  As with ``pow``, ``a^0`` is 1.0 for every
+    ``a``, nan included, and signed zero and infinite bases keep their
+    signs.  A zero ``a^|k|`` under ``k < 0`` is ±inf in an array and
+    raises ZeroDivisionError on a Python float.
+    """
+    n, out = abs(k), None
+    while n:
+        if n & 1:
+            out = a if out is None else out * a
+        n >>= 1
+        if n:
+            a = a * a
+    if out is None:
+        return a ** 0  # exactly 1 on every libm (C99 F.9.4.4), nan included
+    return out if k > 0 else 1.0 / out
+
+
+def _exponent(b) -> int:
+    """The integer that the '^' exponent ``b`` stands for."""
+    if not math.isfinite(b) or abs(b - round(b)) > EXPONENT_TOL:
+        raise EvaluationError(f"exponent must be an integer, got {b}")
+    return int(round(b))
+
+
+def _power_fails(a, out):
+    """Where the finite base ``a`` gave the infinite power ``out``: an
+    overflow, or a zero ``a^|k|`` under ``k < 0`` (a zero base, or an
+    underflow).  Elementwise on arrays."""
+    return (abs(out) == math.inf) & (abs(a) < math.inf)
+
+
+def _left_spine(node: Bin):
+    """A left-deep chain of ``CHAIN_OPS``, such as the parse of a flat sum,
+    as its leftmost operand and the (op, right operand) pairs that apply to
+    it in turn, left to right."""
+    steps = []
+    while isinstance(node, Bin) and node.op in CHAIN_OPS:
+        steps.append((node.op, node.right))
+        node = node.left
+    return node, steps[::-1]
 
 
 def evaluate(node, x: np.ndarray) -> float:
@@ -260,26 +312,31 @@ def evaluate(node, x: np.ndarray) -> float:
         return float(x[node.index])
     if isinstance(node, Neg):
         return -evaluate(node.operand, x)
-    if isinstance(node, Bin):
-        a = evaluate(node.left, x)
-        b = evaluate(node.right, x)
-        if node.op in ARITHMETIC:
-            return ARITHMETIC[node.op](a, b)
-        if node.op == "/":
-            if b == 0.0:
+    if isinstance(node, Bin) and node.op in CHAIN_OPS:
+        # a loop, not a recursion, along the chain: a flat sum of any length
+        first, steps = _left_spine(node)
+        acc = evaluate(first, x)
+        for op, right in steps:
+            b = evaluate(right, x)
+            if op != "/":
+                acc = ARITHMETIC[op](acc, b)
+            elif b == 0.0:
                 raise EvaluationError("division by zero")
-            return a / b
-        if node.op == "^":
-            if not math.isfinite(b) or abs(b - round(b)) > EXPONENT_TOL:
-                raise EvaluationError(f"exponent must be an integer, got {b}")
-            k = int(round(b))
-            try:
-                return float(a ** k)
-            except ZeroDivisionError:
-                raise EvaluationError(f"zero raised to the negative power {k}") from None
-            except OverflowError:
-                raise EvaluationError(f"{a!r}^{k} overflows the float range") from None
-        raise EvaluationError(f"unknown operator {node.op}")
+            else:
+                acc = acc / b
+        return acc
+    if isinstance(node, Bin) and node.op == "^":
+        a = evaluate(node.left, x)
+        k = _exponent(evaluate(node.right, x))
+        try:
+            out = int_power(a, k)
+        except ZeroDivisionError:  # a^|k| is zero under k < 0
+            out = math.inf
+        if _power_fails(a, out):
+            if a == 0.0:
+                raise EvaluationError(f"zero raised to the negative power {k}")
+            raise EvaluationError(f"{a!r}^{k} overflows the float range")
+        return out
     if isinstance(node, Call):
         args = [evaluate(a, x) for a in node.args]
         if node.name == "sqrt":
@@ -311,11 +368,12 @@ def evaluate(node, x: np.ndarray) -> float:
 # ``compile_rows`` turns a node into a closure that computes ``evaluate`` on
 # every row of an array, bit for bit.  The four arithmetic operations,
 # negation, ``abs`` and ``sqrt`` are correctly rounded in numpy as in
-# Python; ``^`` and the ``math`` functions call the one-point function on
-# each element, because numpy's own ``power`` and ``arctan`` loops differ
-# from libm in the last place on some inputs.  A closure never raises: it
-# marks the rows where ``evaluate`` may raise, and its caller settles those
-# rows one point at a time.
+# Python, and ``^`` is ``int_power`` on both sides, products only.  Only
+# the ``math`` functions call the one-point function on each element,
+# because numpy's own ``sin``, ``cos`` and ``arctan`` loops differ from
+# libm in the last place on some inputs.  A closure never raises: it marks
+# the rows where ``evaluate`` may raise, and its caller settles those rows
+# one point at a time.
 
 def elementwise(fn, nargs: int):
     """``fn`` called on each element of ``nargs`` float arrays, as the
@@ -330,7 +388,6 @@ def elementwise(fn, nargs: int):
     return lambda *arrays: ufunc(*arrays).astype(float)
 
 
-POWER = elementwise(operator.pow, 2)
 _MATH = {name: elementwise(FUNCTIONS[name][1], FUNCTIONS[name][0])
          for name in ("sin", "cos", "atan", "atan2")}
 
@@ -346,6 +403,21 @@ def _on_rows(g, X, rows, redo):
 def _redo_all(X, redo):
     redo[:] = True
     return np.zeros(len(X))
+
+
+def _row_powers(a, e, redo):
+    """``int_power`` of each element of ``a`` to the exponent ``e`` of its
+    row, one call per distinct exponent; marks the rows whose exponent is
+    not an integer."""
+    k = np.round(e)
+    ok = np.abs(e - k) <= EXPONENT_TOL  # False where e is not finite
+    redo |= ~ok
+    out = np.zeros(len(a))
+    ks, group = np.unique(np.where(ok, k, 0.0), return_inverse=True)
+    for j, kj in enumerate(ks.tolist()):
+        rows = group == j
+        out[rows] = int_power(a[rows], int(kj))
+    return out
 
 
 def compile_rows(node, dim: int):
@@ -366,26 +438,40 @@ def compile_rows(node, dim: int):
     if isinstance(node, Neg):
         a = compile_rows(node.operand, dim)
         return lambda X, redo: -a(X, redo)
-    if isinstance(node, Bin):
-        a, b = compile_rows(node.left, dim), compile_rows(node.right, dim)
-        if node.op in ARITHMETIC:
-            op = ARITHMETIC[node.op]
-            return lambda X, redo: op(a(X, redo), b(X, redo))
-        if node.op == "/":
-            def divide(X, redo):
-                num, den = a(X, redo), b(X, redo)
-                redo |= den == 0.0
-                return num / den
-            return divide
-        if node.op == "^":
-            def power(X, redo):
-                base, e = a(X, redo), b(X, redo)
-                k = np.round(e)
-                redo |= ~(np.abs(e - k) <= EXPONENT_TOL)  # not an integer, or not finite
-                out = POWER(base, k)
-                redo |= np.isnan(out)  # zero to a negative power, overflow
-                return out
-            return power
+    if isinstance(node, Bin) and node.op in CHAIN_OPS:
+        first, steps = _left_spine(node)
+        start = compile_rows(first, dim)
+        steps = [(op, compile_rows(right, dim)) for op, right in steps]
+
+        def chain(X, redo):
+            acc = start(X, redo)
+            for op, g in steps:
+                b = g(X, redo)
+                if op == "/":
+                    redo |= b == 0.0
+                    acc = acc / b
+                else:
+                    acc = ARITHMETIC[op](acc, b)
+            return acc
+        return chain
+    if isinstance(node, Bin) and node.op == "^":
+        base, k, exponent = compile_rows(node.left, dim), None, None
+        if isinstance(node.right, Num):  # checked and rounded once, here
+            try:
+                k = _exponent(node.right.value)
+            except EvaluationError:
+                return _redo_all
+        else:
+            exponent = compile_rows(node.right, dim)
+
+        def power(X, redo):
+            a = base(X, redo)
+            with np.errstate(all="ignore"):
+                out = (int_power(a, k) if exponent is None
+                       else _row_powers(a, exponent(X, redo), redo))
+            redo |= _power_fails(a, out)
+            return out
+        return power
     if isinstance(node, Call) and node.name in FUNCTIONS:
         args = [compile_rows(a, dim) for a in node.args]
         if node.name == "sqrt":

@@ -70,9 +70,10 @@ class LPProblem:
 
 def _pivot(tab, basis, row, col):
     tab[row] /= tab[row, col]
-    rows = np.flatnonzero(np.abs(tab[:, col]) > 0.0)
-    rows = rows[rows != row]
-    tab[rows] -= tab[rows, col, None] * tab[row]
+    f = tab[:, col].copy()
+    f[row] = 0.0
+    # in place, and only on the rows with a nonzero factor
+    np.subtract(tab, f[:, None] * tab[row], out=tab, where=(f != 0.0)[:, None])
     basis[row] = col
 
 
@@ -94,23 +95,19 @@ def _simplex(tab, basis, cost, ncols):
         if abs(cost[b]) > 0.0:
             z -= cost[b] * tab[i, :]
     for _ in range(50 * (m + ncols)):
-        size = np.maximum(np.max(np.abs(tab[:, :ncols]), axis=0, initial=0.0), 1.0)
-        improving = np.flatnonzero(z[:ncols] < -PIVOT_TOL * size)
-        if improving.size == 0:
+        size = np.abs(tab[:, :ncols]).max(axis=0, initial=1.0)
+        improving = z[:ncols] < -PIVOT_TOL * size
+        enter = int(improving.argmax())
+        if not improving[enter]:
             break
-        enter = int(improving[0])
-        tol = PIVOT_TOL * size[enter]
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            a = tab[i, enter]
-            if a > tol:
-                ratio = tab[i, -1] / a
-                if ratio < best - PIVOT_TOL or (
-                    ratio < best + PIVOT_TOL and (leave < 0 or a > tab[leave, enter])
-                ):
-                    best = ratio
-                    leave = i
+        col = tab[:, enter]
+        rows = np.flatnonzero(col > PIVOT_TOL * size[enter])
+        pivots = col[rows]
+        leave, best, top = -1, np.inf, 0.0  # top: the pivot of row ``leave``
+        for i, ratio, a in zip(rows.tolist(), (tab[rows, -1] / pivots).tolist(),
+                               pivots.tolist()):
+            if ratio < best - PIVOT_TOL or (ratio < best + PIVOT_TOL and a > top):
+                leave, best, top = i, ratio, a
         if leave < 0:
             return None
         _pivot(tab, basis, leave, enter)

@@ -117,18 +117,18 @@ def from_expressions(exprs, dim_in: int, name: str = "expr") -> SmoothMap:
 def _saddle_x2_y2():
     return SmoothMap(
         "saddle-x2-y2", 2, 1,
-        lambda x: np.array([x[0] ** 2 - x[1] ** 2]),
+        lambda x: np.array([ex.int_power(x[0], 2) - ex.int_power(x[1], 2)]),
         lambda x: np.array([[2 * x[0], -2 * x[1]]]),
-        lambda X: (ex.POWER(X[:, 0], 2.0) - ex.POWER(X[:, 1], 2.0))[:, None],
+        lambda X: (ex.int_power(X[:, 0], 2) - ex.int_power(X[:, 1], 2))[:, None],
     )
 
 
 def _saddle_x2_y3():
     return SmoothMap(
         "saddle-x2-y3", 2, 1,
-        lambda x: np.array([x[0] ** 2 - x[1] ** 3]),
+        lambda x: np.array([ex.int_power(x[0], 2) - ex.int_power(x[1], 3)]),
         lambda x: np.array([[2 * x[0], -3 * x[1] ** 2]]),
-        lambda X: (ex.POWER(X[:, 0], 2.0) - ex.POWER(X[:, 1], 3.0))[:, None],
+        lambda X: (ex.int_power(X[:, 0], 2) - ex.int_power(X[:, 1], 3))[:, None],
     )
 
 
@@ -144,7 +144,7 @@ def _sin_inv_x():
 
 def _x3_sin_inv_x():
     def fn(x):
-        return np.array([x[0] ** 3 * np.sin(1.0 / x[0]) if x[0] != 0.0 else 0.0])
+        return np.array([ex.int_power(x[0], 3) * np.sin(1.0 / x[0]) if x[0] != 0.0 else 0.0])
 
     def jac(x):
         if x[0] == 0.0:
@@ -154,7 +154,7 @@ def _x3_sin_inv_x():
 
     def fn_many(X):
         t = X[:, 0]
-        return np.where(t != 0.0, ex.POWER(t, 3.0) * np.sin(1.0 / t), 0.0)[:, None]
+        return np.where(t != 0.0, ex.int_power(t, 3) * np.sin(1.0 / t), 0.0)[:, None]
     return SmoothMap("x3-sin-inv-x", 1, 1, fn, jac, fn_many)
 
 
@@ -196,10 +196,11 @@ def _vector_2x_x():
 def _vector_pair_saddle():
     return SmoothMap(
         "vector-pair-saddle", 2, 2,
-        lambda x: np.array([x[0] ** 2 - x[1] ** 2, x[0] ** 2 - x[1] ** 3]),
+        lambda x: np.array([ex.int_power(x[0], 2) - ex.int_power(x[1], 2),
+                            ex.int_power(x[0], 2) - ex.int_power(x[1], 3)]),
         lambda x: np.array([[2 * x[0], -2 * x[1]], [2 * x[0], -3 * x[1] ** 2]]),
-        lambda X: np.stack([ex.POWER(X[:, 0], 2.0) - ex.POWER(X[:, 1], 2.0),
-                            ex.POWER(X[:, 0], 2.0) - ex.POWER(X[:, 1], 3.0)], axis=1),
+        lambda X: np.stack([ex.int_power(X[:, 0], 2) - ex.int_power(X[:, 1], 2),
+                            ex.int_power(X[:, 0], 2) - ex.int_power(X[:, 1], 3)], axis=1),
     )
 
 

@@ -168,7 +168,7 @@ def parse_objective(spec, dim_in: int, field: str) -> SmoothMap:
         f = from_expressions(read(spec, "expressions", _strings), dim_in, name=field)
     if f.dim_in != dim_in:
         raise ProblemFileError(
-            f"objective expects dimension {f.dim_in}, file says {dim_in}")
+            f"{field} expects dimension {f.dim_in}, file says {dim_in}")
     return f
 
 

@@ -1,12 +1,18 @@
 import math
+import struct
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dirpareto.expressions import (
     EvaluationError,
     ExpressionError,
     evaluate,
+    int_power,
     parse_condition,
     parse_expression,
     piecewise_from_spec,
@@ -104,6 +110,55 @@ def test_math_domain_errors_are_evaluation_errors(text, message):
 def test_power_underflow_is_zero():
     assert ev("x0^3", 1e-110) == 0.0
     assert ev("x0^(-400)", 10.0) == 0.0
+
+
+# signed zeros and infinities, nan, subnormals and the extremes of the range
+SPECIAL_BASES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                 2.5e-310, -2.5e-310, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0]
+POWER_BASES = st.one_of(st.sampled_from(SPECIAL_BASES), st.floats())
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+@given(bases=st.lists(POWER_BASES, min_size=1, max_size=16), k=st.integers(-8, 8))
+def test_int_power_on_a_float_equals_it_on_an_array(bases, k):
+    with np.errstate(all="ignore"):
+        got = int_power(np.array(bases), k).tolist()
+    for a, g in zip(bases, got):
+        try:
+            want = int_power(a, k)
+        except ZeroDivisionError:  # a zero a^|k| under k < 0: ±inf in the array
+            assert math.isinf(g) and int_power(a, -k) == 0.0
+            continue
+        assert _bits(g) == _bits(want), (a, k)
+
+
+@pytest.mark.parametrize("a, k, want", [
+    (math.nan, 0, 1.0), (math.inf, 0, 1.0), (-math.inf, 0, 1.0), (-0.0, 0, 1.0),
+    (-0.0, 3, -0.0), (-0.0, 2, 0.0), (-math.inf, 3, -math.inf), (-math.inf, 2, math.inf),
+    (-math.inf, -3, -0.0), (-math.inf, -2, 0.0), (math.inf, -1, 0.0), (10.0, -400, 0.0),
+    (-2.0, 7, -128.0), (2.0, -3, 0.125),
+])
+def test_int_power_keeps_the_special_values_of_pow(a, k, want):
+    assert _bits(int_power(a, k)) == _bits(want)
+    assert _bits(math.pow(a, k)) == _bits(want)
+
+
+@given(a=st.floats(allow_nan=False, allow_infinity=False), k=st.integers(-8, 8))
+def test_int_power_is_within_k_ulp_of_the_exact_power(a, k):
+    """Each product rounds once.  Under k < 0 the bound needs a^|k| out of
+    the subnormal range, whose lost bits 1 / a^|k| would magnify."""
+    assume(a != 0.0 or k >= 0)
+    exact = Fraction(a) ** k
+    assume(k >= 0 or abs(exact) <= 1 / Fraction(sys.float_info.min))
+    try:
+        got = int_power(a, k)
+    except ZeroDivisionError:  # a^|k| underflowed: evaluate calls it an overflow
+        return
+    assume(math.isfinite(got))
+    assert abs(Fraction(got) - exact) <= abs(k) * Fraction(math.ulp(got))
 
 
 def test_conditions():

@@ -139,7 +139,8 @@ def test_batch_forms_make_no_one_point_call(name, monkeypatch):
 # generated expressions
 
 NUMS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -3.0, 1e-300, 1e300, 1e154, math.pi])
-EXPONENTS = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 5.0, 400.0, 0.5, 2.0 + 1e-13])
+EXPONENTS = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 400.0, 0.5,
+                             2.0 + 1e-13])
 COMPARE_OPS = ["<", "<=", ">", ">=", "==", "!="]
 
 
@@ -196,6 +197,9 @@ EXPRESSION_CASES = [
     "(x0 + 10)^400 - x1^2",
     "(x0 - x0)^(-1) + x1",
     "x0^x1",
+    "x0^0 * x1^1",
+    "x0^(-1) - x1^(-3)",
+    "x0^7 - (x0 * x1)^x1",
     "sin(x0) + cos(x1) + atan(x0 / x1) + atan2(x1, x0)",
     "abs(x0) * sqrt(x1)",
     "sin(x0 * 1e308 * 10)",
@@ -213,8 +217,9 @@ CASE_POINTS = np.array([[0.0, 0.0], [-0.0, 1.0], [0.5, 0.5], [0.5, -2.0], [1.0, 
                         [4.0, 2.0], [2.0, -3.0], [0.25, 0.25], [-3.0, -1e-300]])
 
 
-# numpy's array power and arctan differ from libm on about 1 point in 1000
-# of these (more for cubes), so a wrong ufunc shows here
+# numpy's arctan differs from libm, and numpy's power from the products of
+# int_power, on about 1 point in 1000 of these (more for cubes), so a wrong
+# ufunc shows here
 _rng = np.random.default_rng(7)
 RANDOM_POINTS = _rng.standard_normal((10000, 2)) * 10.0 ** _rng.integers(-3, 4, (10000, 2))
 
@@ -229,9 +234,11 @@ def test_expression_cases_on_boundary_points(text):
     _assert_parity(f, RANDOM_POINTS[:2000])
 
 
-@pytest.mark.parametrize("text", ["atan(x0)", "x0^2", "x0^3", "x0^(-5)"])
+@pytest.mark.parametrize("text", ["atan(x0)", "x0^2", "x0^3", "x0^(-5)", "x0^0", "x0^1",
+                                  "x0^(-1)", "x0^(-3)", "x0^7"])
 def test_libm_calls_on_many_points(text):
-    """One libm call per element: numpy's own loops miss some of these."""
+    """One libm call per element for ``atan``, and ``int_power`` on both
+    sides for ``^``: numpy's own loops miss some of these."""
     f = from_expressions([text], 1)
     _assert_parity(f, RANDOM_POINTS.reshape(-1, 1)[:20000])
 
@@ -255,10 +262,18 @@ def test_piecewise_cases_on_guard_boundaries(spec):
     (["(x0 - x0)^(-1)"], [[1.0]], "zero raised to the negative power -1"),
     (["(x0 + 10)^400"], [[-10.5], [0.0]], "10.0^400 overflows the float range"),
     (["x0^(x0 * 1e308 * 10)"], [[1.0]], "exponent must be an integer, got inf"),
+    (["x0^(-1)"], [[2.0], [0.0], [1e-200]], "zero raised to the negative power -1"),
+    (["x0^(-3)"], [[2.0], [1e-200], [0.0]], "1e-200^-3 overflows the float range"),
+    (["x0^7"], [[-2.0], [-1e50]], "-1e+50^7 overflows the float range"),
+    (["x0^0", "1 / x0^1"], [[5.0], [0.0]], "division by zero"),
+    (["x0^(x0 - 2)"], [[3.0], [-1.0], [0.0]], "zero raised to the negative power -2"),
+    (["(x0 * 1e100)^x0"], [[1.0], [4.0]], "4e+100^4 overflows the float range"),
     (["x1"], [[1.0]], "variable x1 out of range for dim 1"),
     (["sin(x0 * 1e308 * 10)"], [[0.0], [1.0], [2.0]], "sin(inf) is undefined"),
 ], ids=["division", "first-row-first-output", "first-row-second-output",
         "fractional-exponent", "zero-power", "overflow", "infinite-exponent",
+        "reciprocal-of-zero", "negative-power-underflow", "seventh-power-overflow",
+        "zeroth-and-first-power", "computed-zero-power", "computed-overflow",
         "variable-range", "sin-of-inf"])
 def test_eval_many_raises_the_first_raising_rows_error(texts, rows, message):
     f = from_expressions(texts, 1)
