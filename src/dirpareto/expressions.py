@@ -264,9 +264,11 @@ def int_power(a, k: int):
     may differ by a few ulp.  As with ``pow``, ``a^0`` is 1.0 for every
     ``a``, nan included, and signed zero and infinite bases keep their
     signs.  A zero ``a^|k|`` under ``k < 0`` is ±inf in an array and
-    raises ZeroDivisionError on a Python float.
+    raises ZeroDivisionError on a Python float.  Where a finite ``a^|k|``
+    overflows under ``k < 0``, ``a^k`` may still be a subnormal, so those
+    elements take ``(1.0 / a)^|k|`` instead of 0.
     """
-    n, out = abs(k), None
+    base, n, out = a, abs(k), None
     while n:
         if n & 1:
             out = a if out is None else out * a
@@ -275,7 +277,14 @@ def int_power(a, k: int):
             a = a * a
     if out is None:
         return a ** 0  # exactly 1 on every libm (C99 F.9.4.4), nan included
-    return out if k > 0 else 1.0 / out
+    if k > 0:
+        return out
+    over = (abs(out) == math.inf) & (abs(base) < math.inf)
+    out = 1.0 / out
+    if np.any(over):
+        small = int_power(1.0 / base, -k)
+        out = np.where(over, small, out) if isinstance(out, np.ndarray) else small
+    return out
 
 
 def _exponent(b) -> int:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dirpareto.expressions import (
@@ -139,7 +139,7 @@ def test_int_power_on_a_float_equals_it_on_an_array(bases, k):
     (math.nan, 0, 1.0), (math.inf, 0, 1.0), (-math.inf, 0, 1.0), (-0.0, 0, 1.0),
     (-0.0, 3, -0.0), (-0.0, 2, 0.0), (-math.inf, 3, -math.inf), (-math.inf, 2, math.inf),
     (-math.inf, -3, -0.0), (-math.inf, -2, 0.0), (math.inf, -1, 0.0), (10.0, -400, 0.0),
-    (-2.0, 7, -128.0), (2.0, -3, 0.125),
+    (-2.0, 7, -128.0), (2.0, -3, 0.125), (2.0 ** 512, -2, 2.0 ** -1024),
 ])
 def test_int_power_keeps_the_special_values_of_pow(a, k, want):
     assert _bits(int_power(a, k)) == _bits(want)
@@ -147,6 +147,8 @@ def test_int_power_keeps_the_special_values_of_pow(a, k, want):
 
 
 @given(a=st.floats(allow_nan=False, allow_infinity=False), k=st.integers(-8, 8))
+@example(a=2.0 ** 512, k=-2)  # a^2 overflows, a^-2 is the subnormal 2^-1024
+@example(a=-1e103, k=-3)  # a^3 overflows, a^-3 is a subnormal near -1e-309
 def test_int_power_is_within_k_ulp_of_the_exact_power(a, k):
     """Each product rounds once.  Under k < 0 the bound needs a^|k| out of
     the subnormal range, whose lost bits 1 / a^|k| would magnify."""
