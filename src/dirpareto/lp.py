@@ -72,52 +72,45 @@ def _pivot(tab, basis, row, col):
     tab[row] /= tab[row, col]
     f = tab[:, col].copy()
     f[row] = 0.0
-    # in place, and only on the rows with a nonzero factor
+    # in place, and only on the rows with a nonzero factor; the cost row
+    # is one of them
     np.subtract(tab, f[:, None] * tab[row], out=tab, where=(f != 0.0)[:, None])
     basis[row] = col
 
 
-def _simplex(tab, basis, cost, ncols):
-    """Minimize cost over the tableau in place.
+def _simplex(tab, basis, ncols):
+    """Minimize over the tableau in place.
 
-    The entering column is the lowest-index improving one (Bland); among
-    rows tied in the ratio test the largest pivot leaves, so that pivots
-    stay well away from round-off.  Both tolerances scale with the
-    entering column.  A run that outlasts any reasonable pivot count has
-    cycled on round-off and raises LPError.
+    ``tab`` holds one row per basis entry, then the reduced-cost row; its
+    last column is the rhs (the cost row's carries -objective).  Columns
+    from ``ncols`` on, but the rhs, never enter.  The entering column is the
+    lowest-index improving one (Bland); among rows tied in the ratio test
+    the largest pivot leaves, so that pivots stay well away from round-off.
+    Both tolerances scale with the entering column.  A run that outlasts
+    any reasonable pivot count has cycled on round-off and raises LPError.
 
-    Returns the objective value, or None if unbounded below.
+    Returns False if the objective is unbounded below, else True.
     """
     m = len(basis)
-    # reduced cost row, with the rhs column carrying -objective
-    z = np.append(cost, 0.0)
-    for i, b in enumerate(basis):
-        if abs(cost[b]) > 0.0:
-            z -= cost[b] * tab[i, :]
+    body, z = tab[:m], tab[m]
     for _ in range(50 * (m + ncols)):
-        size = np.abs(tab[:, :ncols]).max(axis=0, initial=1.0)
+        size = np.maximum.reduce(np.abs(body[:, :ncols]), axis=0, initial=1.0)
         improving = z[:ncols] < -PIVOT_TOL * size
         enter = int(improving.argmax())
         if not improving[enter]:
-            break
-        col = tab[:, enter]
-        rows = np.flatnonzero(col > PIVOT_TOL * size[enter])
+            return True
+        col = body[:, enter]
+        rows = (col > PIVOT_TOL * size[enter]).nonzero()[0]
         pivots = col[rows]
         leave, best, top = -1, np.inf, 0.0  # top: the pivot of row ``leave``
-        for i, ratio, a in zip(rows.tolist(), (tab[rows, -1] / pivots).tolist(),
+        for i, ratio, a in zip(rows.tolist(), (body[rows, -1] / pivots).tolist(),
                                pivots.tolist()):
             if ratio < best - PIVOT_TOL or (ratio < best + PIVOT_TOL and a > top):
                 leave, best, top = i, ratio, a
         if leave < 0:
-            return None
+            return False
         _pivot(tab, basis, leave, enter)
-        z = z - z[enter] * tab[leave, :]
-    else:
-        raise LPError("simplex cycled: numerical breakdown of the tableau")
-    value = 0.0
-    for i, b in enumerate(basis):
-        value += cost[b] * tab[i, -1]
-    return value
+    raise LPError("simplex cycled: numerical breakdown of the tableau")
 
 
 def _solve(p: LPProblem):
@@ -130,8 +123,8 @@ def _solve(p: LPProblem):
         raise LPError("LP needs at least one variable")
     nonneg = set(p.nonneg)
     free = [j for j in range(n) if j not in nonneg]
-    # columns: v (v+ for the free entries), v- of the free entries, then
-    # one slack per inequality
+    # columns: v (v+ for the free entries), v- of the free entries, one
+    # slack per inequality, one artificial per row, then the rhs
     nsplit = n + len(free)
     nslack = len(p.a_ub)
     ncols = nsplit + nslack
@@ -141,56 +134,66 @@ def _solve(p: LPProblem):
         return "feasible", witness
     coef = np.array([c for c, _ in p.a_ub + p.a_eq])
     b = np.array([r for _, r in p.a_ub + p.a_eq], dtype=float)
-    if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(coef).all() and np.isfinite(b).all()):
         raise LPError("non-finite LP data")
     # row equilibration: the structural part of every row gets max-abs 1;
     # the slack columns stay at -1 (coef.v - s = b, s >= 0).  Rows of
     # round-off become zero rows and keep their rhs unscaled.
-    scale = np.max(np.abs(coef), axis=1)
+    scale = np.abs(coef).max(axis=1)
     noise = scale <= PIVOT_TOL
     coef[noise] = 0.0
     scale[noise] = 1.0
     coef /= scale[:, None]
     b /= scale
-    A = np.zeros((m, ncols))
+    tab = np.zeros((m + 1, ncols + m + 1))
+    A = tab[:m, :ncols]
     A[:, :n] = coef
     A[:, n:nsplit] = -coef[:, free]
     A[np.arange(nslack), nsplit + np.arange(nslack)] = -1.0
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
+    tab[:m, -1] = b
 
     # phase 1: artificial basis
-    tab = np.hstack([A, np.eye(m), b[:, None]])
-    basis = np.arange(ncols, ncols + m)
-    cost1 = np.zeros(ncols + m)
-    cost1[ncols:] = 1.0
-    val = _simplex(tab, basis, cost1, ncols + m)
-    if val is None:
+    arts = ncols + np.arange(m)
+    tab[np.arange(m), arts] = 1.0
+    tab[m, arts] = 1.0
+    tab[m] -= tab[:m].sum(axis=0)
+    basis = arts.copy()
+    if not _simplex(tab, basis, ncols + m):
         # phase 1 is bounded below by 0: only round-off can get here
         raise LPError("phase-1 unbounded: numerical breakdown of the simplex")
+    val = 0.0
+    for r in tab[:m, -1][basis >= ncols].tolist():
+        val += r
     if val > FEAS_TOL:
         return "infeasible", None
     # drive artificials out of the basis where possible
-    for i in np.flatnonzero(basis >= ncols):
-        j = np.flatnonzero(np.abs(tab[i, :ncols]) > PIVOT_TOL)
+    for i in (basis >= ncols).nonzero()[0]:
+        j = (np.abs(tab[i, :ncols]) > PIVOT_TOL).nonzero()[0]
         if j.size:
             _pivot(tab, basis, i, j[0])
     # a row an artificial still holds is round-off in every structural column
     live = basis < ncols
-    tab = tab[live][:, list(range(ncols)) + [ncols + m]]
+    tab = tab[np.append(live, True)][:, list(range(ncols)) + [-1]]
     basis = basis[live]
 
     if p.objective is not None:
-        cost2 = np.zeros(ncols)
-        cost2[:n] = p.objective
-        cost2[n:nsplit] = -np.asarray(p.objective, dtype=float)[free]
-        val2 = _simplex(tab, basis, cost2, ncols)
-        if val2 is None:
+        cost = np.zeros(ncols)
+        cost[:n] = p.objective
+        cost[n:nsplit] = -np.asarray(p.objective, dtype=float)[free]
+        z = tab[-1]
+        z[:ncols] = cost
+        z[-1] = 0.0
+        for i, j in enumerate(basis.tolist()):
+            if abs(cost[j]) > 0.0:
+                z -= cost[j] * tab[i]
+        if not _simplex(tab, basis, ncols):
             return "unbounded", None
 
     x = np.zeros(ncols)
-    x[basis] = tab[:, -1]
+    x[basis] = tab[:-1, -1]
     witness = x[:n].copy()
     witness[free] -= x[n:nsplit]
     return "feasible", witness
