@@ -1,9 +1,14 @@
 """Small dense linear programming: a two-phase tableau simplex.
 
 Every LP in this package is tiny (tens of variables), so a plain dense
-tableau is fast enough and easy to audit.  Variables are free reals
-unless the problem lists them in ``nonneg``; only free variables are
-split into ``v+ - v-`` columns.  Each row is divided by its largest
+tableau is fast enough and easy to audit.  It starts from the slack
+basis (Chvatal, *Linear Programming*, 1983, ch. 8): an inequality
+``coef . v >= b`` with ``b <= 0`` holds at v = 0 with its slack basic, so
+only equalities and inequalities with ``b > 0`` get an artificial column,
+and phase 1 runs only when one exists.  Most rows here are homogeneous
+cone rows ``>= 0``, so phase 1 is short or absent.  Variables are free
+reals unless the problem lists them in ``nonneg``; only free variables
+are split into ``v+ - v-`` columns.  Each row is divided by its largest
 absolute coefficient before solving, so badly scaled rows do not break
 the tableau.  Feasibility is therefore decided with FEAS_TOL relative to
 each row's largest coefficient: a witness may miss a row by up to that
@@ -124,7 +129,7 @@ def _solve(p: LPProblem):
     nonneg = set(p.nonneg)
     free = [j for j in range(n) if j not in nonneg]
     # columns: v (v+ for the free entries), v- of the free entries, one
-    # slack per inequality, one artificial per row, then the rhs
+    # slack per inequality, the artificials, then the rhs
     nsplit = n + len(free)
     nslack = len(p.a_ub)
     ncols = nsplit + nslack
@@ -132,8 +137,9 @@ def _solve(p: LPProblem):
     if m == 0:
         witness = np.zeros(n)
         return "feasible", witness
-    coef = np.array([c for c, _ in p.a_ub + p.a_eq])
-    b = np.array([r for _, r in p.a_ub + p.a_eq], dtype=float)
+    rows = p.a_ub + p.a_eq
+    coef = np.array([c for c, _ in rows])
+    b = np.array([r for _, r in rows], dtype=float)
     if not (np.isfinite(coef).all() and np.isfinite(b).all()):
         raise LPError("non-finite LP data")
     # row equilibration: the structural part of every row gets max-abs 1;
@@ -145,39 +151,47 @@ def _solve(p: LPProblem):
     scale[noise] = 1.0
     coef /= scale[:, None]
     b /= scale
-    tab = np.zeros((m + 1, ncols + m + 1))
+    # slack start: an inequality with b <= 0 becomes -coef.v + s = -b >= 0
+    # and its slack starts basic; every other row is made rhs >= 0 and
+    # gets an artificial
+    ineq = np.arange(m) < nslack
+    start = ineq & (b <= 0.0)
+    art_rows = (~start).nonzero()[0]
+    nart = art_rows.size
+    tab = np.zeros((m + 1, ncols + nart + 1))
     A = tab[:m, :ncols]
     A[:, :n] = coef
     A[:, n:nsplit] = -coef[:, free]
     A[np.arange(nslack), nsplit + np.arange(nslack)] = -1.0
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    tab[:m, -1] = b
+    np.negative(A, out=A, where=(start | (b < 0.0))[:, None])
+    tab[:m, -1] = np.abs(b)   # a zero rhs is +0.0
+    basis = nsplit + np.arange(m)
+    basis[art_rows] = arts = ncols + np.arange(nart)
 
-    # phase 1: artificial basis
-    arts = ncols + np.arange(m)
-    tab[np.arange(m), arts] = 1.0
-    tab[m, arts] = 1.0
-    tab[m] -= tab[:m].sum(axis=0)
-    basis = arts.copy()
-    if not _simplex(tab, basis, ncols + m):
-        # phase 1 is bounded below by 0: only round-off can get here
-        raise LPError("phase-1 unbounded: numerical breakdown of the simplex")
-    val = 0.0
-    for r in tab[:m, -1][basis >= ncols].tolist():
-        val += r
-    if val > FEAS_TOL:
-        return "infeasible", None
-    # drive artificials out of the basis where possible
-    for i in (basis >= ncols).nonzero()[0]:
-        j = (np.abs(tab[i, :ncols]) > PIVOT_TOL).nonzero()[0]
-        if j.size:
-            _pivot(tab, basis, i, j[0])
-    # a row an artificial still holds is round-off in every structural column
-    live = basis < ncols
-    tab = tab[np.append(live, True)][:, list(range(ncols)) + [-1]]
-    basis = basis[live]
+    if nart:
+        # phase 1: minimize the sum of the artificials
+        tab[art_rows, arts] = 1.0
+        tab[m, arts] = 1.0
+        tab[m] -= tab[art_rows].sum(axis=0)
+        if not _simplex(tab, basis, ncols + nart):
+            # phase 1 is bounded below by 0: only round-off can get here
+            raise LPError("phase-1 unbounded: numerical breakdown of the simplex")
+        val = 0.0
+        for r in tab[:m, -1][basis >= ncols].tolist():
+            val += r
+        if val > FEAS_TOL:
+            return "infeasible", None
+        # drive artificials out of the basis where possible
+        for i in (basis >= ncols).nonzero()[0]:
+            j = (np.abs(tab[i, :ncols]) > PIVOT_TOL).nonzero()[0]
+            if j.size:
+                _pivot(tab, basis, i, j[0])
+        # a row an artificial still holds is round-off in every structural
+        # column
+        live = basis < ncols
+        tab[:, ncols] = tab[:, -1]  # the rhs moves next to the structural columns
+        tab = tab[np.append(live, True), :ncols + 1]
+        basis = basis[live]
 
     if p.objective is not None:
         cost = np.zeros(ncols)
@@ -186,9 +200,8 @@ def _solve(p: LPProblem):
         z = tab[-1]
         z[:ncols] = cost
         z[-1] = 0.0
-        for i, j in enumerate(basis.tolist()):
-            if abs(cost[j]) > 0.0:
-                z -= cost[j] * tab[i]
+        for i in (np.abs(cost[basis]) > 0.0).nonzero()[0].tolist():
+            z -= cost[basis[i]] * tab[i]
         if not _simplex(tab, basis, ncols):
             return "unbounded", None
 

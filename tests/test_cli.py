@@ -21,6 +21,8 @@ from dirpareto import cli, problemfile
 from dirpareto.cli import main
 from dirpareto.problemfile import ProblemFileError, normalize, parse_problem
 
+from oracles import rational_feasible
+
 SADDLE_DOC = {
     "schema_version": 1,
     "dim_in": 2,
@@ -555,3 +557,49 @@ def test_golden_report(tmp_path, name):
     code = main([fx["command"], "--problem", path, "--out", str(out), *fx["flags"]])
     assert code == fx["code"]
     _same(json.loads((out / f"{fx['command']}.report.json").read_text()), fx["report"])
+
+
+def _in_row_cone(rows, y):
+    """y = rows^T w for some w >= 0 (rows square and invertible here)."""
+    w = np.linalg.solve(rows.T, y)
+    return np.allclose(rows.T @ w, y) and np.all(w >= -1e-12)
+
+
+@pytest.mark.parametrize("name", ["fritz-john-exists", "kkt-constraint",
+                                  "penalized-vector-mode"])
+def test_golden_witness_satisfies_its_rows(name):
+    """These goldens pin one vertex of a set of certificates; whichever one
+    the LP returns must satisfy the rows that define a certificate."""
+    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+        fx = json.load(fh)
+    doc, rep = fx["problem"], fx["report"]
+    p = parse_problem(doc)
+    J, K, L = p.f.jacobian(p.x0), p.K.rows, p.L.vectors
+    if name == "fritz-john-exists":
+        ystar = np.array(rep["multipliers"]["ystar"])
+        assert _in_row_cone(K, ystar) and np.any(ystar != 0.0)
+        assert np.all(L @ (J.T @ ystar) >= 0.0)
+    elif name == "kkt-constraint":
+        m = rep["multipliers"]
+        w, lam, ystar = (np.array(m[k]) for k in ("weights", "lambda", "ystar"))
+        grads = np.array([mu.jacobian(p.x0)[0] for mu in p.constraint.mu])
+        active = np.array([abs(mu(p.x0)[0]) <= 1e-9 for mu in p.constraint.mu])
+        assert np.all(w >= 0.0) and np.allclose(K.T @ w, ystar)
+        assert np.all(lam >= 0.0) and np.all(lam[~active] == 0.0)
+        assert ystar @ np.array(doc["e"]) == pytest.approx(1.0)
+        residual = J.T @ ystar + grads.T @ lam
+        assert np.allclose(m["residual_in_Lpolar"], -residual)
+        assert np.all(L @ residual >= 0.0)
+    else:
+        wit, vm = rep["witness"], doc["vector_mode"]
+        ystar, xstar = np.array(wit["ystar"]), np.array(wit["xstar"])
+        assert _in_row_cone(K, ystar)
+        assert ystar @ np.array(vm["e"], dtype=float) == pytest.approx(1.0)
+        assert np.allclose(xstar, J.T @ ystar)
+        assert np.abs(xstar).sum() <= vm["ell"]
+        # -x* = N^T a + q with a >= 0 over the normal-cone generators N
+        # (minus the active rows of A) and L q <= 0: rows in a alone
+        N = -problemfile.parse_set(doc["A"]).active_rows(p.x0)
+        ge = [(row, 0.0) for row in np.eye(len(N))]
+        ge += [(ell @ N.T, -float(ell @ xstar)) for ell in L]
+        assert rational_feasible(len(N), ge, [])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dirpareto import lp
 from dirpareto.lp import LPError, LPProblem, lp_feasible, lp_minimize
 
 from oracles import rational_feasible
@@ -202,9 +203,11 @@ def test_feasibility_matches_rational_oracle_500():
 
 @pytest.mark.parametrize("decades", [3, 6, 9])
 def test_badly_scaled_rows_match_highs(decades):
-    """300 random LPs (n = 2..6, some variables nonnegative) with every row
-    multiplied by a factor spread over 10^+-decades: verdicts equal HiGHS
-    on the unscaled rows and witnesses satisfy the unscaled rows."""
+    """300 random LPs (n = 2..6, some variables nonnegative, some
+    homogeneous rows a.v >= 0) with every row multiplied by a factor spread
+    over 10^+-decades: verdicts equal HiGHS on the unscaled rows, witnesses
+    satisfy the unscaled rows, and the minimum of a random objective equals
+    HiGHS's (or both find it unbounded)."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(decades)
     for _ in range(300):
@@ -218,6 +221,9 @@ def test_badly_scaled_rows_match_highs(decades):
         if rng.random() < 0.5:        # often infeasible
             b_ge = b_ge + rng.uniform(0.0, 3.0, len(a_ge))
         b_eq = a_eq @ x0
+        cone = rng.standard_normal((int(rng.integers(0, n + 1)), n))
+        a_ge = np.vstack([a_ge, cone])
+        b_ge = np.append(b_ge, np.zeros(len(cone)))
         p = LPProblem(n, nonneg=nonneg)
         for a, b in zip(a_ge, b_ge):
             s = 10.0 ** rng.uniform(-decades, decades)
@@ -226,17 +232,72 @@ def test_badly_scaled_rows_match_highs(decades):
             s = 10.0 ** rng.uniform(-decades, decades)
             p.add_eq(s * a, s * b)
         bounds = [(0.0, None) if j in nonneg else (None, None) for j in range(n)]
-        ref = linprog(np.zeros(n), A_ub=-a_ge, b_ub=-b_ge,
-                      A_eq=a_eq if len(a_eq) else None,
-                      b_eq=b_eq if len(a_eq) else None,
-                      bounds=bounds, method="highs")
+        eq = dict(A_eq=a_eq, b_eq=b_eq) if len(a_eq) else {}
+        ref = linprog(np.zeros(n), A_ub=-a_ge, b_ub=-b_ge, **eq, bounds=bounds,
+                      method="highs")
         assert ref.status in (0, 2)
         w = lp_feasible(p)
         assert (w is not None) == (ref.status == 0)
-        if w is not None:
-            assert np.all(a_ge @ w >= b_ge - 1e-6)
-            assert np.all(np.abs(a_eq @ w - b_eq) <= 1e-6)
-            assert np.all(w[nonneg] >= -1e-6)
+        if w is None:
+            continue
+        assert np.all(a_ge @ w >= b_ge - 1e-6)
+        assert np.all(np.abs(a_eq @ w - b_eq) <= 1e-6)
+        assert np.all(w[nonneg] >= -1e-6)
+        p.objective = rng.standard_normal(n)
+        # HiGHS's presolve reports some unbounded LPs as infeasible
+        ref = linprog(p.objective, A_ub=-a_ge, b_ub=-b_ge, **eq, bounds=bounds,
+                      method="highs", options={"presolve": False})
+        assert ref.status in (0, 3)
+        if ref.status == 3:
+            with pytest.raises(LPError, match="unbounded below"):
+                lp_minimize(p)
+            continue
+        val, arg = lp_minimize(p)
+        assert val == pytest.approx(ref.fun, rel=1e-6, abs=1e-6)
+        assert np.all(a_ge @ arg >= b_ge - 1e-6)
+        assert np.all(np.abs(a_eq @ arg - b_eq) <= 1e-6)
+        assert np.all(arg[nonneg] >= -1e-6)
+
+
+def test_cone_section_lp_of_a_weak_sufficiency_query():
+    """The nontriviality LP DirectionSet.cone_section solves for the cone
+    of a weak tangent-sufficiency query (lp-certificates, seed 190, query
+    131): three homogeneous rows and v0 >= 1.  The all-artificial start
+    ended phase 1 unbounded on round-off here."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rows = np.array([
+        [-0.5672471290602392, -0.0361026129615247, 1.4705734418791008],
+        [0.3231093742615922, -0.4697656880702885, 1.606458796445989],
+        [-0.3308168799264883, 0.4809716970951518, 1.4753255467615498],
+        [1.0, 0.0, 0.0]])
+    rhs = np.array([0.0, 0.0, 0.0, 1.0])
+    p = LPProblem(3)
+    p.add_ge(rows, rhs)
+    w = lp_feasible(p)
+    ref = linprog(np.zeros(3), A_ub=-rows, b_ub=-rhs, bounds=[(None, None)] * 3,
+                  method="highs")
+    assert (w is not None) == (ref.status == 0)
+    if w is not None:
+        assert np.all(rows @ w >= rhs - 1e-9 * np.abs(rows).max(axis=1))
+
+
+def test_rows_with_nonpositive_rhs_need_no_phase_1_pivot(monkeypatch):
+    """Inequalities a.v >= b with b <= 0 start feasible with their slacks
+    basic, so a feasibility LP of only such rows makes no pivot at all."""
+    pivots = []
+    real_pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", lambda *args: pivots.append(args) or real_pivot(*args))
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        a = rng.standard_normal((int(rng.integers(1, 3 * n + 1)), n))
+        b = np.where(rng.random(len(a)) < 0.5, 0.0, -rng.uniform(0.0, 2.0, len(a)))
+        p = LPProblem(n, nonneg=[j for j in range(n) if rng.random() < 0.5])
+        p.add_ge(a, b)
+        p.add_le(a[:1], 1.0)          # -a.v >= -1: its rhs is negative too
+        w = lp_feasible(p)
+        assert w is not None and np.all(a @ w >= b) and a[0] @ w <= 1.0
+    assert pivots == []
 
 
 # ---------------------------------------------------------------------------
