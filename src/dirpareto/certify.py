@@ -261,9 +261,9 @@ def check_first_order_necessary(p: Problem, directions) -> dict:
             break
     U = np.reshape(U, (-1, dim))
     outside = ~cone_contains_many(p.L, U)
-    # a non-finite gradient or Jacobian would warn about directions that a
-    # loop stopping at the first failure never reaches; the tests below
-    # decide on the values alone
+    # an image or gradient product that overflows would warn about
+    # directions that a loop stopping at the first failure never reaches;
+    # the tests below decide on the values alone
     with np.errstate(all="ignore"):
         ascent = (row_dots(np.reshape(active, (-1, dim)), U) > FEAS_TOL).any(axis=1)
         off = (np.abs(row_dots(np.reshape(equality, (-1, dim)), U)) > FEAS_TOL).any(axis=1)

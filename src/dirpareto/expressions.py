@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,9 +265,12 @@ def int_power(a, k: int):
     may differ by a few ulp.  As with ``pow``, ``a^0`` is 1.0 for every
     ``a``, nan included, and signed zero and infinite bases keep their
     signs.  A zero ``a^|k|`` under ``k < 0`` is ±inf in an array and
-    raises ZeroDivisionError on a Python float.  Where a finite ``a^|k|``
-    overflows under ``k < 0``, ``a^k`` may still be a subnormal, so those
-    elements take ``(1.0 / a)^|k|`` instead of 0.
+    raises ZeroDivisionError on a Python float.  Where a finite nonzero
+    ``a^|k|`` leaves the normal range under ``k < 0``, ``1.0 / a^|k|``
+    would magnify its lost bits (or give 0 for a subnormal ``a^k``), so
+    those elements power the mantissa ``m`` of ``a = m 2^e`` instead, which
+    stays normal while ``|k| < 1022``, and scale by ``2^(e k)`` with one
+    rounding; for larger ``|k|``, ``(1.0 / a)^|k|`` is within ``|k|`` ulp.
     """
     base, n, out = a, abs(k), None
     while n:
@@ -279,11 +283,23 @@ def int_power(a, k: int):
         return a ** 0  # exactly 1 on every libm (C99 F.9.4.4), nan included
     if k > 0:
         return out
-    over = (abs(out) == math.inf) & (abs(base) < math.inf)
+    size = abs(out)
+    off = (((size < sys.float_info.min) & (size > 0.0) | (size == math.inf))
+           & (abs(base) < math.inf))
     out = 1.0 / out
-    if np.any(over):
-        small = int_power(1.0 / base, -k)
-        out = np.where(over, small, out) if isinstance(out, np.ndarray) else small
+    if np.any(off):
+        array = isinstance(out, np.ndarray)
+        b = base[off] if array else base
+        if k > -1022:
+            m, e = np.frexp(b)
+            with np.errstate(over="ignore"):  # an infinite a^k, as 1.0 / a^|k| gives
+                b = np.ldexp(int_power(m, k), e * k)
+        else:
+            b = int_power(1.0 / b, -k)
+        if array:
+            out[off] = b
+        else:
+            out = float(b)
     return out
 
 

@@ -72,10 +72,13 @@ class SmoothMap:
 
     def jacobian(self, x) -> np.ndarray:
         x = as_vector(x, self.dim_in)
-        if self.jac is not None:
-            J = np.asarray(self.jac(x), dtype=float)
-            return J.reshape(self.dim_out, self.dim_in)
-        return finite_difference_jacobian(self, x)
+        if self.jac is None:
+            return finite_difference_jacobian(self, x)
+        J = np.asarray(self.jac(x), dtype=float).reshape(self.dim_out, self.dim_in)
+        if not np.isfinite(J).all():
+            raise ex.EvaluationError(
+                f"{self.name}: the Jacobian at {x.tolist()} has non-finite entries")
+        return J
 
 
 def finite_difference_jacobian(f: SmoothMap, x: np.ndarray) -> np.ndarray:

@@ -571,7 +571,7 @@ def _first_order_outcome(run):
     try:
         with np.errstate(all="ignore"):
             out = run()
-    except (CertifyError, GeometryError, ValueError) as exc:
+    except (CertifyError, EvaluationError, GeometryError, ValueError) as exc:
         return type(exc), str(exc)
     return out["holds"], [(c.direction, c.image, type(c.violated), c.violated)
                           for c in out["checks"]]
@@ -607,13 +607,21 @@ INFINITE_JACOBIAN = Problem(
     R2_PLUS, FIRST_ORDER.L, FIRST_ORDER.xbar, constraint=FIRST_ORDER.constraint)
 
 
+# finite, but the images of directions with |x2| > 1.8 overflow
+OVERFLOWING_JACOBIAN = Problem(
+    SmoothMap("overflowing-jacobian", 3, 2, FIRST_ORDER.f.fn,
+              lambda x: np.array([[1.0, 2.0, 1e308], [0.0, 1.0, 3.0]])),
+    R2_PLUS, FIRST_ORDER.L, FIRST_ORDER.xbar, constraint=FIRST_ORDER.constraint)
+
+
 def test_first_order_warns_about_no_direction_past_the_first_failure():
-    """(0, 0, 1) maps to (inf, 3), which the test against K rejects; the
-    zero direction after it would make inf * 0, but the one-point loop
-    never reaches it, so the batch raises the same error and no warning."""
+    """An analytic Jacobian with an infinite entry is rejected where it is
+    evaluated, naming the map and the point, before any direction is
+    mapped: no inf * 0 and no warning for the zero direction."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(GeometryError, match="^vector has non-finite entries$"):
+        with pytest.raises(EvaluationError, match=(
+                r"^infinite-jacobian: the Jacobian at \[0.0, 0.0, 0.0\] has non-finite entries$")):
             check_first_order_necessary(INFINITE_JACOBIAN, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
 
 
@@ -642,11 +650,11 @@ def test_first_order_matches_a_one_point_loop(names):
     st.sampled_from(sorted(FIRST_ORDER_DIRECTIONS)),
     st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)), max_size=8))
 def test_first_order_with_random_directions_matches_a_one_point_loop(items):
-    """Also with no constraint, and with a Jacobian whose images are not
-    finite, which the one-point loop rejects at the first admissible
-    direction."""
+    """Also with no constraint, with a Jacobian whose images overflow,
+    which the one-point loop rejects at the first admissible direction,
+    and with an infinite Jacobian, which both reject before any direction."""
     dirs = [FIRST_ORDER_DIRECTIONS[i] if isinstance(i, str) else i for i in items]
-    for p in (FIRST_ORDER, INFINITE_JACOBIAN,
+    for p in (FIRST_ORDER, OVERFLOWING_JACOBIAN, INFINITE_JACOBIAN,
               Problem(FIRST_ORDER.f, R2_PLUS, DirectionSet.full_sphere(3), (0.0, 0.0, 0.0))):
         assert (_first_order_outcome(lambda: check_first_order_necessary(p, dirs))
                 == _first_order_outcome(lambda: _pointwise_first_order(p, dirs)))
