@@ -13,14 +13,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    TOL,
     DirectionSet,
     GeometryError,
     HalfspaceCone,
     as_vector,
     cone_contains_many,
     direction_samples,
+    ray_points,
     row_dots,
     row_products,
+    unit_blocks,
 )
 from .lp import LPProblem, lp_feasible
 from .maps import SmoothMap
@@ -50,30 +53,6 @@ class GridSpec:
         """The grid x = xbar + t*ell, ell from L outer and t inner."""
         dirs = direction_samples(L, self.rays_per_level, self.seed)
         return ray_points(xbar, dirs, self.t_values())
-
-
-def ray_points(xbar, dirs, ts) -> np.ndarray:
-    """Rows xbar + t*ell in ray-major order: ell over ``dirs`` on the
-    outer loop, t over ``ts`` on the inner one."""
-    pts = np.asarray(ts)[None, :, None] * np.asarray(dirs)[:, None, :]
-    pts += xbar  # in place: the grid is the one array allocated
-    return pts.reshape(-1, pts.shape[2])
-
-
-# Rays (grid walk) or candidates (sampled tangent search) per batch: the
-# blocks double from 1 up to this cap, so an early hit costs little and a
-# full walk takes few steps.
-MAX_BLOCK = 64
-
-
-def doubling_blocks(n: int):
-    """``(start, stop)`` of consecutive blocks covering ``range(n)``, of
-    sizes 1, 2, 4, ... up to MAX_BLOCK."""
-    start, size = 0, 1
-    while start < n:
-        yield start, min(start + size, n)
-        start += size
-        size = min(2 * size, MAX_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -154,10 +133,15 @@ def _feasible(constraint, X) -> tuple[np.ndarray, Exception | None]:
 
 
 def _violations(D: np.ndarray, K: HalfspaceCone, weak: bool) -> np.ndarray:
-    """Which rows d = f(x)-f(xbar) of D are minimality violations?"""
+    """Which rows d = f(x)-f(xbar) of D are minimality violations?
+
+    One product P = K.rows @ d per row serves both sides: negation is
+    exact and rounding sign-symmetric, so the products of -d are -P and
+    this decides as ``K.contains_many`` on -D and D does."""
+    P = row_products(K.rows, D)
     if weak:
-        return K.contains_many(-D, strict=True)  # d in -int K
-    return K.contains_many(-D) & ~K.contains_many(D)  # d in -K \ K
+        return np.all(P < -TOL, axis=1)  # d in -int K
+    return np.all(P <= TOL, axis=1) & np.any(P < -TOL, axis=1)  # d in -K \ K
 
 
 def _walk(points, levels: int, constraint, diff, K: HalfspaceCone,
@@ -165,15 +149,17 @@ def _walk(points, levels: int, constraint, diff, K: HalfspaceCone,
     """Walk the grid in order; the first feasible point whose difference
     violates minimality refutes, and no violation certifies.
 
-    Each step takes a block of whole rays (``levels`` points each), the
-    blocks doubling from 1 ray up to MAX_BLOCK: its feasible points under
+    Each step takes a block of whole rays (``levels`` points each): the
+    whole grid when it has at most MAX_POINTS points, else MAX_POINTS //
+    levels rays at a time.  It finds the block's feasible points under
     ``constraint``, their differences ``diff(chunk) -> (D, error)`` and
-    the violation test on all of them.  Feasibility and ``diff`` stop at
+    runs the violation test on all of them.  Feasibility and ``diff`` stop at
     the first point that raises and hand back its exception, which counts
     only if no earlier row is non-finite or violating, as in a walk point
     by point."""
     samples = 0
-    for start, stop in doubling_blocks(len(points) // levels):
+    rays = len(points) // levels
+    for start, stop in unit_blocks(rays, levels, rays):
         chunk = points[start * levels:stop * levels]
         ok, constraint_error = _feasible(constraint, chunk)
         chunk = chunk[:len(ok)][ok]
@@ -200,6 +186,8 @@ def certify_directional_min(p: Problem, weak: bool = False) -> CertReport:
     """Sample x = xbar + t*ell over the grid and hunt for a violation."""
     xbar = p.x0
     f0 = p.f(xbar)
+    if not np.isfinite(f0).all():
+        raise CertifyError(f"non-finite objective value at the reference point {xbar.tolist()}")
 
     def diff(chunk):
         Y, error = p.f.eval_rows(chunk)

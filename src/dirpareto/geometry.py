@@ -70,6 +70,34 @@ def row_dots(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.matmul(G[None, :, None, :], X[:, None, :, None])[:, :, 0, 0]
 
 
+def ray_points(xbar, dirs, ts) -> np.ndarray:
+    """Rows xbar + t*ell in ray-major order: ell over ``dirs`` on the
+    outer loop, t over ``ts`` on the inner one."""
+    pts = np.asarray(ts)[None, :, None] * np.asarray(dirs)[:, None, :]
+    pts += xbar  # in place: the grid is the one array allocated
+    return pts.reshape(-1, pts.shape[2])
+
+
+# Points per batch of the grid walk and of the sampled tangent search.
+# Each batch pays a fixed cost of small numpy calls, so the walk takes the
+# whole grid at once and the search grows its blocks 8x after testing u
+# alone; this bound only caps the size of the temporaries.
+MAX_POINTS = 1 << 16
+
+
+def unit_blocks(n: int, per_unit: int, first: int):
+    """``(start, stop)`` of consecutive blocks covering ``range(n)`` units
+    of ``per_unit`` points each (rays, candidates): ``first`` units, then 8
+    times the block before, never more than MAX_POINTS // per_unit units
+    (but at least one)."""
+    cap = max(1, MAX_POINTS // per_unit)
+    start, size = 0, min(first, cap)
+    while start < n:
+        yield start, min(start + size, n)
+        start += size
+        size = min(8 * size, cap)
+
+
 def frozen_array(x, ndim: int) -> np.ndarray:
     """A read-only float64 copy of ``x`` with ``ndim`` axes and finite entries.
 

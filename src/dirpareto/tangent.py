@@ -22,9 +22,10 @@ from .geometry import (
     cone_contains,
     cone_contains_many,
     frozen_array,
+    ray_points,
     row_norms,
+    unit_blocks,
 )
-from .certify import doubling_blocks, ray_points
 from .maps import SmoothMap
 from .sets import PolyhedralSet
 
@@ -173,7 +174,7 @@ def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
         # first hit counts in candidate-major, sub-step-minor order
         substeps = t * 0.5 ** (0.5 * np.arange(8))
         found = None
-        for start, stop in doubling_blocks(len(cands)):
+        for start, stop in unit_blocks(len(cands), len(substeps), 1):
             block = cands[start:stop]
             inside = np.flatnonzero(A.contains_many(ray_points(xbar, block, substeps)))
             if inside.size:

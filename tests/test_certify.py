@@ -6,23 +6,23 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dirpareto import geometry
 from dirpareto.certify import (
     FEAS_TOL,
-    MAX_BLOCK,
     CertifyError,
     CertReport,
     DirectionCheck,
     GridSpec,
     IneqEq,
     Problem,
+    _violations,
     certify_directional_min,
     certify_set_min,
     check_first_order_necessary,
     openness_falsifier,
-    ray_points,
     tangent_sufficiency_sets,
 )
 from dirpareto.gallery import (
@@ -41,12 +41,14 @@ from dirpareto.gallery import (
 )
 from dirpareto.expressions import EvaluationError, piecewise_from_spec
 from dirpareto.geometry import (
+    TOL,
     DirectionSet,
     GeometryError,
     HalfspaceCone,
     as_vector,
     cone_contains,
     direction_samples,
+    ray_points,
 )
 from dirpareto.maps import SmoothMap, builtin, from_expressions, sector_map
 from dirpareto.sets import ImplicitSet, PolygonRegion, PolyhedralSet, curve_halfplane_set
@@ -147,7 +149,7 @@ def test_vacuous_set_certificate_says_so():
 
 
 # ---------------------------------------------------------------------------
-# the walker takes doubling blocks of rays and decides as a walk point by
+# the walker takes blocks of whole rays and decides as a walk point by
 # point
 
 def _pointwise_walk(p, weak=False):
@@ -244,21 +246,34 @@ def test_walk_evaluates_f_one_ray_at_a_time(monkeypatch):
     rep = certify_directional_min(p)
     assert rep.verdict == "refuted"
     assert calls["__call__"] == 1
-    assert 0 < calls["eval_rows"] <= 6  # 32 rays: blocks of 1, 2, 4, 8, 16, 1
+    assert 0 < calls["eval_rows"] <= 6  # 32 x 21 points: one block
 
 
 # A multi-ray grid with events placed at chosen (ray, level) points: the
 # objective is -1 (a violation under R_PLUS), undefined or infinite there,
 # and the constraint raises or rejects there; elsewhere f = 1 and every
-# point is feasible.  Twelve rays split into blocks [0,1) [1,3) [3,7) and
-# the partial [7,12).
+# point is feasible.  At the default MAX_POINTS the twelve rays are one
+# block, so the walks below also run with one and with three rays a block
+# (blocks [0,3) [3,6) [6,9) [9,12)).
 EVENT_RAYS = 12
 EVENT_GRID = GridSpec(radius=0.5, levels=3, rays_per_level=EVENT_RAYS)
 EVENT_L = _circle(EVENT_RAYS)
 EVENTS = ("violation", "undefined", "nonfinite", "constraint-raises", "infeasible")
-# both sides of each block boundary (0|1, 2|3, 6|7), then inside and at
-# the end of the partial last block
+EVENT_MAX_POINTS = (EVENT_GRID.levels, 3 * EVENT_GRID.levels, geometry.MAX_POINTS)
+# at one ray a block every ray is at a boundary; at three rays a block
+# these are both sides of 2|3, the first rays of two later blocks (6, 9),
+# the grid's first and last rays and two rays inside a block (1, 7)
 BOUNDARY_RAYS = (0, 1, 2, 3, 6, 7, 9, 11)
+
+
+def _walk_outcomes(p, weak=False):
+    """The outcome of certify_directional_min(p) under each EVENT_MAX_POINTS."""
+    outcomes = []
+    for max_points in EVENT_MAX_POINTS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "MAX_POINTS", max_points)
+            outcomes.append(_outcome(lambda: certify_directional_min(p, weak=weak)))
+    return outcomes
 
 
 def _event_problem(events):
@@ -291,17 +306,18 @@ def _event_problem(events):
 @pytest.mark.parametrize("kind", EVENTS)
 def test_walk_event_at_a_block_boundary_matches_the_point_by_point_walk(kind, ray):
     p = _event_problem({(ray, 1): kind})
-    assert _outcome(lambda: certify_directional_min(p)) == _outcome(lambda: _pointwise_walk(p))
+    assert _walk_outcomes(p) == [_outcome(lambda: _pointwise_walk(p))] * len(EVENT_MAX_POINTS)
 
 
 @pytest.mark.parametrize("later", ["undefined", "nonfinite", "constraint-raises"])
 @pytest.mark.parametrize("first, second", [(3, 5), (3, 6), (7, 11), (1, 2)])
 def test_walk_refutes_before_a_later_event_in_the_same_block(later, first, second):
-    """A violation in one ray refutes even if a later ray of its block is
-    undefined, non-finite or has a raising constraint."""
+    """A violation in one ray refutes even if a later ray of its block (or
+    of a later block) is undefined, non-finite or has a raising
+    constraint."""
     p = _event_problem({(first, 2): "violation", (second, 0): later})
-    got = _outcome(lambda: certify_directional_min(p))
-    assert got == _outcome(lambda: _pointwise_walk(p))
+    got = _outcome(lambda: _pointwise_walk(p))
+    assert _walk_outcomes(p) == [got] * len(EVENT_MAX_POINTS)
     assert got["verdict"] == "refuted"
     assert got["samples"] == first * EVENT_GRID.levels + 3
 
@@ -313,15 +329,16 @@ def test_walk_refutes_before_a_later_event_in_the_same_block(later, first, secon
        st.booleans())
 def test_walk_with_random_events_matches_the_point_by_point_walk(events, weak):
     p = _event_problem(events)
-    assert (_outcome(lambda: certify_directional_min(p, weak=weak))
-            == _outcome(lambda: _pointwise_walk(p, weak)))
+    assert (_walk_outcomes(p, weak)
+            == [_outcome(lambda: _pointwise_walk(p, weak))] * len(EVENT_MAX_POINTS))
 
 
 @pytest.mark.parametrize("rays", [EVENT_RAYS, 200])
-def test_walk_refuted_at_ray_r_evaluates_at_most_2r_plus_1_rays(monkeypatch, rays):
-    """The walk refuted at ray r (counted from 0) evaluates the rays of
-    its block and the blocks before: at most 2r + 1 rays, and at most
-    r + MAX_BLOCK once the blocks stop doubling."""
+def test_walk_refuted_at_ray_r_evaluates_the_blocks_through_r(monkeypatch, rays):
+    """The walk refuted at ray r (counted from 0) evaluates r's block and
+    the blocks before it, each of MAX_POINTS // levels rays: the whole
+    grid in one batch at the default MAX_POINTS, and with MAX_POINTS
+    patched to five rays a block, every ray up to the end of r's block."""
     rows = []
     original = SmoothMap.eval_rows
     monkeypatch.setattr(SmoothMap, "eval_rows",
@@ -329,14 +346,67 @@ def test_walk_refuted_at_ray_r_evaluates_at_most_2r_plus_1_rays(monkeypatch, ray
     f = from_expressions(["x1"], 2)  # violated exactly on the one downward ray
     grid = GridSpec(radius=0.5, levels=2, rays_per_level=rays)
     upward = np.linspace(0.1, 3.0, rays)
-    for r in range(rays):
-        ang = np.where(np.arange(rays) == r, -np.pi / 2, upward)
-        L = DirectionSet.finite(np.stack([np.cos(ang), np.sin(ang)], axis=1))
-        rows.clear()
-        rep = certify_directional_min(Problem(f, R_PLUS, L, (0.0, 0.0), grid))
-        assert rep.verdict == "refuted" and rep.samples == 2 * r + 1
-        evaluated = sum(rows) // grid.levels
-        assert r < evaluated <= min(2 * r + 1, r + MAX_BLOCK), r
+    for max_points in (5 * grid.levels, geometry.MAX_POINTS):
+        monkeypatch.setattr(geometry, "MAX_POINTS", max_points)
+        per_block = max_points // grid.levels
+        for r in range(rays):
+            ang = np.where(np.arange(rays) == r, -np.pi / 2, upward)
+            L = DirectionSet.finite(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+            rows.clear()
+            rep = certify_directional_min(Problem(f, R_PLUS, L, (0.0, 0.0), grid))
+            assert rep.verdict == "refuted" and rep.samples == 2 * r + 1
+            blocks = r // per_block + 1
+            assert len(rows) == blocks, (max_points, r)
+            assert sum(rows) == min(blocks * per_block, rays) * grid.levels, (max_points, r)
+
+
+def test_non_finite_objective_at_the_reference_point_is_named_as_such():
+    """1/x0 overflows to inf at x0 = 1e-320 without raising; the error
+    names the reference point, not the first grid point."""
+    p = Problem(from_expressions(["1/x0"], 1), R_PLUS, L_PLUS, (1e-320,), RAY)
+    with pytest.raises(CertifyError, match=r"^non-finite objective value at "
+                                           r"the reference point \[1e-320\]$"):
+        certify_directional_min(p)
+
+
+# entries of K rows and differences d: zeros of both signs, products
+# exactly at +-TOL (with unit rows), huge entries whose products overflow
+# (and sum to nan), subnormal entries, and plain floats
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, TOL, -TOL, 1.0, -1.0, 2.0, 1e300, -1e300,
+                     5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+           st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim), min_size=1, max_size=3),
+           st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim), max_size=8))),
+       st.booleans())
+@example(([[1.0]], [[TOL], [-TOL], [0.0], [-0.0], [2 * TOL], [-2 * TOL]]), False)
+@example(([[1.0]], [[TOL], [-TOL], [0.0], [-0.0], [2 * TOL], [-2 * TOL]]), True)
+@example(([[1.0, 0.0], [0.0, 1.0]],
+          [[TOL, -TOL], [TOL, -2 * TOL], [-TOL, -TOL], [-TOL, 0.0], [-0.0, -TOL],
+           [0.0, -0.0], [-1e300, -1e300], [5e-324, -1.0]]), False)
+@example(([[1.0, 0.0], [0.0, 1.0]],
+          [[TOL, -TOL], [-TOL, -TOL], [-2 * TOL, -TOL], [-1.0, -5e-324]]), True)
+@example(([[1e300, -1e300]], [[1e300, 1e300], [-1e300, -1e300], [1e300, -1e300]]), False)
+def test_one_product_violations_match_the_two_membership_tests(case, weak):
+    """_violations decides bit for bit as the two-call form
+    K.contains_many(-D) & ~K.contains_many(D) (strong) and
+    K.contains_many(-D, strict=True) (weak)."""
+    rows, D = case
+    with np.errstate(all="ignore"):
+        try:
+            K = HalfspaceCone.from_rows(rows)
+        except GeometryError:
+            assume(False)
+        D = np.reshape(np.array(D, dtype=float), (-1, K.dim))
+        got = _violations(D, K, weak)
+        want = (K.contains_many(-D, strict=True) if weak
+                else K.contains_many(-D) & ~K.contains_many(D))
+    assert got.dtype == want.dtype and got.shape == want.shape == (len(D),)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +499,7 @@ def test_set_walk_tests_membership_one_ray_at_a_time(monkeypatch):
     rep = certify_set_min(curve_halfplane_set(), (0.0, 0.0), R2_PLUS, _circle(128))
     assert rep.verdict == "refuted"
     assert calls["contains"] == 0
-    assert 0 < calls["contains_many"] <= 8  # 128 rays: blocks of 1, 2, ... 64, 1
+    assert 0 < calls["contains_many"] <= 8  # 128 x 21 points: one block
 
 
 LOWER_LEFT = PolyhedralSet.from_rows([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])

@@ -259,12 +259,15 @@ def _run(argv, doc, tmp_dir):
     (["no-such-command"], None),
     (["mintime", "--problem", "p.json", "--norm", "l3"], None),
     (["examples"], None),
+    (["certify"], {"schema_version": 1, "dim_in": 1, "objective": {"expressions": ["1/x0"]},
+                   "K": [[1]], "L": {"finite": [[1]]}, "point": [1e-320]}),
 ], ids=["L-finite-flat", "K-flat", "L-list", "point-number", "set-point-number",
         "directions-number", "directions-wrong-length", "set-number", "gerstewitz-no-y", "expression-number",
         "mu-number", "dim_in-fraction", "dim_in-bool", "levels-fraction",
         "rays-bool", "seed-fraction", "penalized-named-A", "g-dimension", "tangent-radius-0",
         "tangent-radius-negative", "no-problem-flag",
-        "levels-not-int", "unknown-command", "unknown-norm", "examples-no-action"])
+        "levels-not-int", "unknown-command", "unknown-norm", "examples-no-action",
+        "objective-infinite-at-point"])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, argv, doc):
     code, err, reports = _run(argv, doc, str(tmp_path))
     assert code == 1

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from dirpareto import geometry
 from dirpareto.geometry import DirectionSet, GeometryError, HalfspaceCone
 from dirpareto.maps import SmoothMap, from_expressions
 from dirpareto.problemfile import parse_direction_set, parse_set, read, vector
@@ -130,14 +131,14 @@ def test_cardioid_unrestricted_tangent_member():
 
 
 @pytest.mark.parametrize("L, batches", [
-    (DirectionSet.finite([[-1.0, 0.0]]), 151),
-    (None, 53),
+    (DirectionSet.finite([[-1.0, 0.0]]), 76),
+    (None, 52),
 ], ids=["restricted", "unrestricted"])
-def test_cardioid_search_asks_the_polygon_in_doubling_blocks(monkeypatch, L, batches):
-    """The candidates go to the set in blocks of 1, 2, 4, ... up to
-    MAX_BLOCK, a search stopping at its first hit: a fixed number of
-    membership batches per cardioid run, and one one-point query, for the
-    reference point."""
+def test_cardioid_search_asks_the_polygon_in_growing_blocks(monkeypatch, L, batches):
+    """The candidates go to the set in blocks of 1, 8, 64, ... candidates
+    (eight points each), a search stopping at its first hit: a fixed
+    number of membership batches per cardioid run, and one one-point
+    query, for the reference point."""
     calls = {"contains": 0, "contains_many": 0}
     for name in calls:
         def counted(self, x, _original=getattr(PolygonRegion, name), _name=name):
@@ -153,7 +154,8 @@ def test_cardioid_search_asks_the_polygon_in_doubling_blocks(monkeypatch, L, bat
 # sampled verdicts pinned in full: status, note and every evidence entry.
 # tangent_evidence.json holds _evidence_record of each _evidence_cases
 # query as computed by the one-point search that tried each candidate and
-# sub-step in turn; the batched search must find the same first hits.
+# sub-step in turn; the batched search must find the same first hits,
+# also with MAX_POINTS patched to one and to three candidates a block.
 
 HERE = os.path.dirname(__file__)
 
@@ -208,9 +210,12 @@ def test_sampled_evidence_matches_pinned_fixture():
         pinned = json.load(fh)
     cases = _evidence_cases()
     assert sorted(cases) == sorted(pinned)
-    for name, (A, xbar, L, u, sched) in cases.items():
-        got = _evidence_record(tangent_membership_sampled(A, xbar, L, u, sched))
-        assert got == pinned[name], name
+    for max_points in (8, 24, geometry.MAX_POINTS):  # 8 sub-steps a candidate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "MAX_POINTS", max_points)
+            for name, (A, xbar, L, u, sched) in cases.items():
+                got = _evidence_record(tangent_membership_sampled(A, xbar, L, u, sched))
+                assert got == pinned[name], (max_points, name)
 
 
 # ---------------------------------------------------------------------------
