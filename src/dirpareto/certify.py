@@ -182,12 +182,18 @@ def _walk(points, levels: int, constraint, diff, K: HalfspaceCone,
     return CertReport("certified_on_grid", weak, samples, note=note)
 
 
+def reference_value(f: SmoothMap, xbar: np.ndarray) -> np.ndarray:
+    """f(xbar), which every grid walk compares with: it must be finite."""
+    f0 = f(xbar)
+    if not np.isfinite(f0).all():
+        raise CertifyError(f"non-finite objective value at the reference point {xbar.tolist()}")
+    return f0
+
+
 def certify_directional_min(p: Problem, weak: bool = False) -> CertReport:
     """Sample x = xbar + t*ell over the grid and hunt for a violation."""
     xbar = p.x0
-    f0 = p.f(xbar)
-    if not np.isfinite(f0).all():
-        raise CertifyError(f"non-finite objective value at the reference point {xbar.tolist()}")
+    f0 = reference_value(p.f, xbar)
 
     def diff(chunk):
         Y, error = p.f.eval_rows(chunk)
@@ -347,7 +353,7 @@ def openness_falsifier(f: SmoothMap, xbar, L: DirectionSet, C: DirectionSet,
     if C.variant != "finite":
         raise CertifyError("target direction set C must be finite")
     xbar = as_vector(xbar, f.dim_in)
-    f0 = f(xbar)
+    f0 = reference_value(f, xbar)
     eps_schedule = list(eps_schedule if eps_schedule is not None
                         else [0.5 * 0.5 ** k for k in range(5)])
     dirs = direction_samples(L, 64)

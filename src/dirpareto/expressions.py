@@ -244,9 +244,8 @@ def parse_condition(text: str):
     return _Parser(text).parse(_GUARD)
 
 
-# operators that act alike on floats and on float arrays, so both evaluators
-# read them, as they read ``int_power``; division and the functions have a
-# rule per evaluator
+# operators that act alike on floats and on float arrays, so both modes of
+# ``compile_rows`` read them, as they read ``int_power``
 ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
@@ -303,11 +302,68 @@ def int_power(a, k: int):
     return out
 
 
-def _exponent(b) -> int:
-    """The integer that the '^' exponent ``b`` stands for."""
-    if not math.isfinite(b) or abs(b - round(b)) > EXPONENT_TOL:
-        raise EvaluationError(f"exponent must be an integer, got {b}")
-    return int(round(b))
+# -- evaluation ------------------------------------------------------------
+#
+# ``compile_rows`` is the one evaluator of the language.  Each rule fails
+# through one ``_fail`` call, which marks rows in rows mode and raises in
+# point mode.  Point mode stays on Python floats and the ``math``
+# functions: it makes no numpy scalar and no numpy warning.  Rows mode,
+# run under ``np.errstate(all="ignore")``, gives the same values bit for
+# bit: the four arithmetic operations, negation, ``abs`` and ``sqrt`` are
+# correctly rounded in numpy as in Python, ``^`` is ``int_power`` in both
+# modes, products only, and the ``math`` functions are called on each
+# element, because numpy's own ``sin``, ``cos`` and ``arctan`` loops
+# differ from libm in the last place on some inputs.
+
+def _fail(redo, fails, describe, *args):
+    """A rule of the language fails where ``fails`` holds: rows mode ORs
+    the bool array ``fails`` into ``redo``; point mode raises the
+    EvaluationError ``describe(*args)``, built only then."""
+    if redo is not None:
+        redo |= fails
+    elif fails:
+        raise EvaluationError(describe(*args))
+
+
+def _fails_everywhere(describe, *args):
+    """The closure of a node that fails on every point."""
+    def g(X, redo):
+        _fail(redo, True, describe, *args)
+        return np.zeros(len(X))
+    return g
+
+
+def _exponent(e, redo):
+    """The integer that the '^' exponent ``e`` stands for; in rows mode an
+    array of them, 0 where the rule fails.  It fails where ``e`` is not
+    finite or more than EXPONENT_TOL from an integer."""
+    if redo is None:
+        fails = not (math.isfinite(e) and abs(e - round(e)) <= EXPONENT_TOL)
+    else:
+        k = np.round(e)
+        ok = np.abs(e - k) <= EXPONENT_TOL  # False where e is not finite
+        fails, k = ~ok, np.where(ok, k, 0.0)
+    _fail(redo, fails, "exponent must be an integer, got {}".format, e)
+    return int(round(e)) if redo is None else k
+
+
+def _powers(a, k, redo):
+    """``int_power(a, k)``, inf where a zero ``a^|k|`` under ``k < 0``
+    raises on a float; in rows mode ``k`` is one int or the exponent of
+    each row, powered once per distinct exponent."""
+    if redo is None:
+        try:
+            return int_power(a, k)
+        except ZeroDivisionError:
+            return math.inf
+    if isinstance(k, int):
+        return int_power(a, k)
+    out = np.zeros(len(a))
+    ks, group = np.unique(k, return_inverse=True)
+    for j, kj in enumerate(ks.tolist()):
+        rows = group == j
+        out[rows] = int_power(a[rows], int(kj))
+    return out
 
 
 def _power_fails(a, out):
@@ -317,93 +373,19 @@ def _power_fails(a, out):
     return (abs(out) == math.inf) & (abs(a) < math.inf)
 
 
-def _left_spine(node: Bin):
-    """A left-deep chain of ``CHAIN_OPS``, such as the parse of a flat sum,
-    as its leftmost operand and the (op, right operand) pairs that apply to
-    it in turn, left to right."""
-    steps = []
-    while isinstance(node, Bin) and node.op in CHAIN_OPS:
-        steps.append((node.op, node.right))
-        node = node.left
-    return node, steps[::-1]
+def _power_error(a, k):
+    if a == 0.0:
+        return f"zero raised to the negative power {k}"
+    return f"{a!r}^{k} overflows the float range"
 
 
-def evaluate(node, x: np.ndarray) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.index >= len(x):
-            raise EvaluationError(f"variable x{node.index} out of range for dim {len(x)}")
-        return float(x[node.index])
-    if isinstance(node, Neg):
-        return -evaluate(node.operand, x)
-    if isinstance(node, Bin) and node.op in CHAIN_OPS:
-        # a loop, not a recursion, along the chain: a flat sum of any length
-        first, steps = _left_spine(node)
-        acc = evaluate(first, x)
-        for op, right in steps:
-            b = evaluate(right, x)
-            if op != "/":
-                acc = ARITHMETIC[op](acc, b)
-            elif b == 0.0:
-                raise EvaluationError("division by zero")
-            else:
-                acc = acc / b
-        return acc
-    if isinstance(node, Bin) and node.op == "^":
-        a = evaluate(node.left, x)
-        k = _exponent(evaluate(node.right, x))
-        try:
-            out = int_power(a, k)
-        except ZeroDivisionError:  # a^|k| is zero under k < 0
-            out = math.inf
-        if _power_fails(a, out):
-            if a == 0.0:
-                raise EvaluationError(f"zero raised to the negative power {k}")
-            raise EvaluationError(f"{a!r}^{k} overflows the float range")
-        return out
-    if isinstance(node, Call):
-        args = [evaluate(a, x) for a in node.args]
-        if node.name == "sqrt":
-            if args[0] < 0:
-                raise EvaluationError("sqrt of a negative number")
-            return math.sqrt(args[0])
-        try:
-            return float(FUNCTIONS[node.name][1](*args))
-        except ValueError:  # math's domain error, e.g. sin(inf)
-            shown = ", ".join(repr(a) for a in args)
-            raise EvaluationError(f"{node.name}({shown}) is undefined") from None
-    if isinstance(node, Compare):
-        return COMPARE[node.op](evaluate(node.left, x), evaluate(node.right, x))
-    if isinstance(node, BoolOp):
-        a = evaluate(node.left, x)
-        if node.op == "and":
-            return bool(a) and bool(evaluate(node.right, x))
-        return bool(a) or bool(evaluate(node.right, x))
-    if isinstance(node, Piecewise):
-        for cond, expr in node.branches:
-            if cond is None or evaluate(cond, x):
-                return evaluate(expr, x)
-        raise EvaluationError("no piecewise branch matched")
-    raise EvaluationError(f"cannot evaluate node {node!r}")
+def _undefined(name, args):
+    return f"{name}({', '.join(repr(a) for a in args)}) is undefined"
 
-
-# -- evaluation over the rows of an array ----------------------------------
-#
-# ``compile_rows`` turns a node into a closure that computes ``evaluate`` on
-# every row of an array, bit for bit.  The four arithmetic operations,
-# negation, ``abs`` and ``sqrt`` are correctly rounded in numpy as in
-# Python, and ``^`` is ``int_power`` on both sides, products only.  Only
-# the ``math`` functions call the one-point function on each element,
-# because numpy's own ``sin``, ``cos`` and ``arctan`` loops differ from
-# libm in the last place on some inputs.  A closure never raises: it marks
-# the rows where ``evaluate`` may raise, and its caller settles those rows
-# one point at a time.
 
 def elementwise(fn, nargs: int):
-    """``fn`` called on each element of ``nargs`` float arrays, as the
-    one-point path calls it; nan where it raises an arithmetic or domain
-    error."""
+    """``fn`` called on each element of ``nargs`` float arrays, as point
+    mode calls it; nan where it raises an arithmetic or domain error."""
     def call(*args):
         try:
             return fn(*args)
@@ -425,93 +407,91 @@ def _on_rows(g, X, rows, redo):
     return out
 
 
-def _redo_all(X, redo):
-    redo[:] = True
-    return np.zeros(len(X))
-
-
-def _row_powers(a, e, redo):
-    """``int_power`` of each element of ``a`` to the exponent ``e`` of its
-    row, one call per distinct exponent; marks the rows whose exponent is
-    not an integer."""
-    k = np.round(e)
-    ok = np.abs(e - k) <= EXPONENT_TOL  # False where e is not finite
-    redo |= ~ok
-    out = np.zeros(len(a))
-    ks, group = np.unique(np.where(ok, k, 0.0), return_inverse=True)
-    for j, kj in enumerate(ks.tolist()):
-        rows = group == j
-        out[rows] = int_power(a[rows], int(kj))
-    return out
-
-
 def compile_rows(node, dim: int):
-    """``g(X, redo)``: ``evaluate(node, x)`` for each row x of the (n, dim)
-    array X, as an array.
+    """``g(X, redo)``, the value of ``node`` at the points of X.
 
-    The rows where ``evaluate`` may raise are marked True in the bool array
-    ``redo`` (no mark is ever cleared) and hold unspecified values; every
-    other row is exact.  A guard or branch of a ``Piecewise`` and the right
-    side of a ``BoolOp`` run only on the rows that reach them.
+    Rows mode: X is an (n, dim) array and ``redo`` a bool array; ``g``
+    returns the value at each row as an array, marks True in ``redo`` (no
+    mark is ever cleared) the rows where point mode may raise, and leaves
+    unspecified values there; every other row is exact.  A guard or
+    branch of a ``Piecewise`` and the right side of a ``BoolOp`` run only
+    on the rows that reach them.
+
+    Point mode: X is a list of ``dim`` Python floats and ``redo`` is None;
+    ``g`` returns the value as a float (a bool for a guard) or raises the
+    EvaluationError of the first rule that fails.
     """
     if isinstance(node, Num):
         value = node.value
-        return lambda X, redo: np.full(len(X), value, dtype=float)
+        return lambda X, redo: value if redo is None else np.full(len(X), value, dtype=float)
     if isinstance(node, Var):
         i = node.index
-        return _redo_all if i >= dim else (lambda X, redo: X[:, i])
+        if i >= dim:
+            return _fails_everywhere("variable x{} out of range for dim {}".format, i, dim)
+        return lambda X, redo: X[i] if redo is None else X[:, i]
     if isinstance(node, Neg):
         a = compile_rows(node.operand, dim)
         return lambda X, redo: -a(X, redo)
     if isinstance(node, Bin) and node.op in CHAIN_OPS:
-        first, steps = _left_spine(node)
-        start = compile_rows(first, dim)
-        steps = [(op, compile_rows(right, dim)) for op, right in steps]
+        # a loop, not a recursion, along a left-deep chain such as the
+        # parse of a flat sum: its leftmost operand, then each (op, right)
+        steps = []
+        while isinstance(node, Bin) and node.op in CHAIN_OPS:
+            steps.append((node.op, compile_rows(node.right, dim)))
+            node = node.left
+        start, steps = compile_rows(node, dim), steps[::-1]
 
         def chain(X, redo):
             acc = start(X, redo)
             for op, g in steps:
                 b = g(X, redo)
                 if op == "/":
-                    redo |= b == 0.0
+                    _fail(redo, b == 0.0, "division by zero".format)
                     acc = acc / b
                 else:
                     acc = ARITHMETIC[op](acc, b)
             return acc
         return chain
     if isinstance(node, Bin) and node.op == "^":
-        base, k, exponent = compile_rows(node.left, dim), None, None
+        base, exponent = compile_rows(node.left, dim), compile_rows(node.right, dim)
+        k = None
         if isinstance(node.right, Num):  # checked and rounded once, here
             try:
-                k = _exponent(node.right.value)
-            except EvaluationError:
-                return _redo_all
-        else:
-            exponent = compile_rows(node.right, dim)
+                k = _exponent(node.right.value, None)
+            except EvaluationError:  # not an integer: checked on each call, after the base
+                pass
 
         def power(X, redo):
             a = base(X, redo)
-            with np.errstate(all="ignore"):
-                out = (int_power(a, k) if exponent is None
-                       else _row_powers(a, exponent(X, redo), redo))
-            redo |= _power_fails(a, out)
+            ks = k if k is not None else _exponent(exponent(X, redo), redo)
+            out = _powers(a, ks, redo)
+            _fail(redo, _power_fails(a, out), _power_error, a, ks)
             return out
         return power
     if isinstance(node, Call) and node.name in FUNCTIONS:
         args = [compile_rows(a, dim) for a in node.args]
-        if node.name == "sqrt":
+        name = node.name
+        if name == "sqrt":
             def sqrt(X, redo):
                 v = args[0](X, redo)
-                redo |= v < 0
-                return np.sqrt(v)
+                _fail(redo, v < 0, "sqrt of a negative number".format)
+                return math.sqrt(v) if redo is None else np.sqrt(v)
             return sqrt
-        if node.name == "abs":
-            return lambda X, redo: np.abs(args[0](X, redo))
-        fn = _MATH[node.name]
+        if name == "abs":
+            return lambda X, redo: abs(args[0](X, redo))
+        fn, rows_fn = FUNCTIONS[name][1], _MATH[name]
 
         def call(X, redo):
-            out = fn(*[g(X, redo) for g in args])
-            redo |= np.isnan(out)  # a domain error
+            v = [g(X, redo) for g in args]
+            if redo is not None:
+                out = rows_fn(*v)
+                fails = np.isnan(out)  # a domain error, or a nan argument
+            else:
+                try:
+                    return fn(*v)
+                except ValueError:  # math's domain error, e.g. sin(inf)
+                    out, fails = None, True
+            _fail(redo, fails, _undefined, name, v)
             return out
         return call
     if isinstance(node, Compare) and node.op in COMPARE:
@@ -523,6 +503,9 @@ def compile_rows(node, dim: int):
         want = node.op == "and"  # the left value that makes the right side run
 
         def boolop(X, redo):
+            if redo is None:
+                t = bool(a(X, None))
+                return bool(b(X, None)) if t == want else t
             t = a(X, redo) != 0
             rows = np.flatnonzero(t == want)
             t[rows] = _on_rows(b, X, rows, redo) != 0
@@ -533,6 +516,11 @@ def compile_rows(node, dim: int):
                      compile_rows(expr, dim)) for cond, expr in node.branches]
 
         def piecewise(X, redo):
+            if redo is None:
+                for cond, expr in branches:
+                    if cond is None or cond(X, None):
+                        return expr(X, None)
+                _fail(None, True, "no piecewise branch matched".format)
             out = np.zeros(len(X))
             left = np.arange(len(X))  # rows that no guard has taken yet
             for cond, expr in branches:
@@ -544,10 +532,10 @@ def compile_rows(node, dim: int):
                 out[take] = _on_rows(expr, X, take, redo)
                 if not left.size:
                     break
-            redo[left] = True  # no branch matched
+            redo[left] = True  # the rows where point mode finds no branch
             return out
         return piecewise
-    return _redo_all  # evaluate raises on every row
+    return _fails_everywhere("cannot evaluate node {!r}".format, node)
 
 
 def piecewise_from_spec(branches) -> Piecewise:

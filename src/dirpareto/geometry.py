@@ -342,17 +342,12 @@ def conic_hull(L: DirectionSet):
 
 def cone_contains(L: DirectionSet, v) -> bool:
     """Membership of v in cone L (always true for the full sphere)."""
-    v = as_vector(v, L.dim)
-    hull = conic_hull(L)
-    if hull is None:
-        return True
-    if np.linalg.norm(v) <= TOL:
-        return True
-    return hull.contains(v)
+    return bool(cone_contains_many(L, as_vector(v, L.dim)[None])[0])
 
 
 def cone_contains_many(L: DirectionSet, V) -> np.ndarray:
-    """``cone_contains`` for each row of V."""
+    """Membership of each row of V in cone L: every row for the full
+    sphere, a row of norm at most TOL, else membership in the conic hull."""
     V = as_points(V, L.dim)
     hull = conic_hull(L)
     if hull is None:

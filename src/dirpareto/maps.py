@@ -7,7 +7,9 @@ EvaluationError.
 
 ``SmoothMap.eval_many`` evaluates a whole array of points.  Builtins and
 expression maps carry a batch form that equals the one-point call bit for
-bit; a map given only ``fn`` loops over the rows.
+bit; a map given only ``fn`` loops over the rows.  An expression map's
+``fn`` and ``fn_many`` are the point and rows modes of the same closures
+from ``expressions.compile_rows``.
 """
 
 from __future__ import annotations
@@ -98,13 +100,13 @@ def finite_difference_jacobian(f: SmoothMap, x: np.ndarray) -> np.ndarray:
 def from_expressions(exprs, dim_in: int, name: str = "expr") -> SmoothMap:
     """Build a map from one parsed/unparsed expression per output coordinate."""
     nodes = []
-    for e in exprs:
+    for e in exprs:  # a loop: the parser may use nearly all of the stack
         nodes.append(ex.parse_expression(e) if isinstance(e, str) else e)
-
-    def fn(x, _nodes=tuple(nodes)):
-        return np.array([ex.evaluate(n, x) for n in _nodes])
-
     columns = tuple(ex.compile_rows(n, dim_in) for n in nodes)
+
+    def fn(x):
+        x = x.tolist()
+        return np.array([column(x, None) for column in columns])
 
     def fn_many(X):
         redo = np.zeros(len(X), dtype=bool)
@@ -114,7 +116,7 @@ def from_expressions(exprs, dim_in: int, name: str = "expr") -> SmoothMap:
         Y[redo] = np.nan  # left to the one-point call
         return Y
 
-    return SmoothMap(name, dim_in, len(nodes), fn, fn_many=fn_many)
+    return SmoothMap(name, dim_in, len(columns), fn, fn_many=fn_many)
 
 
 def _saddle_x2_y2():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import GridSpec
+from .certify import GridSpec, reference_value
 from .geometry import (
     TOL,
     DirectionSet,
@@ -178,7 +178,7 @@ def calmness_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
     """
     grid = GridSpec(radius, levels, rays)
     xbar = as_vector(xbar, f.dim_in)
-    fx0 = as_vector(f(xbar), M.dim)
+    fx0 = as_vector(reference_value(f, xbar), M.dim)
     points = grid.points(xbar, L)
     denom = row_norms(points - xbar)
     rows = np.flatnonzero(denom > TOL)
@@ -200,7 +200,7 @@ def subregularity_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
     """
     grid = GridSpec(radius, levels, rays)
     xbar = as_vector(xbar, f.dim_in)
-    fx0 = as_vector(f(xbar), M.dim)
+    fx0 = as_vector(reference_value(f, xbar), M.dim)
     # the steps t*ell of the grid at the origin, taken back from xbar
     points = xbar - grid.points(np.zeros_like(xbar), L)
     num = _point_times(L, xbar - points)

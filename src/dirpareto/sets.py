@@ -50,11 +50,10 @@ class PolyhedralSet:
         return self.offsets
 
     def contains(self, x) -> bool:
-        x = as_vector(x, self.dim)
-        return bool(np.all(self.rows @ x >= self.offsets - TOL))
+        return bool(self.contains_many(as_vector(x, self.dim)[None])[0])
 
     def contains_many(self, X) -> np.ndarray:
-        """``contains`` for each row of X."""
+        """Membership of each row x of X: a_i . x >= b_i - TOL for every i."""
         prods = row_products(self.rows, as_points(X, self.dim))
         return np.all(prods >= self.offsets - TOL, axis=1)
 

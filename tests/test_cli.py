@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from dirpareto import cli, problemfile
 from dirpareto.cli import main
+from dirpareto.gallery import gallery_names
 from dirpareto.problemfile import ProblemFileError, normalize, parse_problem
 
 from oracles import rational_feasible
@@ -261,13 +262,20 @@ def _run(argv, doc, tmp_dir):
     (["examples"], None),
     (["certify"], {"schema_version": 1, "dim_in": 1, "objective": {"expressions": ["1/x0"]},
                    "K": [[1]], "L": {"finite": [[1]]}, "point": [1e-320]}),
+    (["openness"], {"schema_version": 1, "dim_in": 1, "objective": {"expressions": ["1/x0"]},
+                    "K": [[1]], "L": {"finite": [[1]]}, "C": {"finite": [[1]]},
+                    "point": [1e-320]}),
+    (["certify"], dict(SADDLE_DOC, L={"finite": [[1, 0]]}, point=[1e200, 0])),
+    (["first-order"], dict(SADDLE_DOC, objective={"builtin": "saddle_x2_y3"},
+                           point=[0, 1e155], directions=[[1, 0]])),
 ], ids=["L-finite-flat", "K-flat", "L-list", "point-number", "set-point-number",
         "directions-number", "directions-wrong-length", "set-number", "gerstewitz-no-y", "expression-number",
         "mu-number", "dim_in-fraction", "dim_in-bool", "levels-fraction",
         "rays-bool", "seed-fraction", "penalized-named-A", "g-dimension", "tangent-radius-0",
         "tangent-radius-negative", "no-problem-flag",
         "levels-not-int", "unknown-command", "unknown-norm", "examples-no-action",
-        "objective-infinite-at-point"])
+        "objective-infinite-at-point", "openness-infinite-at-point",
+        "builtin-overflows-at-point", "builtin-jacobian-overflows"])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, argv, doc):
     code, err, reports = _run(argv, doc, str(tmp_path))
     assert code == 1
@@ -552,14 +560,33 @@ def _same(got, want, where="report"):
 
 
 @pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(GOLDEN)))
-def test_golden_report(tmp_path, name):
+def test_golden_report(tmp_path, capsys, name):
+    """Each fixture's exit code and report, and nothing on stderr: in
+    certify-sector-subnormal-point, x1 / x0 overflows at the reference
+    point, a value the sector map settles and not a numpy warning."""
     with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
         fx = json.load(fh)
     path = _write(tmp_path, fx["problem"])
     out = tmp_path / "out"
     code = main([fx["command"], "--problem", path, "--out", str(out), *fx["flags"]])
-    assert code == fx["code"]
+    assert code == fx["code"] and capsys.readouterr().err == ""
     _same(json.loads((out / f"{fx['command']}.report.json").read_text()), fx["report"])
+
+
+GALLERY_GOLDEN = os.path.join(os.path.dirname(__file__), "gallery_golden")
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_gallery_report_is_byte_identical(tmp_path, name):
+    """``examples run`` on each gallery entry writes the pinned report and
+    exits with the pinned code."""
+    with open(os.path.join(GALLERY_GOLDEN, "codes.json"), encoding="utf-8") as fh:
+        codes = json.load(fh)
+    code, err, _ = _run(["examples", "run", name, "--out", str(tmp_path / "out")],
+                        None, str(tmp_path))
+    assert (code, err) == (codes[name], [])
+    with open(os.path.join(GALLERY_GOLDEN, name + ".report.json"), "rb") as fh:
+        assert (tmp_path / "out" / "examples.report.json").read_bytes() == fh.read()
 
 
 def _in_row_cone(rows, y):

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from fractions import Fraction
 
@@ -10,16 +11,22 @@ from hypothesis import strategies as st
 from dirpareto.expressions import (
     EvaluationError,
     ExpressionError,
-    evaluate,
+    compile_rows,
     int_power,
     parse_condition,
     parse_expression,
     piecewise_from_spec,
 )
+from dirpareto.maps import from_expressions
+
+
+def at(node, *xs):
+    """The value of ``node`` at the point ``xs``, in point mode."""
+    return compile_rows(node, len(xs))([float(x) for x in xs], None)
 
 
 def ev(text, *xs):
-    return evaluate(parse_expression(text), np.array(xs, dtype=float))
+    return at(parse_expression(text), *xs)
 
 
 def test_saddle_values():
@@ -106,6 +113,24 @@ def test_math_domain_errors_are_evaluation_errors(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text, xs, message", [
+    ("(1/x0)^2.5", (0.0,), "division by zero"),
+    ("(1/x0)^2.5", (2.0,), "exponent must be an integer, got 2.5"),
+    ("(1/x0)^(x1 + 0.5)", (0.0, 1.0), "division by zero"),
+    ("x0^(1/x1)", (0.0, 0.0), "division by zero"),
+    ("sqrt(x0) + 1/x1", (-1.0, 0.0), "sqrt of a negative number"),
+    ("1/x1 + sqrt(x0)", (-1.0, 0.0), "division by zero"),
+], ids=["base-before-literal-exponent", "literal-exponent", "base-before-exponent",
+        "exponent-before-power", "left-operand-first", "right-operand-second"])
+def test_the_first_rule_to_fail_left_to_right_raises(text, xs, message):
+    """Nodes run left to right, the base of '^' before its exponent; the
+    first rule that fails names the error, in point mode and in a batch."""
+    with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+        ev(text, *xs)
+    with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+        from_expressions([text], len(xs)).eval_many([xs])
+
+
 def test_power_underflow_is_zero():
     assert ev("x0^3", 1e-110) == 0.0
     assert ev("x0^(-400)", 10.0) == 0.0
@@ -160,7 +185,7 @@ def test_int_power_is_within_k_ulp_of_the_exact_power(a, k):
     exact = Fraction(a) ** k
     try:
         got = int_power(a, k)
-    except ZeroDivisionError:  # a^|k| underflowed: evaluate calls it an overflow
+    except ZeroDivisionError:  # a^|k| underflowed: point mode calls it an overflow
         return
     assume(math.isfinite(got))
     assert abs(Fraction(got) - exact) <= abs(k) * Fraction(math.ulp(got))
@@ -168,11 +193,11 @@ def test_int_power_is_within_k_ulp_of_the_exact_power(a, k):
 
 def test_conditions():
     cond = parse_condition("x0 > 0 and x1 <= 2")
-    assert evaluate(cond, np.array([1.0, 2.0]))
-    assert not evaluate(cond, np.array([1.0, 3.0]))
+    assert at(cond, 1.0, 2.0)
+    assert not at(cond, 1.0, 3.0)
     cond2 = parse_condition("x0 < 0 or x0 > 1")
-    assert evaluate(cond2, np.array([-0.5]))
-    assert not evaluate(cond2, np.array([0.5]))
+    assert at(cond2, -0.5)
+    assert not at(cond2, 0.5)
 
 
 def test_comparison_not_allowed_in_expression():
@@ -185,11 +210,11 @@ def test_piecewise():
         ("x0 < 0", "-x0"),
         (None, "x0"),
     ])
-    assert evaluate(pw, np.array([-2.0])) == 2.0
-    assert evaluate(pw, np.array([3.0])) == 3.0
+    assert at(pw, -2.0) == 2.0
+    assert at(pw, 3.0) == 3.0
 
 
 def test_piecewise_no_match():
     pw = piecewise_from_spec([("x0 < 0", "1")])
     with pytest.raises(EvaluationError):
-        evaluate(pw, np.array([1.0]))
+        at(pw, 1.0)

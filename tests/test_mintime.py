@@ -379,6 +379,21 @@ def test_ratio_raises_what_the_first_undefined_point_raises(ratio):
 
 
 @pytest.mark.parametrize("ratio", [calmness_ratio, subregularity_ratio])
+def test_ratio_rejects_a_non_finite_reference_value(ratio):
+    """1/x0 overflows at the subnormal reference point: the error names it."""
+    f = from_expressions(["1/x0"], 1)
+    with pytest.raises(CertifyError, match=r"^non-finite objective value at the "
+                                           r"reference point \[1e-320\]$"):
+        ratio(f, (1e-320,), D((1.0,), (-1.0,)), D((1.0,)))
+
+
+@pytest.mark.parametrize("ratio", [calmness_ratio, subregularity_ratio])
+def test_ratio_checks_the_dimension_of_the_reference_value(ratio):
+    with pytest.raises(GeometryError, match="^dimension mismatch: got 1, expected 2$"):
+        ratio(builtin("identity_1"), (0.0,), D((1.0,)), D((1.0, 0.0)))
+
+
+@pytest.mark.parametrize("ratio", [calmness_ratio, subregularity_ratio])
 @pytest.mark.parametrize("grid", [
     {"radius": -0.1}, {"radius": 0.0}, {"radius": float("nan")},
     {"radius": float("inf")}, {"levels": 0}, {"rays": 0},
