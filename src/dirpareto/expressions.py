@@ -12,9 +12,9 @@ x0..x{n-1} and the calls in ``FUNCTIONS``.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass
 
@@ -90,51 +90,26 @@ class Piecewise:
     branches: tuple  # of (condition, expr); condition None = else branch
 
 
-_TWO_CHAR = ("<=", ">=", "==", "!=")
-_ONE_CHAR = "+-*/^()<>,"
+# a number (digits and dots, then at most one exponent marker and sign), an
+# operator, a name, or any other character but whitespace, which is skipped
+_TOKEN = re.compile(r"(?P<num>[\d.]+(?:[eE][+-]?[\d.]*)?)|(?P<op><=|>=|==|!=|[-+*/^()<>,])"
+                    r"|(?P<ident>[^\W\d]\w*)|(?P<bad>\S)")
 
 
 def tokenize(text: str):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text[i:i + 2] in _TWO_CHAR:
-            tokens.append((text[i:i + 2], "op", i))
-            i += 2
-            continue
-        if c in _ONE_CHAR:
-            tokens.append((c, "op", i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            seen_e = False
-            while j < n and (text[j].isdigit() or text[j] == "." or
-                             (text[j] in "eE" and not seen_e) or
-                             (text[j] in "+-" and j > i and text[j - 1] in "eE")):
-                if text[j] in "eE":
-                    seen_e = True
-                j += 1
+    for match in _TOKEN.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        if kind == "num":
             try:
-                tokens.append((float(text[i:j]), "num", i))
+                value = float(value)
             except ValueError:
-                raise ExpressionError(f"bad number literal {text[i:j]!r}", i)
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append((text[i:j], "ident", i))
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {c!r}", i)
-    tokens.append((None, "end", n))
+                raise ExpressionError(f"bad number literal {value!r}", match.start())
+        elif kind == "bad" or kind == "ident" and not (value[0].isalpha() or value[0] == "_"):
+            # [^\W\d] also takes numerals such as '½'; a name starts with a letter
+            raise ExpressionError(f"unexpected character {value[0]!r}", match.start())
+        tokens.append((value, kind, match.start()))
+    tokens.append((None, "end", len(text)))
     return tokens
 
 
@@ -146,6 +121,8 @@ _LEVELS = (
     (("+", "-"), Bin, True),
     (("*", "/"), Bin, True),
 )
+_BINARY = {op: (level, node_type, chains)
+           for level, (ops, node_type, chains) in enumerate(_LEVELS) for op in ops}
 _GUARD, _ARITH = 0, 3  # where guards and arithmetic expressions start
 
 
@@ -176,25 +153,24 @@ class _Parser:
         return node
 
     def parse_binary(self, level: int):
-        """Left-associative operators from ``level`` of ``_LEVELS`` down."""
-        ops, node_type, chains = _LEVELS[level]
-        # a partial, not a lambda: it adds no Python frame per nesting level
-        operand = (functools.partial(self.parse_binary, level + 1)
-                   if level + 1 < len(_LEVELS) else self.parse_unary)
-        node = operand()
-        while self.peek()[0] in ops:
-            node = node_type(self.next()[0], node, operand())
-            if not chains:
-                break
-        return node
+        """Left-associative operators from ``level`` of ``_LEVELS`` down, by
+        precedence climbing: a right operand takes only tighter levels, and
+        only looser operators may follow a comparison, so none chains."""
+        node = self.parse_unary()
+        top = len(_LEVELS) - 1  # the tightest level the loop may still take
+        while True:
+            op = self.peek()[0]
+            op_level, node_type, chains = _BINARY.get(op, (-1, None, None))
+            if not level <= op_level <= top:
+                return node
+            self.next()
+            node = node_type(op, node, self.parse_binary(op_level + 1))
+            top = op_level if chains else op_level - 1
 
     def parse_unary(self):
         if self.peek()[0] == "-":
             self.next()
             return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self):
         base = self.parse_atom()
         if self.peek()[0] == "^":
             self.next()
@@ -227,7 +203,7 @@ class _Parser:
                     raise ExpressionError(
                         f"{value} takes {arity} argument(s), got {len(args)}", at)
                 return Call(value, tuple(args))
-            if value.startswith("x") and value[1:].isdigit():
+            if value.startswith("x") and value[1:].isdecimal():
                 return Var(int(value[1:]))
             raise ExpressionError(f"unknown identifier {value!r}", at)
         raise ExpressionError(
@@ -286,8 +262,8 @@ def int_power(a, k: int):
     off = (((size < sys.float_info.min) & (size > 0.0) | (size == math.inf))
            & (abs(base) < math.inf))
     out = 1.0 / out
-    if np.any(off):
-        array = isinstance(out, np.ndarray)
+    array = isinstance(out, np.ndarray)
+    if off.any() if array else off:  # np.any on a bool costs more than the power
         b = base[off] if array else base
         if k > -1022:
             m, e = np.frexp(b)

@@ -33,7 +33,7 @@ class SmoothMap:
     jac: object = None         # optional callable ndarray -> (dim_out, dim_in) ndarray
     # optional callable (n, dim_in) ndarray -> new (n, dim_out) ndarray, equal
     # to ``fn`` on each row where it is finite and non-finite wherever the
-    # one-point call may raise or warn; such rows get the one-point call
+    # one-point call may raise; such rows get the one-point call
     fn_many: object = None
 
     def __call__(self, x) -> np.ndarray:
@@ -57,19 +57,21 @@ class SmoothMap:
         rows before the first row whose one-point call raises, and error is
         that exception (None, with every row in Y, when no row raises)."""
         X = np.asarray(X, dtype=float)
-        if self.fn_many is None or X.ndim != 2 or X.shape[1] != self.dim_in:
-            Y, rows = np.empty((len(X), self.dim_out)), range(len(X))
-        else:
-            with np.errstate(all="ignore"):
+        # the batch form and the one-point calls run under one errstate, so
+        # what a row answers is decided on values, not on the warnings filter
+        with np.errstate(all="ignore"):
+            if self.fn_many is None or X.ndim != 2 or X.shape[1] != self.dim_in:
+                Y, rows = np.empty((len(X), self.dim_out)), range(len(X))
+            else:
                 Y = self.fn_many(X)
-            # the batch form leaves these rows to the one-point call, which
-            # also rejects a non-finite point
-            rows = np.flatnonzero(~(np.isfinite(Y).all(axis=1) & np.isfinite(X).all(axis=1)))
-        for i in rows:
-            try:
-                Y[i] = self(X[i])
-            except Exception as exc:  # handed to the caller, raised in row order
-                return Y[:i], exc
+                # the batch form leaves these rows to the one-point call,
+                # which also rejects a non-finite point
+                rows = np.flatnonzero(~(np.isfinite(Y).all(axis=1) & np.isfinite(X).all(axis=1)))
+            for i in rows:
+                try:
+                    Y[i] = self(X[i])
+                except Exception as exc:  # handed to the caller, raised in row order
+                    return Y[:i], exc
         return Y, None
 
     def jacobian(self, x) -> np.ndarray:
@@ -178,13 +180,10 @@ def sector_map(theta1: float, theta2: float) -> SmoothMap:
         return np.array([(theta2 - ang) * (ang - theta1)])
 
     def fn_many(X):
-        q = X[:, 1] / X[:, 0]
-        ang = np.arctan(q)
+        ang = np.arctan(X[:, 1] / X[:, 0])
         out = np.where(X[:, 0] == 0.0, 0.0,
                        np.where((X[:, 0] < 0.0) & (X[:, 1] < 0.0), -1.0,
                                 (theta2 - ang) * (ang - theta1)))
-        # an infinite slope overflowed (a warning) in the one-point division
-        out[np.isinf(q) & (X[:, 0] != 0.0)] = np.nan
         return out[:, None]
     return SmoothMap(f"sector-{theta1:.6f}-{theta2:.6f}", 2, 1, fn, fn_many=fn_many)
 

@@ -40,8 +40,10 @@ FD_OVERFLOW_DOC = dict(SADDLE_DOC, objective={"expressions": ["x0 * 1e308 * 10 +
                        directions=[[1, 0], [-2, 0]], e=[1.0])
 G_OVERFLOW_DOC = dict(SADDLE_DOC, g={"expressions": ["x0 * 1e308 * 10 + x1"]}, Q=[[1.0]])
 G_DIMENSION_DOC = dict(SADDLE_DOC, g={"builtin": "identity_1"}, Q=[[1.0]])
+# '²' passes str.isdigit but is no decimal digit, so 'x²' names no variable
+SUPERSCRIPT_DOC = dict(SADDLE_DOC, objective={"expressions": ["x² - x1^2"]})
 # deeper than the interpreter's recursion limit: in the parser and in ``json``
-DEEP_PARENS_DOC = dict(SADDLE_DOC, objective={"expressions": ["(" * 199 + "x0" + ")" * 199]})
+DEEP_PARENS_DOC = dict(SADDLE_DOC, objective={"expressions": ["(" * 20000 + "x0" + ")" * 20000]})
 DEEP_K_TEXT = json.dumps(dict(SADDLE_DOC, K="deep")).replace(
     '"deep"', "[" * 100000 + "]" * 100000)
 
@@ -268,6 +270,7 @@ def _run(argv, doc, tmp_dir):
     (["certify"], dict(SADDLE_DOC, L={"finite": [[1, 0]]}, point=[1e200, 0])),
     (["first-order"], dict(SADDLE_DOC, objective={"builtin": "saddle_x2_y3"},
                            point=[0, 1e155], directions=[[1, 0]])),
+    (["certify"], SUPERSCRIPT_DOC),
 ], ids=["L-finite-flat", "K-flat", "L-list", "point-number", "set-point-number",
         "directions-number", "directions-wrong-length", "set-number", "gerstewitz-no-y", "expression-number",
         "mu-number", "dim_in-fraction", "dim_in-bool", "levels-fraction",
@@ -275,12 +278,15 @@ def _run(argv, doc, tmp_dir):
         "tangent-radius-negative", "no-problem-flag",
         "levels-not-int", "unknown-command", "unknown-norm", "examples-no-action",
         "objective-infinite-at-point", "openness-infinite-at-point",
-        "builtin-overflows-at-point", "builtin-jacobian-overflows"])
+        "builtin-overflows-at-point", "builtin-jacobian-overflows",
+        "objective-superscript-digit"])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, argv, doc):
     code, err, reports = _run(argv, doc, str(tmp_path))
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: ")
     assert reports == []
+    if doc is SUPERSCRIPT_DOC:
+        assert err == ["error: objective: unknown identifier 'x²' (at position 0)"]
 
 
 # the flags each subcommand reads besides --out and --problem
@@ -360,6 +366,23 @@ def test_deep_expressions_certify_from_a_fresh_interpreter(tmp_path, expression)
     it; a flat chain of `+ - * /` has no bound at all."""
     doc = dict(SADDLE_DOC, objective={"expressions": [f"({expression})^2 - x1^2"]})
     done = _python_m_dirpareto("certify", "--problem", _write(tmp_path, doc),
+                               "--out", str(tmp_path))
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+NESTED_250 = "(" * 250 + "x0" + ")" * 250
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("certify", dict(SADDLE_DOC, objective={"expressions": [NESTED_250 + "^2 - x1^2"]})),
+    ("certify", dict(SADDLE_DOC, constraint={"mu": [NESTED_250 + " - 1"]})),
+    ("fritz-john", dict(SADDLE_DOC, g={"expressions": [NESTED_250 + " + x1"]}, Q=[[1.0]])),
+], ids=["objective", "mu", "fritz-john-g"])
+def test_250_nested_parentheses_certify_from_a_fresh_interpreter(tmp_path, command, doc):
+    """A parenthesis costs the parser three frames, so 250 levels fit under
+    the default recursion limit in every expression field, whatever the
+    depth of the code that reads the field."""
+    done = _python_m_dirpareto(command, "--problem", _write(tmp_path, doc),
                                "--out", str(tmp_path))
     assert (done.returncode, done.stderr) == (0, "")
 

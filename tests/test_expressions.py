@@ -9,8 +9,14 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dirpareto.expressions import (
+    Bin,
+    BoolOp,
+    Compare,
     EvaluationError,
     ExpressionError,
+    Neg,
+    Num,
+    Var,
     compile_rows,
     int_power,
     parse_condition,
@@ -73,6 +79,75 @@ def test_unknown_identifier():
 def test_trailing_input_rejected():
     with pytest.raises(ExpressionError):
         parse_expression("1 + 2 )")
+
+
+def test_a_digit_that_is_not_decimal_is_no_variable_index():
+    """'²' passes str.isdigit, but only decimal digits index a variable."""
+    with pytest.raises(ExpressionError, match=r"^unknown identifier 'x²' \(at position 0\)$"):
+        parse_expression("x²")
+    assert parse_expression("x٣") == Var(3)
+
+
+def _same(message, position):
+    """The same error as an expression and as a guard."""
+    return (message, position), (message, position)
+
+
+# (text, error as an expression, error as a guard): (message, position),
+# or None where the text parses
+PARSE_ERRORS = [
+    ("1.2.3", *_same("bad number literal '1.2.3'", 0)),
+    ("1e+", *_same("bad number literal '1e+'", 0)),
+    (".e5", *_same("bad number literal '.e5'", 0)),
+    ("x0 * 2e", *_same("bad number literal '2e'", 5)),
+    ("$", *_same("unexpected character '$'", 0)),
+    ("=", *_same("unexpected character '='", 0)),
+    ("!", *_same("unexpected character '!'", 0)),
+    ("x0 ! 1", *_same("unexpected character '!'", 3)),
+    ("x0 + ½", *_same("unexpected character '½'", 5)),
+    ("x0 + * 2", *_same("expected a number, variable, function, or '(', found '*'", 5)),
+    ("1 + 2 )", *_same("unexpected trailing input ')'", 6)),
+    ("x0 , 1", *_same("unexpected trailing input ','", 3)),
+    ("(x0", *_same("expected ')', found None", 3)),
+    ("atan2(x0)", *_same("atan2 takes 2 argument(s), got 1", 0)),
+    ("sin(x0, x1)", *_same("sin takes 1 argument(s), got 2", 0)),
+    ("foo(1)", *_same("unknown function 'foo'", 0)),
+    ("y0", *_same("unknown identifier 'y0'", 0)),
+    ("", *_same("expected a number, variable, function, or '(', found None", 0)),
+    ("  ", *_same("expected a number, variable, function, or '(', found None", 2)),
+    ("2 ^", *_same("expected a number, variable, function, or '(', found None", 3)),
+    ("x0 < 1", ("unexpected trailing input '<'", 3), None),
+    ("x0 < 1 < 2", ("unexpected trailing input '<'", 3), ("unexpected trailing input '<'", 7)),
+    ("4 and x0 < 9 >", ("unexpected trailing input 'and'", 2),
+     ("unexpected trailing input '>'", 13)),
+    ("x0 <= 1 or", ("unexpected trailing input '<='", 3),
+     ("expected a number, variable, function, or '(', found None", 10)),
+]
+
+
+@pytest.mark.parametrize("text, as_expression, as_guard", PARSE_ERRORS,
+                         ids=[repr(case[0]) for case in PARSE_ERRORS])
+def test_parse_errors_name_the_token_and_its_position(text, as_expression, as_guard):
+    for parse, want in ((parse_expression, as_expression), (parse_condition, as_guard)):
+        if want is None:
+            parse(text)
+            continue
+        with pytest.raises(ExpressionError) as ei:
+            parse(text)
+        message, position = want
+        assert (str(ei.value), ei.value.position) == (
+            f"{message} (at position {position})", position)
+
+
+def test_guards_group_by_precedence():
+    """or < and < one comparison < + - < * /, each left associative."""
+    x0, x1, one = Var(0), Var(1), Num(1.0)
+    assert parse_condition("x0 < 1 and x1 > 1 or x0 == x1 and 1 != x1") == BoolOp(
+        "or", BoolOp("and", Compare("<", x0, one), Compare(">", x1, one)),
+        BoolOp("and", Compare("==", x0, x1), Compare("!=", one, x1)))
+    assert parse_condition("x0 - 1 - x1 * x0 / 1 >= -x1 ^ 1 ^ x0") == Compare(
+        ">=", Bin("-", Bin("-", x0, one), Bin("/", Bin("*", x1, x0), one)),
+        Neg(Bin("^", x1, Bin("^", one, x0))))
 
 
 def test_evaluation_errors():

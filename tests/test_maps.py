@@ -58,13 +58,15 @@ def _points(dim, coord=COORD):
 
 def _one_point(f, X):
     """The stacked one-point calls, or the exception of the first row that
-    raises and the rows before it."""
+    raises and the rows before it; under the errstate of ``eval_rows``, so
+    a numpy warning is never the raising exception."""
     rows = []
-    for x in X:
-        try:
-            rows.append(f(x))
-        except Exception as exc:  # the reference keeps what the row raised
-            return np.array(rows).reshape(-1, f.dim_out), exc
+    with np.errstate(all="ignore"):
+        for x in X:
+            try:
+                rows.append(f(x))
+            except Exception as exc:  # the reference keeps what the row raised
+                return np.array(rows).reshape(-1, f.dim_out), exc
     return np.array(rows).reshape(len(X), f.dim_out), None
 
 
@@ -110,7 +112,7 @@ def test_builtin_batch_matches_one_point_calls(name, data):
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_builtin_batch_on_adversarial_grid(name):
     """Every pair of adversarial coordinates, one row at a time and as one
-    array; the one-point calls that overflow raise RuntimeWarning here."""
+    array; the one-point calls that overflow give inf, not RuntimeWarning."""
     f = MAPS[name]
     vals = np.array(ADVERSARIAL)
     X = (vals[:, None] if f.dim_in == 1 else
