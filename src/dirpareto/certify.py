@@ -183,15 +183,20 @@ def _walk(points, levels: int, constraint, diff, K: HalfspaceCone,
 
 
 def reference_value(f: SmoothMap, xbar: np.ndarray) -> np.ndarray:
-    """f(xbar), which every grid walk compares with: it must be finite."""
-    f0 = f(xbar)
+    """f(xbar), which every grid walk compares with: it must be finite.
+    It is evaluated under one errstate, as the batches are, so an overflow
+    is named here whatever the warnings filter."""
+    with np.errstate(all="ignore"):
+        f0 = f(xbar)
     if not np.isfinite(f0).all():
         raise CertifyError(f"non-finite objective value at the reference point {xbar.tolist()}")
     return f0
 
 
 def certify_directional_min(p: Problem, weak: bool = False) -> CertReport:
-    """Sample x = xbar + t*ell over the grid and hunt for a violation."""
+    """Sample x = xbar + t*ell over the grid and hunt for a violation.
+    ell is drawn from L itself: a finite L is sampled on its generator
+    rays only, not on all of cone L."""
     xbar = p.x0
     f0 = reference_value(p.f, xbar)
 
@@ -206,8 +211,9 @@ def certify_set_min(M, xbar, K: HalfspaceCone, L: DirectionSet,
                     weak: bool = False,
                     grid: GridSpec | None = None) -> CertReport:
     """Directional minimality of xbar for the set M: samples of
-    M cap (xbar + cone L) near xbar must not step into -K \\ K
-    (strong) or -int K (weak)."""
+    M cap (xbar + t*ell) near xbar must not step into -K \\ K
+    (strong) or -int K (weak).  ell is drawn from L itself: a finite L
+    is sampled on its generator rays only, not on all of cone L."""
     grid = grid or GridSpec()
     xbar = as_vector(xbar, M.dim)
     if L.dim != M.dim:

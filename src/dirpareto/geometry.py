@@ -72,16 +72,19 @@ def row_dots(G: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def ray_points(xbar, dirs, ts) -> np.ndarray:
     """Rows xbar + t*ell in ray-major order: ell over ``dirs`` on the
-    outer loop, t over ``ts`` on the inner one."""
-    pts = np.asarray(ts)[None, :, None] * np.asarray(dirs)[:, None, :]
+    outer loop, t over ``ts`` on the inner one.  ``ts`` is one row of
+    steps for every ray, or one row per ray."""
+    pts = np.asarray(ts)[..., None] * np.asarray(dirs)[:, None, :]
     pts += xbar  # in place: the grid is the one array allocated
     return pts.reshape(-1, pts.shape[2])
 
 
 # Points per batch of the grid walk and of the sampled tangent search.
 # Each batch pays a fixed cost of small numpy calls, so the walk takes the
-# whole grid at once and the search grows its blocks 8x after testing u
-# alone; this bound only caps the size of the temporaries.
+# whole grid at once, and the search joins the levels of a batch of at most
+# MAX_POINTS // 16 candidates into one filter and then one membership call
+# per round, its blocks growing 8x after testing u alone; this bound only
+# caps the size of the temporaries.
 MAX_POINTS = 1 << 16
 
 

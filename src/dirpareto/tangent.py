@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .geometry import (
     TOL,
     DirectionSet,
@@ -125,21 +126,30 @@ def _ball_lattice(dim: int, size: int) -> np.ndarray:
     return frozen_array(pts[keep][:size], 2)
 
 
-def _perturbations(u: np.ndarray, eps: float, L: DirectionSet | None,
-                   lattice_size: int) -> np.ndarray:
-    """Candidates u' in cone L with |u' - u| <= eps, deterministic order."""
-    blocks = [u[None], u + eps * _ball_lattice(u.size, lattice_size)]
-    if L is not None:
+def _perturbations(u: np.ndarray, eps: list, L: DirectionSet | None, lattice_size: int):
+    """Candidates u' in cone L with |u' - u| <= eps_k for each eps_k of
+    ``eps``, in batches of consecutive levels of at most MAX_POINTS // 16
+    candidates (at least one level), each built and filtered at once.  A
+    batch is a list of one array per level, in the deterministic order u,
+    the ball lattice, the ray-aligned points of each direction of L."""
+    lattice = _ball_lattice(u.size, lattice_size)
+    rays = [] if L is None else [(float(np.dot(u, ell)), ell) for ell in L.vectors]
+    per_level = 1 + len(lattice) + 9 * len(rays)
+    size = max(1, geometry.MAX_POINTS // 16 // per_level)
+    for lo in range(0, len(eps), size):
+        batch = np.array(eps[lo:lo + size])
+        blocks = [np.broadcast_to(u, (len(batch), 1, u.size)), u + batch[:, None, None] * lattice]
         # ray-aligned candidates: scale each finite direction toward the ball
-        for ell in L.vectors:
-            base = float(np.dot(u, ell))
-            blocks.append(np.linspace(max(base - eps, 0.0), base + eps, 9)[:, None] * ell)
-    cands = np.concatenate(blocks)
-    keep = row_norms(cands - u) <= eps + 1e-15
-    if L is not None:
-        near = np.flatnonzero(keep)
-        keep[near] = cone_contains_many(L, cands[near])
-    return cands[keep]
+        for base, ell in rays:
+            blocks.append(np.array([np.linspace(max(base - e, 0.0), base + e, 9)
+                                    for e in batch])[:, :, None] * ell)
+        cands = np.concatenate(blocks, axis=1).reshape(-1, u.size)
+        keep = row_norms(cands - u) <= np.repeat(batch + 1e-15, per_level)
+        if L is not None:
+            near = np.flatnonzero(keep)
+            keep[near] = cone_contains_many(L, cands[near])
+        counts = np.count_nonzero(keep.reshape(len(batch), per_level), axis=1)
+        yield np.split(cands[keep], np.cumsum(counts)[:-1])
 
 
 def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
@@ -151,6 +161,12 @@ def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
     nonmember: all sampled (t, u') with t <= t_k missed A at three
     consecutive levels (a margin-style certificate, still sampling-based).
     Anything else: inconclusive.
+
+    Level k keeps its first hit over its candidates u' and 8 sub-steps
+    t' <= t_k, candidate-major.  Round r of a batch of levels asks A about
+    block r of ``unit_blocks(n_k, 8, 1)`` of each level still without a hit
+    in one ``contains_many`` call (at most MAX_POINTS // 2 points, or one
+    block of one level): each level finds the hit a search of it alone finds.
     """
     xbar = as_vector(xbar)
     u = as_vector(u, xbar.size)
@@ -164,39 +180,38 @@ def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
         return TangentVerdict("member", (), note="zero direction is always tangent")
 
     steps = schedule.steps()
-    evidence = []
-    hits = 0
-    trailing_misses = 0
-    for k, t in enumerate(steps):
-        eps = norm_u * 0.5 ** (k / 2.0)
-        cands = _perturbations(u, eps, L, schedule.lattice_size)
-        # sweep sub-steps t' <= t as well, finest first is not needed; the
-        # first hit counts in candidate-major, sub-step-minor order
-        substeps = t * 0.5 ** (0.5 * np.arange(8))
-        found = None
-        for start, stop in unit_blocks(len(cands), len(substeps), 1):
-            block = cands[start:stop]
-            inside = np.flatnonzero(A.contains_many(ray_points(xbar, block, substeps)))
-            if inside.size:
-                c, s = divmod(int(inside[0]), len(substeps))
-                found = (float(substeps[s]), block[c])
+    substeps = steps[:, None] * 0.5 ** (0.5 * np.arange(8))
+    n_sub = substeps.shape[1]
+    eps = [norm_u * 0.5 ** (k / 2.0) for k in range(len(steps))]
+    hits = []
+    for batch in _perturbations(u, eps, L, schedule.lattice_size):
+        cands = dict(enumerate(batch, len(hits)))  # level -> candidates
+        blocks = {k: list(unit_blocks(len(c), n_sub, 1)) for k, c in cands.items()}
+        hits += [None] * len(batch)
+        for r in itertools.count():
+            parts = [(k, *blocks[k][r]) for k in cands if hits[k] is None and r < len(blocks[k])]
+            if not parts:
                 break
-        if found:
-            evidence.append((found[0], tuple(found[1])))
-            hits += 1
-            trailing_misses = 0
-        else:
-            evidence.append((float(t), None))
-            trailing_misses += 1
+            sizes = [b - a for _, a, b in parts]
+            dirs = np.concatenate([cands[k][a:b] for k, a, b in parts])
+            ts = substeps[np.repeat([k for k, _, _ in parts], sizes)]
+            inside = np.flatnonzero(A.contains_many(ray_points(xbar, dirs, ts)))
+            starts = n_sub * np.cumsum([0] + sizes[:-1])
+            for (k, a, b), start, j in zip(parts, starts, np.searchsorted(inside, starts)):
+                if j < inside.size and inside[j] < start + n_sub * (b - a):
+                    c, s = divmod(int(inside[j] - start), n_sub)
+                    hits[k] = (float(substeps[k, s]), tuple(cands[k][a + c]))
+    evidence = tuple(hit or (float(t), None) for t, hit in zip(steps, hits))
 
-    if hits == len(steps):
-        return TangentVerdict("member", tuple(evidence))
-    if trailing_misses >= 3:
+    misses = [hit is None for hit in hits]
+    if not any(misses):
+        return TangentVerdict("member", evidence)
+    if misses[-3:] == [True] * 3:
         return TangentVerdict(
-            "nonmember", tuple(evidence),
+            "nonmember", evidence,
             note="sampled neighborhoods missed the set at the final levels; "
                  "sampling evidence, not a proof")
-    return TangentVerdict("inconclusive", tuple(evidence))
+    return TangentVerdict("inconclusive", evidence)
 
 
 def derivative_image(f: SmoothMap, xbar, u, L: DirectionSet | None = None):

@@ -382,6 +382,21 @@ def test_an_overflowing_builtin_is_named_whatever_the_warnings_filter(action):
             certify_directional_min(p)
 
 
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_an_overflowing_reference_value_is_named_whatever_the_warnings_filter(action):
+    """saddle_x2_y2 overflows at the reference point (1e200, 0) itself:
+    f(xbar) is taken under one errstate, so the walk names the reference
+    point under either filter instead of raising RuntimeWarning under
+    'error'."""
+    p = Problem(builtin("saddle_x2_y2"), R_PLUS, DirectionSet.finite([(1.0, 0.0)]),
+                (1e200, 0.0), GridSpec(levels=3, rays_per_level=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(CertifyError, match=r"^non-finite objective value at the "
+                                               r"reference point \[1e\+200, 0\.0\]$"):
+            certify_directional_min(p)
+
+
 # entries of K rows and differences d: zeros of both signs, products
 # exactly at +-TOL (with unit rows), huge entries whose products overflow
 # (and sum to nan), subnormal entries, and plain floats

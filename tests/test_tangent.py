@@ -7,13 +7,26 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from dirpareto import geometry
-from dirpareto.geometry import DirectionSet, GeometryError, HalfspaceCone
+from dirpareto.geometry import (
+    TOL,
+    DirectionSet,
+    GeometryError,
+    HalfspaceCone,
+    cone_contains,
+    cone_contains_many,
+    ray_points,
+    row_norms,
+    unit_blocks,
+)
 from dirpareto.maps import SmoothMap, from_expressions
 from dirpareto.problemfile import parse_direction_set, parse_set, read, vector
-from dirpareto.sets import PolygonRegion, PolyhedralSet, cardioid_region
+from dirpareto.sets import PolygonRegion, PolyhedralSet, UnionSet, cardioid_region
 from dirpareto.tangent import (
+    TangentVerdict,
     TSchedule,
     _ball_lattice,
     bouligand_polyhedral,
@@ -131,14 +144,16 @@ def test_cardioid_unrestricted_tangent_member():
 
 
 @pytest.mark.parametrize("L, batches", [
-    (DirectionSet.finite([[-1.0, 0.0]]), 76),
-    (None, 52),
+    (DirectionSet.finite([[-1.0, 0.0]]), 16),
+    (None, 12),
 ], ids=["restricted", "unrestricted"])
 def test_cardioid_search_asks_the_polygon_in_growing_blocks(monkeypatch, L, batches):
-    """The candidates go to the set in blocks of 1, 8, 64, ... candidates
-    (eight points each), a search stopping at its first hit: a fixed
-    number of membership batches per cardioid run, and one one-point
-    query, for the reference point."""
+    """The 25 levels go to the set in five batches of five levels, each
+    asked in rounds: round r joins block r (1, 8, 64, ... candidates of
+    eight points each) of every level still without a hit into one
+    membership batch.  That is three rounds a batch for the restricted run
+    and two or three for the unrestricted one, plus the one-point query
+    for the reference point, which reaches contains_many as well."""
     calls = {"contains": 0, "contains_many": 0}
     for name in calls:
         def counted(self, x, _original=getattr(PolygonRegion, name), _name=name):
@@ -155,7 +170,8 @@ def test_cardioid_search_asks_the_polygon_in_growing_blocks(monkeypatch, L, batc
 # tangent_evidence.json holds _evidence_record of each _evidence_cases
 # query as computed by the one-point search that tried each candidate and
 # sub-step in turn; the batched search must find the same first hits,
-# also with MAX_POINTS patched to one and to three candidates a block.
+# also with MAX_POINTS patched to one and to three candidates a block (and
+# so one level a batch).
 
 HERE = os.path.dirname(__file__)
 
@@ -216,6 +232,137 @@ def test_sampled_evidence_matches_pinned_fixture():
             for name, (A, xbar, L, u, sched) in cases.items():
                 got = _evidence_record(tangent_membership_sampled(A, xbar, L, u, sched))
                 assert got == pinned[name], (max_points, name)
+
+
+# ---------------------------------------------------------------------------
+# the batched search against the search of one level at a time
+
+def _per_level_search(A, xbar, L, u, schedule):
+    """tangent_membership_sampled as it searched one level at a time: each
+    level builds and filters its own candidates, then asks A in blocks of
+    1, 8, 64, ... candidates and stops at its first hit."""
+    xbar = np.asarray(xbar, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if not A.contains(xbar):
+        raise GeometryError("reference point is not in the set")
+    if L is not None and not cone_contains(L, u):
+        return TangentVerdict("nonmember", (), note="u is outside cone L")
+    norm_u = np.linalg.norm(u)
+    if norm_u <= TOL:
+        return TangentVerdict("member", (), note="zero direction is always tangent")
+    steps = schedule.steps()
+    evidence, hits, trailing_misses = [], 0, 0
+    for k, t in enumerate(steps):
+        eps = norm_u * 0.5 ** (k / 2.0)
+        blocks = [u[None], u + eps * _ball_lattice(u.size, schedule.lattice_size)]
+        if L is not None:
+            for ell in L.vectors:
+                base = float(np.dot(u, ell))
+                blocks.append(np.linspace(max(base - eps, 0.0), base + eps, 9)[:, None] * ell)
+        cands = np.concatenate(blocks)
+        keep = row_norms(cands - u) <= eps + 1e-15
+        if L is not None:
+            near = np.flatnonzero(keep)
+            keep[near] = cone_contains_many(L, cands[near])
+        cands = cands[keep]
+        substeps = t * 0.5 ** (0.5 * np.arange(8))
+        found = None
+        for start, stop in unit_blocks(len(cands), len(substeps), 1):
+            block = cands[start:stop]
+            inside = np.flatnonzero(A.contains_many(ray_points(xbar, block, substeps)))
+            if inside.size:
+                c, s = divmod(int(inside[0]), len(substeps))
+                found = (float(substeps[s]), block[c])
+                break
+        if found:
+            evidence.append((found[0], tuple(found[1])))
+            hits += 1
+            trailing_misses = 0
+        else:
+            evidence.append((float(t), None))
+            trailing_misses += 1
+    if hits == len(steps):
+        return TangentVerdict("member", tuple(evidence))
+    if trailing_misses >= 3:
+        return TangentVerdict(
+            "nonmember", tuple(evidence),
+            note="sampled neighborhoods missed the set at the final levels; "
+                 "sampling evidence, not a proof")
+    return TangentVerdict("inconclusive", tuple(evidence))
+
+
+CARDIOID_256 = cardioid_region(segments=256)
+_COORD = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                   st.floats(-1.5, 1.5, allow_nan=False))
+
+
+@st.composite
+def _sampled_queries(draw):
+    """(A, xbar, L, u, schedule) with xbar in A: a small polygon on an
+    integer grid, the cardioid, a box or a union of a box and a polygon,
+    at a vertex, a boundary point or an inner point."""
+    kind = draw(st.sampled_from(["polygon", "cardioid", "box", "union"]))
+    dim = draw(st.sampled_from([2, 3])) if kind == "box" else 2
+    polygon = PolygonRegion(draw(st.lists(st.tuples(*[st.integers(-2, 2).map(float)] * 2),
+                                          min_size=3, max_size=6)))
+    if kind == "polygon":
+        A, points = polygon, list(polygon.vertices) + [polygon.vertices[:2].mean(axis=0)]
+    elif kind == "cardioid":
+        A, points = CARDIOID_256, [CARDIOID_256.vertices[i] for i in (0, 1, 40, 128)]
+    else:
+        A = _box(dim)
+        points = [np.zeros(dim), np.ones(dim), np.full(dim, 0.5), np.eye(dim)[0] * 0.5]
+        if kind == "union":
+            A = UnionSet((A, polygon))
+            points += list(polygon.vertices)
+    xbar = draw(st.sampled_from(points))
+    assume(A.contains(xbar))  # a cardioid vertex may fall outside (edge_tol 0)
+    u = np.array(draw(st.tuples(*[_COORD] * dim)))
+    kind_L = draw(st.sampled_from(["none", "finite", "section"]))
+    L = None
+    if kind_L == "finite":
+        vs = draw(st.lists(st.tuples(*[_COORD] * dim), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            vs.append(tuple(u))
+        vs = [v for v in map(np.array, vs) if np.linalg.norm(v) > 0.1]
+        if vs:
+            L = DirectionSet.finite([v / np.linalg.norm(v) for v in vs])
+    elif kind_L == "section":
+        rows = draw(st.lists(st.tuples(*[st.integers(-2, 2).map(float)] * dim),
+                             min_size=1, max_size=2))
+        try:
+            L = DirectionSet.cone_section(HalfspaceCone.from_rows(rows))
+        except GeometryError:
+            L = None
+    # in 3-D a finite L costs one LP per candidate, hence the smaller lattice
+    sizes = [1, 7] if dim == 3 and kind_L == "finite" else [1, 5, 9, 25, 121]
+    schedule = TSchedule(radius=draw(st.sampled_from([0.01, 0.25, 1.0, 3.0])),
+                         levels=draw(st.integers(1, 8)),
+                         lattice_size=draw(st.sampled_from(sizes)))
+    return A, xbar, L, u, schedule
+
+
+# a thin wedge at xbar holding the direction (-0.707, 1) of level 1's second
+# candidate, but neither u = (0, 1) nor level 0's (-1, 1): round 1 joins a
+# block without a hit to one whose first point is a hit
+WEDGE_QUERY = (PolygonRegion([[0.0, 0.0], [-2.4, 4.0], [-3.2, 4.0]]), np.zeros(2), None,
+               np.array([0.0, 1.0]), TSchedule(radius=1.0, levels=3, lattice_size=1))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_sampled_queries())
+@example(WEDGE_QUERY)
+def test_batched_search_matches_the_per_level_search(query):
+    """Same status, note and evidence, bit for bit (repr tells -0.0 from
+    0.0 and np.float64 from float), with MAX_POINTS patched to one and to
+    three candidates a block, to 16 candidates a batch and left as it is."""
+    A, xbar, L, u, schedule = query
+    want = repr(_per_level_search(A, xbar, L, u, schedule))
+    for max_points in (8, 24, 256, geometry.MAX_POINTS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "MAX_POINTS", max_points)
+            got = repr(tangent_membership_sampled(A, xbar, L, u, schedule))
+        assert got == want, max_points
 
 
 # ---------------------------------------------------------------------------
