@@ -35,7 +35,7 @@ from .geometry import (
     sphere_lattice,
 )
 from .lp import LPError, LPProblem, lp_feasible, lp_minimize
-from .maps import SmoothMap, builtin, from_expressions, sector_map
+from .maps import SmoothMap, builtin, from_expressions, identity, sector_map
 from .mintime import (
     RatioEstimate,
     Target,

@@ -26,7 +26,7 @@ from .geometry import (
     unit_blocks,
 )
 from .lp import LPProblem, lp_feasible
-from .maps import SmoothMap
+from .maps import SmoothMap, identity
 
 FEAS_TOL = 1e-8
 
@@ -144,29 +144,29 @@ def _violations(D: np.ndarray, K: HalfspaceCone, weak: bool) -> np.ndarray:
     return np.all(P <= TOL, axis=1) & np.any(P < -TOL, axis=1)  # d in -K \ K
 
 
-def _walk(points, levels: int, constraint, diff, K: HalfspaceCone,
-          weak: bool) -> CertReport:
-    """Walk the grid in order; the first feasible point whose difference
-    violates minimality refutes, and no violation certifies.
+def _walk(p: Problem, weak: bool) -> CertReport:
+    """Walk p's grid in order; the first feasible point x whose difference
+    f(x) - f(xbar) violates minimality refutes, and no violation certifies.
 
     Each step takes a block of whole rays (``levels`` points each): the
     whole grid when it has at most MAX_POINTS points, else MAX_POINTS //
-    levels rays at a time.  It finds the block's feasible points under
-    ``constraint``, their differences ``diff(chunk) -> (D, error)`` and
-    runs the violation test on all of them.  Feasibility and ``diff`` stop at
-    the first point that raises and hand back its exception, which counts
-    only if no earlier row is non-finite or violating, as in a walk point
-    by point."""
+    levels rays at a time.  Feasibility and f stop at the first point of
+    a block that raises and hand back its exception, which counts only if
+    no earlier row is non-finite or violating, as in a walk point by point."""
+    xbar = p.x0
+    f0 = reference_value(p.f, xbar)
+    points, levels = p.grid.points(xbar, p.L), p.grid.levels
     samples = 0
     rays = len(points) // levels
     for start, stop in unit_blocks(rays, levels, rays):
         chunk = points[start * levels:stop * levels]
-        ok, constraint_error = _feasible(constraint, chunk)
+        ok, constraint_error = _feasible(p.constraint, chunk)
         chunk = chunk[:len(ok)][ok]
-        D, error = diff(chunk)
+        Y, error = p.f.eval_rows(chunk)
+        D = Y - f0
         nonfinite = np.flatnonzero(~np.isfinite(D).all(axis=1))
         n = nonfinite[0] if nonfinite.size else len(D)  # rows before the first one
-        hits = np.flatnonzero(_violations(D[:n], K, weak))
+        hits = np.flatnonzero(_violations(D[:n], p.K, weak))
         if hits.size:
             i = int(hits[0])
             return CertReport("refuted", weak, samples + i + 1,
@@ -197,14 +197,7 @@ def certify_directional_min(p: Problem, weak: bool = False) -> CertReport:
     """Sample x = xbar + t*ell over the grid and hunt for a violation.
     ell is drawn from L itself: a finite L is sampled on its generator
     rays only, not on all of cone L."""
-    xbar = p.x0
-    f0 = reference_value(p.f, xbar)
-
-    def diff(chunk):
-        Y, error = p.f.eval_rows(chunk)
-        return Y - f0, error
-
-    return _walk(p.grid.points(xbar, p.L), p.grid.levels, p.constraint, diff, p.K, weak)
+    return _walk(p, weak)
 
 
 def certify_set_min(M, xbar, K: HalfspaceCone, L: DirectionSet,
@@ -212,18 +205,11 @@ def certify_set_min(M, xbar, K: HalfspaceCone, L: DirectionSet,
                     grid: GridSpec | None = None) -> CertReport:
     """Directional minimality of xbar for the set M: samples of
     M cap (xbar + t*ell) near xbar must not step into -K \\ K
-    (strong) or -int K (weak).  ell is drawn from L itself: a finite L
-    is sampled on its generator rays only, not on all of cone L."""
-    grid = grid or GridSpec()
-    xbar = as_vector(xbar, M.dim)
-    if L.dim != M.dim:
-        raise CertifyError("direction set lives in the wrong space")
-    if K.dim != M.dim:
-        raise CertifyError("ordering cone lives in the wrong space")
-    if not M.contains(xbar):
-        raise CertifyError("reference point is not in the set")
-    return _walk(grid.points(xbar, L), grid.levels, M,
-                 lambda chunk: (chunk - xbar, None), K, weak)
+    (strong) or -int K (weak).  This is ``certify_directional_min`` for
+    f = identity under the constraint M, on the same grid walk, so a
+    point outside M is an infeasible reference point."""
+    return _walk(Problem(identity(M.dim), K, L, xbar, grid or GridSpec(),
+                         constraint=M), weak)
 
 
 @dataclass(frozen=True)

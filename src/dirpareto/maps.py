@@ -208,7 +208,8 @@ def _vector_pair_saddle():
     )
 
 
-def _identity(dim):
+def identity(dim: int) -> SmoothMap:
+    """x -> x on R^dim, with the identity Jacobian."""
     return SmoothMap(f"identity-{dim}", dim, dim, lambda x: x.copy(),
                      lambda x: np.eye(dim), lambda X: X.copy())
 
@@ -220,8 +221,8 @@ BUILTINS = {
     "x3_sin_inv_x": _x3_sin_inv_x,
     "vector_2x_x": _vector_2x_x,
     "vector_pair_saddle": _vector_pair_saddle,
-    "identity_1": lambda: _identity(1),
-    "identity_2": lambda: _identity(2),
+    "identity_1": lambda: identity(1),
+    "identity_2": lambda: identity(2),
 }
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CHECK_TOL, GeneratorCone, HalfspaceCone, as_vector, frozen_array
-from .lp import LPProblem, lp_feasible
 
 
 class ScalarizationError(Exception):
@@ -63,19 +62,14 @@ def gerstewitz_value(ctx: ScalarizationContext, y) -> float:
 
 
 def gerstewitz_subdiff(ctx: ScalarizationContext, u) -> SubdiffCert:
-    """One element of the subdifferential at u, by LP feasibility over
-    nonnegative row weights w with (sum w_i a_i)(e) = 1 and (.)(u) = s(u)."""
+    """One element of the subdifferential at u, in closed form: a_j / (a_j . e)
+    for the first j that maximises (a_j . u) / (a_j . e).  It lies in K+, takes
+    1 at e and s(u) at u (Gerth & Weidner, JOTA 67, 1990); its value is that
+    ratio, bit for bit ``gerstewitz_value(ctx, u)``."""
     u = as_vector(u, ctx.K.dim)
-    s = gerstewitz_value(ctx, u)
     rows = ctx.K.rows
-    m = rows.shape[0]
-    p = LPProblem(m, nonneg=range(m))
-    p.add_eq(rows @ ctx.e, 1.0)
-    p.add_eq(rows @ u, s)
-    w = lp_feasible(p)
-    if w is None:
-        raise ScalarizationError(
-            "subgradient LP infeasible: numerical failure (the subdifferential "
-            "is analytically nonempty)")
-    vstar = rows.T @ w
-    return SubdiffCert(tuple(vstar), tuple(u), s, ctx.K, tuple(ctx.e))
+    denom = rows @ ctx.e
+    ratios = (rows @ u) / denom
+    j = int(np.argmax(ratios))
+    vstar = rows[j] / denom[j]
+    return SubdiffCert(tuple(vstar), tuple(u), float(ratios[j]), ctx.K, tuple(ctx.e))

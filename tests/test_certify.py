@@ -50,7 +50,7 @@ from dirpareto.geometry import (
     direction_samples,
     ray_points,
 )
-from dirpareto.maps import SmoothMap, builtin, from_expressions, sector_map
+from dirpareto.maps import SmoothMap, builtin, from_expressions, identity, sector_map
 from dirpareto.sets import ImplicitSet, PolygonRegion, PolyhedralSet, curve_halfplane_set
 
 ORTHANT2 = PolyhedralSet.from_rows([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
@@ -157,8 +157,12 @@ def _pointwise_walk(p, weak=False):
     f evaluated only up to the first non-finite or violating sample."""
     def feasible(x):
         c = p.constraint
-        return c is None or (all(not m(x)[0] > FEAS_TOL for m in c.mu)
-                             and all(not abs(n(x)[0]) > FEAS_TOL for n in c.nu))
+        if c is None:
+            return True
+        if not isinstance(c, IneqEq):
+            return c.contains(x)  # a set
+        return (all(not m(x)[0] > FEAS_TOL for m in c.mu)
+                and all(not abs(n(x)[0]) > FEAS_TOL for n in c.nu))
 
     f0 = p.f(p.x0)
     samples = 0
@@ -500,7 +504,7 @@ def test_set_min_ball_refuted_on_negative_axis():
 
 
 def test_set_min_outside_point_rejected():
-    with pytest.raises(CertifyError):
+    with pytest.raises(CertifyError, match="^reference point is not feasible$"):
         certify_set_min(ORTHANT2, [-1.0, 0.0], R2_PLUS, L_X_AXIS)
 
 
@@ -531,26 +535,33 @@ def test_set_walk_tests_membership_one_ray_at_a_time(monkeypatch):
 
 
 LOWER_LEFT = PolyhedralSet.from_rows([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
+# the set, K and L of tests/cli_golden/certify-set-polyhedron-3d.json
+ORTHANT3 = PolyhedralSet.from_rows(np.eye(3), np.zeros(3))
+R3_PLUS = HalfspaceCone.from_rows(np.eye(3))
 
 
-@pytest.mark.parametrize("M, L, verdicts", [
-    (ORTHANT2, DirectionSet.full_sphere(2), ("certified_on_grid",) * 2),
-    (UNIT_BALL, DirectionSet.full_sphere(2), ("refuted",) * 2),
-    (LOWER_LEFT, DirectionSet.finite([(1.0, 0.0), (0.0, 1.0)]),
+@pytest.mark.parametrize("M, K, L, verdicts", [
+    (ORTHANT2, R2_PLUS, DirectionSet.full_sphere(2), ("certified_on_grid",) * 2),
+    (UNIT_BALL, R2_PLUS, DirectionSet.full_sphere(2), ("refuted",) * 2),
+    (LOWER_LEFT, R2_PLUS, DirectionSet.finite([(1.0, 0.0), (0.0, 1.0)]),
      ("certified_on_grid",) * 2),
-    (UNIT_BALL, DirectionSet.finite([[-1.0, 0.0]]), ("refuted", "certified_on_grid")),
-], ids=["orthant", "ball", "vacuous-quadrant", "ball-negative-axis"])
+    (UNIT_BALL, R2_PLUS, DirectionSet.finite([[-1.0, 0.0]]),
+     ("refuted", "certified_on_grid")),
+    (ORTHANT3, R3_PLUS, DirectionSet.cone_section(R3_PLUS), ("certified_on_grid",) * 2),
+], ids=["orthant", "ball", "vacuous-quadrant", "ball-negative-axis", "orthant-3d"])
 @pytest.mark.parametrize("weak", [False, True])
-def test_set_min_is_the_identity_objective_under_the_set(M, L, verdicts, weak):
+def test_set_min_is_the_identity_objective_under_the_set(M, K, L, verdicts, weak):
     """The set certifier walks the grid of the objective certifier for
-    f = identity constrained to M: same verdict, samples and witness."""
-    rep = certify_set_min(M, [0.0, 0.0], R2_PLUS, L, weak=weak, grid=SMALL)
-    p = Problem(builtin("identity_2"), R2_PLUS, L, (0.0, 0.0), SMALL, constraint=M)
-    same = certify_directional_min(p, weak=weak)
+    f = identity constrained to M, and decides as the walk point by point
+    that asks M about one point at a time: same verdict, samples and
+    witness."""
+    xbar = (0.0,) * M.dim
+    rep = certify_set_min(M, xbar, K, L, weak=weak, grid=SMALL)
+    f = builtin("identity_2") if M.dim == 2 else identity(M.dim)
+    p = Problem(f, K, L, xbar, SMALL, constraint=M)
     assert rep.verdict == verdicts[weak]
-    assert (rep.verdict, rep.samples, rep.note) == (
-        same.verdict, same.samples, same.note)
-    assert rep.counterexample == same.counterexample
+    assert rep.as_dict() == certify_directional_min(p, weak=weak).as_dict()
+    assert rep.as_dict() == _pointwise_walk(p, weak).as_dict()
 
 
 @pytest.mark.parametrize("L", [

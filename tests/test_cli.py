@@ -166,6 +166,11 @@ def test_exit_1_on_malformed_problem(tmp_path):
     assert code == 1
 
 
+CERTIFY_SET_DOC = {"set": {"polyhedron": {"rows": [[1, 0], [0, 1]], "offsets": [0, 0]}},
+                   "K": [[1.0, 0.0], [0.0, 1.0]], "L": {"full_sphere": True},
+                   "point": [0.0, 0.0], "grid": {"levels": 5, "rays_per_level": 16}}
+
+
 @pytest.mark.parametrize("command, doc", [
     ("certify", dict(SADDLE_DOC, dim_in=1, L={"finite": [[1.0]]}, point=[0.0],
                      objective={"expressions": ["x0 +* 2"]})),
@@ -185,11 +190,12 @@ def test_exit_1_on_malformed_problem(tmp_path):
     ("fritz-john", G_OVERFLOW_DOC),
     ("certify", DEEP_PARENS_DOC),
     ("certify", DEEP_K_TEXT),
+    ("certify-set", dict(CERTIFY_SET_DOC, point=[-1.0, 0.0])),
 ], ids=["bad-expression", "evaluation-error", "e-outside-int-K",
         "grid-not-object", "grid-empty-list", "zero-direction",
         "zero-base-negative-power", "power-overflow", "sin-of-inf",
         "fd-overflow-first-order", "fd-overflow-kkt", "fd-overflow-fritz-john",
-        "fd-overflow-fritz-john-g", "deep-parentheses", "deep-K"])
+        "fd-overflow-fritz-john-g", "deep-parentheses", "deep-K", "point-outside-set"])
 def test_exit_1_single_error_line(tmp_path, capsys, command, doc):
     path = _write(tmp_path, doc)
     with warnings.catch_warnings():
@@ -202,11 +208,10 @@ def test_exit_1_single_error_line(tmp_path, capsys, command, doc):
         field = "objective" if doc is FD_OVERFLOW_DOC else "g"
         assert err == [f"error: {field}: the finite-difference Jacobian at [0.0, 0.0] "
                        "has non-finite entries"]
+    if command == "certify-set":
+        assert err == ["error: reference point is not feasible"]
 
 
-CERTIFY_SET_DOC = {"set": {"polyhedron": {"rows": [[1, 0], [0, 1]], "offsets": [0, 0]}},
-                   "K": [[1.0, 0.0], [0.0, 1.0]], "L": {"full_sphere": True},
-                   "point": [0.0, 0.0], "grid": {"levels": 5, "rays_per_level": 16}}
 TANGENT_DOC = {"set": {"polyhedron": {"rows": [[1, 0], [0, 1]], "offsets": [0, 0]}},
                "point": [0, 0], "direction": [1, 0], "L": {"finite": [[1, 0], [-1, 0]]}}
 MINTIME_DOC = {"L": {"finite": [[1.0, 0.0]]}, "point": [0.0, 0.0],

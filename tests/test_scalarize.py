@@ -20,6 +20,9 @@ ORTHANT3 = HalfspaceCone.from_rows(np.eye(3))
 CTX2 = ScalarizationContext.create(ORTHANT2, [1.0, 1.0])
 CTXW = ScalarizationContext.create(WEDGE, [2.0, 1.0])
 CTX3 = ScalarizationContext.create(ORTHANT3, [1.0, 2.0, 1.0])
+# the wedge with its rows rescaled by 1e-6 and 1e6
+CTX_SCALED = ScalarizationContext.create(
+    HalfspaceCone.from_rows([[0.0, 1e-6], [1e6, -1e6]]), [2.0, 1.0])
 
 
 def test_requires_interior_e():
@@ -93,23 +96,39 @@ def test_K_monotone():
                 ctx, y1 + k) + 1e-9
 
 
+def _is_ray_of_a_row(v, rows):
+    """Is v a nonnegative multiple of one row of K?"""
+    return any(v @ r >= 0 and np.allclose(v, (v @ r) / (r @ r) * r, rtol=1e-12, atol=0)
+               for r in rows)
+
+
 def test_subdiff_certificate():
+    """At random u and at u = e, where every ratio ties at 1, on a badly
+    scaled cone too: the value is gerstewitz_value's bit for bit and the
+    witness is a scaled row of K that passes its own check."""
     rng = np.random.default_rng(8)
-    for ctx in (CTX2, CTXW, CTX3):
-        dim = len(ctx.e)
+
+    def check(ctx, u):
+        cert = gerstewitz_subdiff(ctx, u)
+        v = np.asarray(cert.witness)
+        assert cert.value == gerstewitz_value(ctx, u)
+        assert cert.satisfies(cert.witness)
+        assert _is_ray_of_a_row(v, ctx.K.rows)
+        # subgradient inequality s(y) >= s(u) + v.(y - u)
+        su = gerstewitz_value(ctx, u)
+        assert float(v @ ctx.e) == pytest.approx(1.0, abs=1e-9)
+        assert float(v @ u) == pytest.approx(su, abs=1e-7)
+        for _ in range(20):
+            y = rng.uniform(-5.0, 5.0, len(u))
+            assert gerstewitz_value(ctx, y) >= su + float(
+                v @ (y - u)) - 1e-7
+
+    contexts = (CTX2, CTXW, CTX3, CTX_SCALED)
+    for ctx in contexts:
         for _ in range(50):
-            u = rng.uniform(-5.0, 5.0, dim)
-            cert = gerstewitz_subdiff(ctx, u)
-            v = np.asarray(cert.witness)
-            assert cert.satisfies(v)
-            # subgradient inequality s(y) >= s(u) + v.(y - u)
-            su = gerstewitz_value(ctx, u)
-            assert float(v @ ctx.e) == pytest.approx(1.0, abs=1e-9)
-            assert float(v @ u) == pytest.approx(su, abs=1e-7)
-            for _ in range(20):
-                y = rng.uniform(-5.0, 5.0, dim)
-                assert gerstewitz_value(ctx, y) >= su + float(
-                    v @ (y - u)) - 1e-7
+            check(ctx, rng.uniform(-5.0, 5.0, len(ctx.e)))
+    for ctx in contexts:
+        check(ctx, ctx.e)
 
 
 def test_subdiff_witness_in_dual_cone():
