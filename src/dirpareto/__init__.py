@@ -75,7 +75,6 @@ from .tangent import (
     derivative_image,
     tangent_membership_sampled,
     tangent_polyhedral,
-    ursescu_polyhedral,
 )
 
 __version__ = "0.1.0"

@@ -320,7 +320,7 @@ def tangent_sufficiency_sets(M, xbar, K: HalfspaceCone, L: DirectionSet,
         raise CertifyError("exact tangent sufficiency needs a polyhedral set")
     xbar = as_vector(xbar, M.dim)
     if not M.contains(xbar):
-        raise CertifyError("reference point is not in the set")
+        raise CertifyError("reference point is not feasible")
     T_rows = M.active_rows(xbar)
     nrows = len(K.rows)
     for depth in [np.ones(nrows)] if weak else np.eye(nrows):

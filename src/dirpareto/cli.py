@@ -40,13 +40,14 @@ from .problemfile import (
     load,
     parse_cone,
     parse_direction_set,
-    parse_grid,
     parse_objective,
     parse_problem,
     parse_set,
     parse_target,
     parse_vector_mode,
     read,
+    read_set_problem,
+    read_tangent_problem,
     rows,
     vector,
 )
@@ -163,12 +164,8 @@ def _cmd_certify(doc, args) -> tuple:
 
 
 def _cmd_certify_set(doc, args) -> tuple:
-    M = read(doc, "set", parse_set)
-    K = read(doc, "K", parse_cone)
-    L = read(doc, "L", parse_direction_set, M.dim)
-    grid = _grid_from_args(read(doc, "grid", parse_grid,
-                                default=GridSpec()), args)
-    xbar = np.array(read(doc, "point", vector, M.dim))
+    M, xbar, K, L, grid = read_set_problem(doc)
+    grid = _grid_from_args(grid, args)
     rep = certify_set_min(M, xbar, K, L, weak=args.weak, grid=grid)
     report = {"set": doc["set"], "report": rep.as_dict()}
     if M.dim == 2:
@@ -191,11 +188,8 @@ def _cmd_first_order(doc, args) -> tuple:
 
 
 def _cmd_tangent(doc, args) -> tuple:
-    A = read(doc, "set", parse_set)
-    xbar = read(doc, "point", vector, A.dim)
-    u = np.array(read(doc, "direction", vector, A.dim))
-    L = read(doc, "L", parse_direction_set, A.dim, default=None)
-    report = {"direction": list(u)}
+    A, xbar, L, u = read_tangent_problem(doc)
+    report = {"direction": u}
     if isinstance(A, PolyhedralSet) and L is not None:
         member = tangent_polyhedral(A, xbar, L).contains(u)
         report.update({"method": "exact_polyhedral",

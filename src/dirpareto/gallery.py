@@ -5,159 +5,108 @@ its published verdicts.  Entry names and definitions are frozen; the
 primary run's verdict drives the CLI exit code (0 when it matches the
 expected outcome and that outcome is a certificate, 2 when the expected
 outcome is a refutation, 1 on mismatch).
+
+Every run is a problem document that ``dirpareto <kind> --problem``
+accepts, read by the same parsers; an entry's documents are parsed once
+per process.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import functools
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .certify import GridSpec, Problem, certify_directional_min, certify_set_min
-from .geometry import DirectionSet, HalfspaceCone
-from .maps import builtin, sector_map
-from .sets import cardioid_region, curve_halfplane_set
+from .certify import GridSpec, certify_directional_min, certify_set_min
+from .problemfile import parse_problem, read_set_problem, read_tangent_problem
 from .tangent import TSchedule, tangent_membership_sampled
-
-R_PLUS = HalfspaceCone.from_rows([[1.0]])
-R2_PLUS = HalfspaceCone.from_rows([[1.0, 0.0], [0.0, 1.0]])
-# K = cone conv{(1,0),(1,1)} in H-representation
-K_WEDGE = HalfspaceCone.from_rows([[0.0, 1.0], [1.0, -1.0]])
-
-L_X_AXIS = DirectionSet.finite([(1.0, 0.0), (-1.0, 0.0)])
-L_DOWN = DirectionSet.finite([(0.0, -1.0)])
-L_PLUS = DirectionSet.finite([(1.0,)])
-L_MINUS = DirectionSet.finite([(-1.0,)])
-L_BOTH = DirectionSet.finite([(-1.0,), (1.0,)])
 
 SECTOR_T1 = np.pi / 6.0
 SECTOR_T2 = np.pi / 3.0
 
 
-def _circle(count: int) -> DirectionSet:
+def _circle(count: int) -> list:
     ang = 2.0 * np.pi * np.arange(count) / count
-    return DirectionSet.finite(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1).tolist()
 
 
-def _arc(t0: float, t1: float, count: int) -> DirectionSet:
+def _arc(t0: float, t1: float, count: int) -> list:
     ang = np.linspace(t0, t1, count)
-    return DirectionSet.finite(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1).tolist()
 
 
-def _run_certify(name, f, K, L, xbar, expected, grid, weak=False):
-    rep = certify_directional_min(
-        Problem(f, K, L, xbar, grid), weak=weak)
-    return {"run": name, "kind": "certify", "expected": expected,
-            "report": rep.as_dict(), "match": rep.verdict == expected}
+def _certify(objective: dict, K: list, point: list, *runs) -> list:
+    """``certify`` runs on the default grid: one document per (run, finite
+    directions of L, expected verdict) of ``runs``."""
+    return [(run, "certify", {"dim_in": len(point), "objective": objective, "K": K,
+                              "L": {"finite": L}, "point": point}, expected)
+            for run, L, expected in runs]
 
 
-def _entry_saddle_x2_y2(grid):
-    f = builtin("saddle_x2_y2")
-    return [
-        _run_certify("L-x-axis", f, R_PLUS, L_X_AXIS, (0, 0),
-                     "certified_on_grid", grid),
-        _run_certify("L-full-circle", f, R_PLUS, _circle(128), (0, 0),
-                     "refuted", grid),
-    ], 0
+# K = R_+, R^2_+ and the wedge cone conv{(1,0),(1,1)}, in H-representation
+_R_PLUS, _R2_PLUS, _WEDGE = [[1.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, -1.0]]
+_X_AXIS, _PLUS, _MINUS = [[1.0, 0.0], [-1.0, 0.0]], [[1.0]], [[-1.0]]
+_CARDIOID = {"set": {"named": "cardioid"}, "point": [0.0, 0.0], "direction": [-1.0, 0.0]}
+_CURVE_HALFPLANE = {"set": {"named": "curve-halfplane"}, "K": _R2_PLUS, "point": [0.0, 0.0]}
+_CERTIFIED = "certified_on_grid"
 
-
-def _entry_saddle_x2_y3(grid):
-    f = builtin("saddle_x2_y3")
-    return [
-        _run_certify("L-x-axis", f, R_PLUS, L_X_AXIS, (0, 0),
-                     "certified_on_grid", grid),
-        _run_certify("L-down", f, R_PLUS, L_DOWN, (0, 0),
-                     "certified_on_grid", grid),
-    ], 0
-
-
-def _entry_sin_inv_x(grid):
-    f = builtin("sin_inv_x")
-    return [
-        _run_certify("L-plus", f, R_PLUS, L_PLUS, (0,), "refuted", grid),
-        _run_certify("L-minus", f, R_PLUS, L_MINUS, (0,), "refuted", grid),
-    ], 2
-
-
-def _entry_x3_sin_inv_x(grid):
-    f = builtin("x3_sin_inv_x")
-    return [
-        _run_certify("L-plus", f, R_PLUS, L_PLUS, (0,), "refuted", grid),
-        _run_certify("L-minus", f, R_PLUS, L_MINUS, (0,), "refuted", grid),
-    ], 2
-
-
-def _entry_arctan_sector(grid):
-    f = sector_map(SECTOR_T1, SECTOR_T2)
-    L = _arc(SECTOR_T1, SECTOR_T2, 128)
-    return [
-        _run_certify("L-sector-arc", f, R_PLUS, L, (0, 0),
-                     "certified_on_grid", grid),
-    ], 0
-
-
-def _entry_vector_2x_x(grid):
-    f = builtin("vector_2x_x")
-    return [
-        _run_certify("L-plus", f, K_WEDGE, L_PLUS, (0,),
-                     "certified_on_grid", grid),
-        _run_certify("L-both", f, K_WEDGE, L_BOTH, (0,), "refuted", grid),
-    ], 0
-
-
-def _entry_vector_pair_saddle(grid):
-    f = builtin("vector_pair_saddle")
-    return [
-        _run_certify("L-x-axis", f, R2_PLUS, L_X_AXIS, (0, 0),
-                     "certified_on_grid", grid),
-    ], 0
-
-
-def _entry_cardioid_tangent(grid):
-    A = cardioid_region()
-    sched = TSchedule()
-    runs = []
-    for name, L, expected in [
-        ("restricted", DirectionSet.finite([(-1.0, 0.0)]), "nonmember"),
-        ("unrestricted", None, "member"),
-    ]:
-        v = tangent_membership_sampled(A, (0.0, 0.0), L, (-1.0, 0.0), sched)
-        runs.append({"run": name, "kind": "tangent", "expected": expected,
-                     "report": {"status": v.status, "note": v.note,
-                                "levels": len(v.evidence)},
-                     "match": v.status == expected})
-    return runs, 0
-
-
-def _entry_set_curve_halfplane(grid):
-    M = curve_halfplane_set()
-    runs = []
-    for name, L, expected in [
-        ("L-arc", _arc(np.pi, 1.25 * np.pi, 64), "certified_on_grid"),
-        ("L-full-circle", _circle(128), "refuted"),
-    ]:
-        rep = certify_set_min(M, (0.0, 0.0), R2_PLUS, L, weak=False, grid=grid)
-        runs.append({"run": name, "kind": "certify-set", "expected": expected,
-                     "report": rep.as_dict(),
-                     "match": rep.verdict == expected})
-    return runs, 0
-
-
+# entry -> (nominal exit code, runs); a run is (name, kind, document,
+# expected verdict) and its document is what ``dirpareto <kind>`` reads
 GALLERY = {
-    "saddle-x2-y2": _entry_saddle_x2_y2,
-    "saddle-x2-y3": _entry_saddle_x2_y3,
-    "sin-inv-x": _entry_sin_inv_x,
-    "x3-sin-inv-x": _entry_x3_sin_inv_x,
-    "arctan-sector": _entry_arctan_sector,
-    "vector-2x-x": _entry_vector_2x_x,
-    "vector-pair-saddle": _entry_vector_pair_saddle,
-    "cardioid-tangent": _entry_cardioid_tangent,
-    "set-curve-halfplane": _entry_set_curve_halfplane,
+    "saddle-x2-y2": (0, _certify({"builtin": "saddle_x2_y2"}, _R_PLUS, [0.0, 0.0],
+                                 ("L-x-axis", _X_AXIS, _CERTIFIED),
+                                 ("L-full-circle", _circle(128), "refuted"))),
+    "saddle-x2-y3": (0, _certify({"builtin": "saddle_x2_y3"}, _R_PLUS, [0.0, 0.0],
+                                 ("L-x-axis", _X_AXIS, _CERTIFIED),
+                                 ("L-down", [[0.0, -1.0]], _CERTIFIED))),
+    "sin-inv-x": (2, _certify({"builtin": "sin_inv_x"}, _R_PLUS, [0.0],
+                              ("L-plus", _PLUS, "refuted"), ("L-minus", _MINUS, "refuted"))),
+    "x3-sin-inv-x": (2, _certify({"builtin": "x3_sin_inv_x"}, _R_PLUS, [0.0],
+                                 ("L-plus", _PLUS, "refuted"), ("L-minus", _MINUS, "refuted"))),
+    "arctan-sector": (0, _certify({"sector": [SECTOR_T1, SECTOR_T2]}, _R_PLUS, [0.0, 0.0],
+                                  ("L-sector-arc", _arc(SECTOR_T1, SECTOR_T2, 128), _CERTIFIED))),
+    "vector-2x-x": (0, _certify({"builtin": "vector_2x_x"}, _WEDGE, [0.0],
+                                ("L-plus", _PLUS, _CERTIFIED),
+                                ("L-both", _MINUS + _PLUS, "refuted"))),
+    "vector-pair-saddle": (0, _certify({"builtin": "vector_pair_saddle"}, _R2_PLUS, [0.0, 0.0],
+                                       ("L-x-axis", _X_AXIS, _CERTIFIED))),
+    "cardioid-tangent": (0, [
+        ("restricted", "tangent", dict(_CARDIOID, L={"finite": [[-1.0, 0.0]]}), "nonmember"),
+        ("unrestricted", "tangent", _CARDIOID, "member")]),
+    "set-curve-halfplane": (0, [
+        ("L-arc", "certify-set",
+         dict(_CURVE_HALFPLANE, L={"finite": _arc(np.pi, 1.25 * np.pi, 64)}), _CERTIFIED),
+        ("L-full-circle", "certify-set",
+         dict(_CURVE_HALFPLANE, L={"finite": _circle(128)}), "refuted")]),
 }
+
+_READERS = {"certify": parse_problem, "certify-set": read_set_problem,
+            "tangent": read_tangent_problem}
 
 
 def gallery_names() -> list:
     return list(GALLERY)
+
+
+@functools.cache
+def _parsed(name: str) -> tuple:
+    """(run, kind, parsed document, expected) of each run of an entry."""
+    return tuple((run, kind, _READERS[kind](doc), expected)
+                 for run, kind, doc, expected in GALLERY[name][1])
+
+
+def _run(kind: str, problem, grid: GridSpec) -> tuple:
+    """(report, verdict) of one parsed run on ``grid``."""
+    if kind == "tangent":
+        v = tangent_membership_sampled(*problem, TSchedule())
+        return {"status": v.status, "note": v.note, "levels": len(v.evidence)}, v.status
+    if kind == "certify":
+        rep = certify_directional_min(replace(problem, grid=grid))
+    else:
+        M, xbar, K, L, _ = problem
+        rep = certify_set_min(M, xbar, K, L, grid=grid)
+    return rep.as_dict(), rep.verdict
 
 
 def run_example(name: str, grid: GridSpec | None = None):
@@ -170,12 +119,11 @@ def run_example(name: str, grid: GridSpec | None = None):
         raise KeyError(f"unknown gallery entry {name!r}; "
                        f"known: {gallery_names()}")
     grid = grid or GridSpec()
-    runs, ok_code = GALLERY[name](grid)
+    runs = []
+    for run, kind, problem, expected in _parsed(name):
+        report, verdict = _run(kind, problem, grid)
+        runs.append({"run": run, "kind": kind, "expected": expected,
+                     "report": report, "match": verdict == expected})
     all_match = all(r["match"] for r in runs)
-    report = {
-        "example": name,
-        "grid": asdict(grid),
-        "runs": runs,
-        "reproduced": all_match,
-    }
-    return report, (ok_code if all_match else 1)
+    report = {"example": name, "grid": asdict(grid), "runs": runs, "reproduced": all_match}
+    return report, (GALLERY[name][0] if all_match else 1)

@@ -211,10 +211,6 @@ class GeneratorCone:
         gens = _nonzero_rows(gens, "generator cone")
         return GeneratorCone(gens.shape[1], gens)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.generators
-
     def contains(self, v) -> bool:
         return bool(self._contains_rows(as_vector(v, self.dim)[None])[0])
 
@@ -324,10 +320,6 @@ class DirectionSet:
         if dim < 1:
             raise GeometryError("dimension must be positive")
         return DirectionSet(dim, "full_sphere", frozen_array(np.zeros((0, dim)), 2))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.vectors
 
     @cached_property
     def hull(self) -> GeneratorCone | HalfspaceCone | None:

@@ -209,7 +209,7 @@ def stationarity_penalized(f: SmoothMap, A: PolyhedralSet, xbar,
     """
     xbar = as_vector(xbar, f.dim_in)
     if not A.contains(xbar):
-        raise CertifyError("reference point is not in A")
+        raise CertifyError("reference point is not feasible")
     gens_L = _cone_generators(L)
     normal_gens = _normal_cone_rows(A, xbar)
     m = normal_gens.shape[0]

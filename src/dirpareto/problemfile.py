@@ -259,6 +259,25 @@ def parse_problem(doc: dict) -> Problem:
     return Problem(f, K, L, tuple(xbar), grid, constraint)
 
 
+def read_set_problem(doc: dict) -> tuple:
+    """(M, point, K, L, grid) of a ``certify-set`` document, the first four
+    in the order ``certify_set_min`` takes them."""
+    M = read(doc, "set", parse_set)
+    K = read(doc, "K", parse_cone)
+    L = read(doc, "L", parse_direction_set, M.dim)
+    grid = read(doc, "grid", parse_grid, default=GridSpec())
+    return M, read(doc, "point", vector, M.dim), K, L, grid
+
+
+def read_tangent_problem(doc: dict) -> tuple:
+    """(A, point, L or None, direction) of a ``tangent`` document, in the
+    order ``tangent_membership_sampled`` takes them."""
+    A = read(doc, "set", parse_set)
+    xbar = read(doc, "point", vector, A.dim)
+    u = read(doc, "direction", vector, A.dim)
+    return A, xbar, read(doc, "L", parse_direction_set, A.dim, default=None), u
+
+
 def normalize(doc: dict) -> dict:
     """Normalized document: defaults filled, numbers coerced to float.
 

@@ -4,13 +4,14 @@ Polyhedra are exact; curved regions (cardioid, the closed-curve example)
 are polygon approximations with even-odd point-in-polygon membership.
 A polygon compiles its edges once, on its first membership query, into a
 slab index of horizontal bands, so each point is tested only against the
-few edges of its band.
+few edges of its band.  The named regions are built once per process
+and shared: their objects are frozen and their arrays read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -40,14 +41,6 @@ class PolyhedralSet:
         if w is None:
             raise GeometryError("polyhedron is empty")
         return PolyhedralSet(mat.shape[1], mat, offs, tuple(w))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.rows
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return self.offsets
 
     def contains(self, x) -> bool:
         return bool(self.contains_many(as_vector(x, self.dim)[None])[0])
@@ -279,6 +272,7 @@ def _clustered_parameters(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.sin(0.5 * np.pi * j) ** 2
 
 
+@cache
 def cardioid_region(segments: int = 4096) -> PolygonRegion:
     """Plane domain bounded by x = -2cos t + cos 2t + 1, y = 2sin t - sin 2t.
 
@@ -297,6 +291,7 @@ def cardioid_region(segments: int = 4096) -> PolygonRegion:
                          name="cardioid")
 
 
+@cache
 def closed_curve_region(segments: int = 4096) -> PolygonRegion:
     """Region bounded by x = 2 + 2cos t (1 - sin t), y = sin t (1 - cos t)."""
     t = 2.0 * np.pi * np.arange(segments) / segments
@@ -309,6 +304,7 @@ def closed_curve_region(segments: int = 4096) -> PolygonRegion:
     return PolygonRegion(frozen_array(verts, 2), name="closed-curve")
 
 
+@cache
 def curve_halfplane_set(segments: int = 4096) -> UnionSet:
     """H union (curve-region intersect -H) with H = {(x, y) : y >= -x}."""
     H = PolyhedralSet.from_rows([[1.0, 1.0]], [0.0])

@@ -75,11 +75,6 @@ class ExactTangentCone:
             return bool(np.any(np.linalg.norm(self.rays - v / nrm, axis=1) <= TOL))
         return all(p.contains(v) for p in self.pieces)
 
-    def sample_rays(self) -> np.ndarray:
-        if self.rays is None:
-            raise GeometryError("H-rep tangent cone has no explicit ray list")
-        return self.rays
-
 
 def bouligand_polyhedral(A: PolyhedralSet, xbar) -> HalfspaceCone | None:
     """T_B(A, xbar) for a polyhedron: feasible directions of the active rows.
@@ -89,14 +84,11 @@ def bouligand_polyhedral(A: PolyhedralSet, xbar) -> HalfspaceCone | None:
     """
     xbar = as_vector(xbar, A.dim)
     if not A.contains(xbar):
-        raise GeometryError("reference point is not in the polyhedron")
+        raise GeometryError("reference point is not feasible")
     act = A.active_rows(xbar)
     if act.shape[0] == 0:
         return None
     return HalfspaceCone.from_rows(act)
-
-
-ursescu_polyhedral = bouligand_polyhedral
 
 
 def tangent_polyhedral(A: PolyhedralSet, xbar, L: DirectionSet) -> ExactTangentCone:
@@ -171,7 +163,7 @@ def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
     xbar = as_vector(xbar)
     u = as_vector(u, xbar.size)
     if not A.contains(xbar):
-        raise GeometryError("reference point is not in the set")
+        raise GeometryError("reference point is not feasible")
     if L is not None and not cone_contains(L, u):
         return TangentVerdict("nonmember", (), note="u is outside cone L")
 

@@ -11,16 +11,7 @@ import numpy as np
 import pytest
 
 from dirpareto.certify import IneqEq, Problem, certify_directional_min
-from dirpareto.gallery import (
-    K_WEDGE,
-    L_DOWN,
-    L_PLUS,
-    L_X_AXIS,
-    R2_PLUS,
-    R_PLUS,
-    gallery_names,
-    run_example,
-)
+from dirpareto.gallery import gallery_names, run_example
 from dirpareto.geometry import DirectionSet, HalfspaceCone, cone_contains
 from dirpareto.lp import LPProblem, lp_feasible
 from dirpareto.maps import SmoothMap, builtin
@@ -37,6 +28,7 @@ from dirpareto.tangent import (
     bouligand_polyhedral,
     tangent_membership_sampled,
 )
+from cones import K_WEDGE, L_DOWN, L_PLUS, L_X_AXIS, R2_PLUS, R_PLUS
 from oracles import (
     gerstewitz_bisect,
     linf_distance_to_polyhedron,
@@ -156,7 +148,7 @@ def test_criterion_4_minimal_time_suite():
         x = rng.uniform(-4, 4, n)
         val, exact = minimal_time(DirectionSet.full_sphere(n), x,
                                   Target.polyhedral(poly), norm="linf")
-        ref = linf_distance_to_polyhedron(poly.matrix, poly.rhs, x)
+        ref = linf_distance_to_polyhedron(poly.rows, poly.offsets, x)
         assert exact and ref is not None
         assert val == pytest.approx(ref, abs=1e-6)
         checked += 1
@@ -232,7 +224,7 @@ def test_criterion_6_tangent_intersection_inclusion():
         phi = rng.integers(-2, 3, size=(dim, dim)).astype(float)
         D = poly_through(xbar, int(rng.integers(1, 4)), dim)
         E = poly_through(phi @ xbar, int(rng.integers(1, 4)), dim)
-        rows = [np.array(r) for r in D.rows] + [E.matrix[i] @ phi
+        rows = [np.array(r) for r in D.rows] + [E.rows[i] @ phi
                                                 for i in range(len(E.rows))]
         try:
             inter = PolyhedralSet.from_rows(rows,

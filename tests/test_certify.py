@@ -25,20 +25,7 @@ from dirpareto.certify import (
     openness_falsifier,
     tangent_sufficiency_sets,
 )
-from dirpareto.gallery import (
-    K_WEDGE,
-    L_BOTH,
-    L_DOWN,
-    L_MINUS,
-    L_PLUS,
-    L_X_AXIS,
-    R2_PLUS,
-    R_PLUS,
-    SECTOR_T1,
-    SECTOR_T2,
-    gallery_names,
-    run_example,
-)
+from dirpareto.gallery import GALLERY, gallery_names, run_example
 from dirpareto.expressions import EvaluationError, piecewise_from_spec
 from dirpareto.geometry import (
     TOL,
@@ -50,8 +37,17 @@ from dirpareto.geometry import (
     direction_samples,
     ray_points,
 )
-from dirpareto.maps import SmoothMap, builtin, from_expressions, identity, sector_map
-from dirpareto.sets import ImplicitSet, PolygonRegion, PolyhedralSet, curve_halfplane_set
+from dirpareto.maps import SmoothMap, builtin, from_expressions, identity
+from dirpareto.problemfile import parse_problem
+from dirpareto.sets import (
+    ImplicitSet,
+    PolygonRegion,
+    PolyhedralSet,
+    cardioid_region,
+    curve_halfplane_set,
+)
+
+from cones import K_WEDGE, L_BOTH, L_DOWN, L_MINUS, L_PLUS, L_X_AXIS, R2_PLUS, R_PLUS
 
 ORTHANT2 = PolyhedralSet.from_rows([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
 UNIT_BALL = ImplicitSet(2, lambda x: float(np.linalg.norm(x)) <= 1.0, "ball")
@@ -68,26 +64,10 @@ def _circle(count):
 
 
 def _gallery_function_problems():
-    """The gallery's function-certification runs as Problem objects."""
-    arc = np.linspace(SECTOR_T1, SECTOR_T2, 128)
-    sector_L = DirectionSet.finite(np.stack([np.cos(arc), np.sin(arc)], axis=1))
-    specs = [
-        ("saddle-x2-y2/x-axis", builtin("saddle_x2_y2"), R_PLUS, L_X_AXIS, (0, 0)),
-        ("saddle-x2-y2/circle", builtin("saddle_x2_y2"), R_PLUS, _circle(128), (0, 0)),
-        ("saddle-x2-y3/x-axis", builtin("saddle_x2_y3"), R_PLUS, L_X_AXIS, (0, 0)),
-        ("saddle-x2-y3/down", builtin("saddle_x2_y3"), R_PLUS, L_DOWN, (0, 0)),
-        ("sin-inv-x/plus", builtin("sin_inv_x"), R_PLUS, L_PLUS, (0,)),
-        ("sin-inv-x/minus", builtin("sin_inv_x"), R_PLUS, L_MINUS, (0,)),
-        ("x3-sin-inv-x/plus", builtin("x3_sin_inv_x"), R_PLUS, L_PLUS, (0,)),
-        ("x3-sin-inv-x/minus", builtin("x3_sin_inv_x"), R_PLUS, L_MINUS, (0,)),
-        ("arctan-sector/arc", sector_map(SECTOR_T1, SECTOR_T2), R_PLUS,
-         sector_L, (0, 0)),
-        ("vector-2x-x/plus", builtin("vector_2x_x"), K_WEDGE, L_PLUS, (0,)),
-        ("vector-2x-x/both", builtin("vector_2x_x"), K_WEDGE, L_BOTH, (0,)),
-        ("vector-pair-saddle/x-axis", builtin("vector_pair_saddle"), R2_PLUS,
-         L_X_AXIS, (0, 0)),
-    ]
-    return [(name, Problem(f, K, L, xbar)) for name, f, K, L, xbar in specs]
+    """The gallery's function-certification runs, parsed from their documents."""
+    return [(f"{entry}/{run}", parse_problem(doc))
+            for entry, (_, runs) in GALLERY.items()
+            for run, kind, doc, _ in runs if kind == "certify"]
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +431,24 @@ def test_gallery_reports_match_nominal_exit_codes():
         assert code in (0, 2), name
 
 
+def test_gallery_builds_its_problems_once(monkeypatch):
+    """Named regions are built once per process, and an entry's documents
+    are parsed once: a second run of an entry builds no direction set or
+    polygon and gives the same report."""
+    assert cardioid_region() is cardioid_region()
+    assert curve_halfplane_set() is curve_halfplane_set()
+    first = {name: run_example(name) for name in gallery_names()}
+    built = []
+    for cls in (DirectionSet, PolygonRegion):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    for name in gallery_names():
+        assert run_example(name) == first[name], name
+    assert built == []
+
+
 def test_strong_certified_implies_weak_certified():
     for name, p in _gallery_function_problems():
         strong = certify_directional_min(p, weak=False)
@@ -776,7 +774,7 @@ def test_weakly_certified_gallery_passes_first_order():
         rep = certify_directional_min(p, weak=True)
         if rep.verdict != "certified_on_grid":
             continue
-        out = check_first_order_necessary(p, list(p.L.matrix))
+        out = check_first_order_necessary(p, list(p.L.vectors))
         assert out["holds"], name
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from dirpareto import cli, problemfile
 from dirpareto.cli import main
-from dirpareto.gallery import gallery_names
+from dirpareto.gallery import GALLERY, gallery_names, run_example
 from dirpareto.problemfile import ProblemFileError, normalize, parse_problem
 
 from oracles import rational_feasible
@@ -71,7 +71,7 @@ def test_normalize_round_trip_idempotent():
     assert n1 == n2
     p1, p2 = parse_problem(SADDLE_DOC), parse_problem(n1)
     assert p1.xbar == p2.xbar and p1.grid == p2.grid
-    assert np.allclose(p1.L.matrix, p2.L.matrix)
+    assert np.allclose(p1.L.vectors, p2.L.vectors)
 
 
 def test_normalize_scales_directions_to_unit():
@@ -169,6 +169,15 @@ def test_exit_1_on_malformed_problem(tmp_path):
 CERTIFY_SET_DOC = {"set": {"polyhedron": {"rows": [[1, 0], [0, 1]], "offsets": [0, 0]}},
                    "K": [[1.0, 0.0], [0.0, 1.0]], "L": {"full_sphere": True},
                    "point": [0.0, 0.0], "grid": {"levels": 5, "rays_per_level": 16}}
+# a reference point outside the set, for each subcommand that takes one
+OUTSIDE_SET_DOCS = [
+    ("certify-set", dict(CERTIFY_SET_DOC, point=[-1.0, 0.0])),
+    ("tangent", {"set": CERTIFY_SET_DOC["set"], "point": [-1.0, 0.0],
+                 "direction": [1.0, 0.0], "L": {"finite": [[1.0, 0.0]]}}),
+    ("tangent", {"set": CERTIFY_SET_DOC["set"], "point": [-1.0, 0.0],
+                 "direction": [1.0, 0.0]}),
+    ("penalized", dict(SADDLE_DOC, point=[-1.0, 0.0], A=CERTIFY_SET_DOC["set"])),
+]
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -190,12 +199,14 @@ CERTIFY_SET_DOC = {"set": {"polyhedron": {"rows": [[1, 0], [0, 1]], "offsets": [
     ("fritz-john", G_OVERFLOW_DOC),
     ("certify", DEEP_PARENS_DOC),
     ("certify", DEEP_K_TEXT),
-    ("certify-set", dict(CERTIFY_SET_DOC, point=[-1.0, 0.0])),
+    *OUTSIDE_SET_DOCS,
 ], ids=["bad-expression", "evaluation-error", "e-outside-int-K",
         "grid-not-object", "grid-empty-list", "zero-direction",
         "zero-base-negative-power", "power-overflow", "sin-of-inf",
         "fd-overflow-first-order", "fd-overflow-kkt", "fd-overflow-fritz-john",
-        "fd-overflow-fritz-john-g", "deep-parentheses", "deep-K", "point-outside-set"])
+        "fd-overflow-fritz-john-g", "deep-parentheses", "deep-K", "point-outside-set",
+        "tangent-exact-point-outside-set", "tangent-sampled-point-outside-set",
+        "penalized-point-outside-set"])
 def test_exit_1_single_error_line(tmp_path, capsys, command, doc):
     path = _write(tmp_path, doc)
     with warnings.catch_warnings():
@@ -208,7 +219,7 @@ def test_exit_1_single_error_line(tmp_path, capsys, command, doc):
         field = "objective" if doc is FD_OVERFLOW_DOC else "g"
         assert err == [f"error: {field}: the finite-difference Jacobian at [0.0, 0.0] "
                        "has non-finite entries"]
-    if command == "certify-set":
+    if (command, doc) in OUTSIDE_SET_DOCS:
         assert err == ["error: reference point is not feasible"]
 
 
@@ -615,6 +626,28 @@ def test_gallery_report_is_byte_identical(tmp_path, name):
     assert (code, err) == (codes[name], [])
     with open(os.path.join(GALLERY_GOLDEN, name + ".report.json"), "rb") as fh:
         assert (tmp_path / "out" / "examples.report.json").read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_gallery_documents_are_cli_problem_files(tmp_path, capsys, name):
+    """Each gallery run's document, given to ``dirpareto <kind>`` as a
+    problem file, reproduces the run: the same certifier report, or the
+    same tangent status, note and level count, with exit 0 exactly when
+    the verdict is a certificate or ``member``."""
+    report, _ = run_example(name)
+    for (run, kind, doc, _), got in zip(GALLERY[name][1], report["runs"]):
+        out = tmp_path / run
+        code = main([kind, "--problem", _write(tmp_path, doc, f"{run}.json"),
+                     "--out", str(out)])
+        written = json.loads((out / f"{kind}.report.json").read_text())
+        if kind == "tangent":
+            assert {key: written[key] for key in got["report"]} == got["report"], run
+            verdict = got["report"]["status"]
+        else:
+            assert written["report"] == json.loads(json.dumps(cli._jsonable(got["report"]))), run
+            verdict = got["report"]["verdict"]
+        assert code == (0 if verdict in ("certified_on_grid", "member") else 2), run
+    assert capsys.readouterr().err == ""
 
 
 def _in_row_cone(rows, y):

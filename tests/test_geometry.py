@@ -70,7 +70,7 @@ def test_negative_polar_soundness():
     for _ in range(200):
         v = rng.normal(size=2)
         if P.contains(v):
-            for g in C.matrix:
+            for g in C.generators:
                 assert float(v @ g) <= 1e-7
 
 
@@ -98,7 +98,7 @@ def test_dual_generators_soundness():
         v = rng.normal(size=2)
         if K.contains(v):
             count += 1
-            for g in dg.cone.matrix:
+            for g in dg.cone.generators:
                 assert float(np.asarray(g) @ v) >= -1e-9
     assert count > 100
     assert dg.spanning
@@ -113,8 +113,8 @@ def test_direction_set_finite_requires_unit():
 
 def test_normalize_directions_dedupes():
     L = normalize_directions([[2.0, 0.0], [1.0, 0.0], [0.0, -3.0]])
-    assert L.matrix.shape == (2, 2)
-    assert np.allclose(L.matrix[0], [1.0, 0.0])
+    assert L.vectors.shape == (2, 2)
+    assert np.allclose(L.vectors[0], [1.0, 0.0])
     with pytest.raises(GeometryError):
         normalize_directions([[0.0, 0.0]])
 
@@ -171,7 +171,7 @@ def test_sphere_lattice_deterministic():
 def test_direction_samples_finite_passthrough():
     L = DirectionSet.finite([[0.0, 1.0], [1.0, 0.0]])
     s = direction_samples(L, 100)
-    assert np.array_equal(s, L.matrix)
+    assert np.array_equal(s, L.vectors)
 
 
 def test_direction_samples_section_in_cone():
@@ -196,11 +196,11 @@ def _tangent_rays():
 @pytest.mark.parametrize("build, fields, aliases", [
     (lambda: orthant(2), ["rows"], ["matrix"]),
     (lambda: GeneratorCone.from_generators([[1.0, 0.0], [1.0, 1.0]]),
-     ["generators", "units", ("sectors", bool)], ["matrix", "units", "sectors"]),
-    (lambda: DirectionSet.finite([[1.0, 0.0], [0.0, 1.0]]), ["vectors"], ["matrix"]),
-    (lambda: DirectionSet.full_sphere(3), ["vectors"], ["matrix"]),
+     ["generators", "units", ("sectors", bool)], ["units", "sectors"]),
+    (lambda: DirectionSet.finite([[1.0, 0.0], [0.0, 1.0]]), ["vectors"], []),
+    (lambda: DirectionSet.full_sphere(3), ["vectors"], []),
     (lambda: PolyhedralSet.from_rows([[1.0, 0.0], [0.0, 1.0]], [0.0, -1.0]),
-     ["rows", "offsets"], ["matrix", "rhs"]),
+     ["rows", "offsets"], []),
     (lambda: closed_curve_region(64),
      ["vertices", "next_vertices", "edges", "edge_lengths2", "box_lo", "box_hi"], ["slabs"]),
     (lambda: closed_curve_region(64).slabs,
@@ -226,7 +226,7 @@ def test_stored_arrays_are_read_only(build, fields, aliases):
 def test_tangent_rays_are_an_array_of_surviving_rays():
     tc = _tangent_rays()
     assert tc.rays.shape == (1, 2)
-    assert tc.sample_rays() is tc.rays
+    assert np.array_equal(tc.rays, [[1.0, 0.0]])  # (0, -1) leaves A
 
 
 def test_direction_samples_of_a_thin_section_fall_back_to_an_interior_point():

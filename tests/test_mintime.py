@@ -126,7 +126,7 @@ def test_full_sphere_linf_matches_lp_oracle_100():
         val, exact = minimal_time(DirectionSet.full_sphere(n), x,
                                   Target.polyhedral(poly), norm="linf")
         assert exact
-        ref = linf_distance_to_polyhedron(poly.matrix, poly.rhs, x)
+        ref = linf_distance_to_polyhedron(poly.rows, poly.offsets, x)
         assert ref is not None
         assert val == pytest.approx(ref, abs=1e-6)
         checked += 1

@@ -6,16 +6,6 @@ import numpy as np
 import pytest
 
 from dirpareto.certify import CertifyError, IneqEq, Problem
-from dirpareto.gallery import (
-    K_WEDGE,
-    L_BOTH,
-    L_DOWN,
-    L_MINUS,
-    L_PLUS,
-    L_X_AXIS,
-    R2_PLUS,
-    R_PLUS,
-)
 from dirpareto.geometry import DirectionSet, HalfspaceCone
 from dirpareto.maps import SmoothMap, builtin, from_expressions
 from dirpareto.multipliers import (
@@ -26,6 +16,8 @@ from dirpareto.multipliers import (
     sufficiency_certificate,
 )
 from dirpareto.sets import PolyhedralSet
+
+from cones import K_WEDGE, L_BOTH, L_DOWN, L_MINUS, L_PLUS, L_X_AXIS, R2_PLUS, R_PLUS
 
 
 def _affine_1d(slope, curv=0.0):

@@ -62,7 +62,7 @@ def test_bouligand_outside_point_raises():
 def test_tangent_polyhedral_finite_L_filters_rays():
     L = DirectionSet.finite([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     tc = tangent_polyhedral(ORTHANT2, [0.0, 0.0], L)
-    rays = {tuple(np.round(r, 12)) for r in tc.sample_rays()}
+    rays = {tuple(np.round(r, 12)) for r in tc.rays}
     assert rays == {(1.0, 0.0), (0.0, 1.0)}
     assert tc.contains([1.0, 0.0])
     assert not tc.contains([-1.0, 0.0])
@@ -244,7 +244,7 @@ def _per_level_search(A, xbar, L, u, schedule):
     xbar = np.asarray(xbar, dtype=float)
     u = np.asarray(u, dtype=float)
     if not A.contains(xbar):
-        raise GeometryError("reference point is not in the set")
+        raise GeometryError("reference point is not feasible")
     if L is not None and not cone_contains(L, u):
         return TangentVerdict("nonmember", (), note="u is outside cone L")
     norm_u = np.linalg.norm(u)
@@ -424,7 +424,7 @@ def test_intersection_rule_exact_polyhedral_triples():
         E = _random_polyhedron_through(rng, dim, phi @ xbar, int(rng.integers(1, 4)))
 
         # pull-back polyhedron: D rows plus E rows composed with phi
-        rows = [np.array(r) for r in D.rows] + [E.matrix[i] @ phi
+        rows = [np.array(r) for r in D.rows] + [E.rows[i] @ phi
                                                 for i in range(len(E.rows))]
         offs = list(D.offsets) + list(E.offsets)
         try:
