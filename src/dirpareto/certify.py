@@ -318,10 +318,8 @@ def tangent_sufficiency_sets(M, xbar, K: HalfspaceCone, L: DirectionSet,
 
     if not isinstance(M, PolyhedralSet):
         raise CertifyError("exact tangent sufficiency needs a polyhedral set")
-    xbar = as_vector(xbar, M.dim)
-    if not M.contains(xbar):
-        raise CertifyError("reference point is not feasible")
-    T_rows = M.active_rows(xbar)
+    # certify_set_min's Problem checks xbar in M and K, L in the right spaces
+    T_rows = M.active_rows(Problem(identity(M.dim), K, L, xbar, constraint=M).x0)
     nrows = len(K.rows)
     for depth in [np.ones(nrows)] if weak else np.eye(nrows):
         w = _tangent_plus_K_witness(T_rows, K, L, depth)

@@ -19,7 +19,6 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .certify import GridSpec, certify_directional_min, certify_set_min
-from .problemfile import parse_problem, read_set_problem, read_tangent_problem
 from .tangent import TSchedule, tangent_membership_sampled
 
 SECTOR_T1 = np.pi / 6.0
@@ -81,18 +80,19 @@ GALLERY = {
          dict(_CURVE_HALFPLANE, L={"finite": _circle(128)}), "refuted")]),
 }
 
-_READERS = {"certify": parse_problem, "certify-set": read_set_problem,
-            "tangent": read_tangent_problem}
-
-
 def gallery_names() -> list:
     return list(GALLERY)
 
 
 @functools.cache
 def _parsed(name: str) -> tuple:
-    """(run, kind, parsed document, expected) of each run of an entry."""
-    return tuple((run, kind, _READERS[kind](doc), expected)
+    """(run, kind, parsed document, expected) of each run of an entry.  The
+    readers load here, so ``import dirpareto`` leaves the file parser out."""
+    from .problemfile import parse_problem, read_set_problem, read_tangent_problem
+
+    readers = {"certify": parse_problem, "certify-set": read_set_problem,
+               "tangent": read_tangent_problem}
+    return tuple((run, kind, readers[kind](doc), expected)
                  for run, kind, doc, expected in GALLERY[name][1])
 
 

@@ -35,7 +35,7 @@ class MultiplierCert:
     weights: tuple          # nonneg weights over rows of K
     lam: tuple              # nonneg, one per mu_i
     tau: tuple              # free, one per nu_j
-    normalization: str      # 'ystar_e_eq_1' | 'sum_eq_1'
+    normalization: str      # 'ystar_e_eq_1'
     residual: tuple         # the functional that must lie in L^-
 
 
@@ -113,32 +113,24 @@ def kkt_multipliers(p: Problem, e) -> MultiplierCert | None:
     w, lam, tau = v[:nw], v[nw:nw + nmu], v[nw + nmu:]
     ystar = a_rows.T @ w
     residual = jf.T @ ystar
-    for i, gmu in enumerate(grads_mu):
-        residual = residual + lam[i] * gmu
-    for j, gnu in enumerate(grads_nu):
-        residual = residual + tau[j] * gnu
+    for coef, grad in zip(v[nw:], np.vstack([grads_mu, grads_nu])):  # lam, then tau
+        residual = residual + coef * grad
     return MultiplierCert(tuple(ystar), tuple(w), tuple(lam), tuple(tau),
                           "ystar_e_eq_1", tuple(-residual))
 
 
-def _midpoint_pairs(dim: int, count: int, seed: int, scale: float = 2.0):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        yield (scale * rng.uniform(-1.0, 1.0, dim),
-               scale * rng.uniform(-1.0, 1.0, dim))
+SPOT_CHECKS = 200  # midpoint pairs behind every sufficiency verdict
 
 
-def sufficiency_certificate(p: Problem, cert: MultiplierCert,
-                            f_K_convex: bool = True, mu_convex: bool = True,
-                            nu_affine: bool = True, spot_checks: int = 200,
-                            seed: int = 0) -> dict:
+def sufficiency_certificate(p: Problem, cert: MultiplierCert) -> dict:
     """Global weak sufficiency, conditional on asserted convexity.
 
     Validates the certificate (complementarity, residual on the cone L
-    generators), then spot-checks the convexity assertions by midpoint
-    inequalities on sampled pairs.  A failed spot-check refutes the
-    assertion and the verdict; passing checks give a conditional
-    'globally weakly certified' verdict, not a proof of convexity.
+    generators), then spot-checks that f is K-convex, each mu_i convex and
+    each nu_j affine by midpoint inequalities on SPOT_CHECKS pairs drawn
+    from [-2, 2]^n with seed 0.  A failed spot-check refutes the assertion
+    and the verdict; passing checks give a conditional 'globally weakly
+    certified' verdict, not a proof of convexity.
     """
     if cert is None:
         raise CertifyError("invalid certificate")
@@ -153,28 +145,23 @@ def sufficiency_certificate(p: Problem, cert: MultiplierCert,
     if np.any(row_dots(-np.array(cert.residual)[None], gens) < -CHECK_TOL):
         return {"verdict": "invalid certificate",
                 "reason": "residual leaves the polar cone"}
-    for a, b in _midpoint_pairs(p.f.dim_in, spot_checks, seed):
+    rng = np.random.default_rng(0)
+    for _ in range(SPOT_CHECKS):
+        a = 2.0 * rng.uniform(-1.0, 1.0, p.f.dim_in)
+        b = 2.0 * rng.uniform(-1.0, 1.0, p.f.dim_in)
         mid = 0.5 * (a + b)
-        if f_K_convex and not p.K.contains(0.5 * (p.f(a) + p.f(b)) - p.f(mid),
-                                           tol=CHECK_TOL):
+        if not p.K.contains(0.5 * (p.f(a) + p.f(b)) - p.f(mid), tol=CHECK_TOL):
             failure = "f not K-convex"
-        elif mu_convex and any(m(mid)[0] > 0.5 * (m(a)[0] + m(b)[0]) + CHECK_TOL
-                               for m in con.mu):
+        elif any(m(mid)[0] > 0.5 * (m(a)[0] + m(b)[0]) + CHECK_TOL for m in con.mu):
             failure = "mu not convex"
-        elif nu_affine and any(abs(0.5 * (n(a)[0] + n(b)[0]) - n(mid)[0]) > TOL
-                               for n in con.nu):
+        elif any(abs(0.5 * (n(a)[0] + n(b)[0]) - n(mid)[0]) > TOL for n in con.nu):
             failure = "nu not affine"
         else:
             continue
         return {"verdict": "convexity assertion refuted", "failure": (failure, tuple(mid))}
     return {"verdict":
             "globally weakly certified (conditionally on asserted convexity)",
-            "spot_checks": spot_checks}
-
-
-def _normal_cone_rows(A: PolyhedralSet, xbar) -> np.ndarray:
-    """Generators of N(A, xbar) for polyhedral A: negatives of active rows."""
-    return -A.active_rows(xbar)
+            "spot_checks": SPOT_CHECKS}
 
 
 def _normal_plus_polar_lp(target, normal_gens, gens_L, lead=None,
@@ -211,7 +198,7 @@ def stationarity_penalized(f: SmoothMap, A: PolyhedralSet, xbar,
     if not A.contains(xbar):
         raise CertifyError("reference point is not feasible")
     gens_L = _cone_generators(L)
-    normal_gens = _normal_cone_rows(A, xbar)
+    normal_gens = -A.active_rows(xbar)  # N(A, xbar) is generated by these
     m = normal_gens.shape[0]
     dim = f.dim_in
 

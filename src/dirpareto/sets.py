@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -121,7 +121,7 @@ class PolygonRegion:
     vertices: np.ndarray
     edge_tol: float = 1e-12
     name: str = "polygon"
-    dim: int = 2
+    dim: ClassVar[int] = 2
     next_vertices: np.ndarray = field(init=False, repr=False)
     edges: np.ndarray = field(init=False, repr=False)
     edge_lengths2: np.ndarray = field(init=False, repr=False)

@@ -106,7 +106,7 @@ def test_criterion_3_gerstewitz_suite():
         assert gerstewitz_value(ctx, y - k) <= val + 1e-7
         # subgradient certificate
         cert = gerstewitz_subdiff(ctx, y)
-        assert cert.satisfies
+        assert cert.satisfies(cert.witness)
         count += 1
 
 

@@ -39,8 +39,12 @@ def _owner(module: str, dotted: str):
                          [(m, d) for m, d, _ in TARGETS],
                          ids=[f"{m}.{d}" for m, d, _ in TARGETS])
 def test_tracer_target_resolves(module, dotted):
+    """The tracer patches a method in its class's own ``__dict__``, so an
+    inherited one would not resolve there."""
     owner, attr = _owner(module, dotted)
     assert callable(getattr(owner, attr))
+    if isinstance(owner, type):
+        assert attr in owner.__dict__
 
 
 @pytest.mark.parametrize("dotted", [

@@ -506,11 +506,14 @@ def test_set_min_outside_point_rejected():
         certify_set_min(ORTHANT2, [-1.0, 0.0], R2_PLUS, L_X_AXIS)
 
 
-@pytest.mark.parametrize("K, L, message", [
+MISMATCHED_K_L = pytest.mark.parametrize("K, L, message", [
     (R2_PLUS, DirectionSet.full_sphere(3), "direction set"),
     (R2_PLUS, L_PLUS, "direction set"),
     (HalfspaceCone.from_rows(np.eye(3)), L_X_AXIS, "ordering cone"),
 ], ids=["L-3d", "L-1d", "K-3d"])
+
+
+@MISMATCHED_K_L
 def test_set_min_rejects_mismatched_dimensions(K, L, message):
     with pytest.raises(CertifyError, match=f"^{message} lives in the wrong space$"):
         certify_set_min(ORTHANT2, [0.0, 0.0], K, L, grid=SMALL)
@@ -811,6 +814,20 @@ def test_sufficiency_tilted_halfplane_violated():
 def test_sufficiency_needs_polyhedral_set():
     with pytest.raises(CertifyError):
         tangent_sufficiency_sets(UNIT_BALL, [0.0, 0.0], R2_PLUS, L_X_AXIS)
+
+
+def test_sufficiency_outside_point_rejected():
+    with pytest.raises(CertifyError, match="^reference point is not feasible$"):
+        tangent_sufficiency_sets(ORTHANT2, [-1.0, 0.0], R2_PLUS, L_X_AXIS)
+
+
+@MISMATCHED_K_L
+@pytest.mark.parametrize("weak", [True, False])
+def test_sufficiency_rejects_mismatched_dimensions(K, L, message, weak):
+    """The errors certify_set_min gives, not an LP or numpy shape error,
+    and no verdict for a 3-d L around a planar M."""
+    with pytest.raises(CertifyError, match=f"^{message} lives in the wrong space$"):
+        tangent_sufficiency_sets(ORTHANT2, [0.0, 0.0], K, L, weak=weak)
 
 
 # ---------------------------------------------------------------------------

@@ -359,18 +359,31 @@ def test_help_exits_0(capsys):
     assert "certify" in capsys.readouterr().out
 
 
-def _python_m_dirpareto(*args):
-    """``python -m dirpareto *args`` in a fresh interpreter."""
+def _fresh_python(*args):
+    """``python *args`` in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "dirpareto", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def _python_m_dirpareto(*args):
+    """``python -m dirpareto *args`` in a fresh interpreter."""
+    return _fresh_python("-m", "dirpareto", *args)
 
 
 def test_python_m_dirpareto_help_exits_0():
     done = _python_m_dirpareto("--help")
     assert done.returncode == 0
     assert "certify" in done.stdout
+
+
+def test_import_leaves_the_file_parser_unloaded():
+    """The gallery imports its readers when it first parses an entry."""
+    done = _fresh_python("-c", "import sys, dirpareto; "
+                         "print(sorted({'dirpareto.problemfile', 'json'} & set(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("expression", ["(" * 195 + "x0" + ")" * 195,

@@ -2,6 +2,8 @@
 reduction law, convex sufficiency spot-checks, and penalized
 stationarity decompositions."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -172,8 +174,9 @@ def test_sufficiency_hand_example_certified():
                 constraint=IneqEq(mu=(MU_NEG_X,)))
     cert = kkt_multipliers(p, e=[1.0])
     out = sufficiency_certificate(p, cert)
-    assert out["verdict"] == ("globally weakly certified "
-                              "(conditionally on asserted convexity)")
+    assert out == {"verdict": "globally weakly certified "
+                              "(conditionally on asserted convexity)",
+                   "spot_checks": 200}
 
 
 def test_sufficiency_refutes_false_convexity_claim():
@@ -243,6 +246,11 @@ def test_sufficiency_stops_at_the_first_failed_spot_check():
                                   nu=(_scalar_map("nu", raises),)))
     out = sufficiency_certificate(p, _cert(lam=(0.0,), tau=(0.0,)))
     assert out["failure"][0] == "mu not convex"
+
+
+def test_sufficiency_takes_no_options():
+    """Every hypothesis is always spot-checked, on the same 200 pairs."""
+    assert list(inspect.signature(sufficiency_certificate).parameters) == ["p", "cert"]
 
 
 def test_sufficiency_rejects_missing_certificate():

@@ -23,6 +23,19 @@ CTX3 = ScalarizationContext.create(ORTHANT3, [1.0, 2.0, 1.0])
 # the wedge with its rows rescaled by 1e-6 and 1e6
 CTX_SCALED = ScalarizationContext.create(
     HalfspaceCone.from_rows([[0.0, 1e-6], [1e6, -1e6]]), [2.0, 1.0])
+# the gerstewitz-polyhedral-K CLI fixture's cone and e
+CTX_POLY = ScalarizationContext.create(
+    HalfspaceCone.from_rows([[1.0, 0.5], [0.5, 1.0], [1.0, -0.2]]), [1.0, 1.0])
+
+
+def test_scales_computed_once_read_only():
+    for ctx in (CTX2, CTXW, CTX3, CTX_SCALED, CTX_POLY):
+        assert ctx.scales.tolist() == (ctx.K.rows @ ctx.e).tolist()
+        assert not ctx.scales.flags.writeable
+        # the constructor derives the scales itself and takes no array for them
+        assert ScalarizationContext(ctx.K, ctx.e).scales.tolist() == ctx.scales.tolist()
+        with pytest.raises(TypeError):
+            ScalarizationContext(ctx.K, ctx.e, ctx.scales)
 
 
 def test_requires_interior_e():
@@ -141,3 +154,23 @@ def test_subdiff_witness_in_dual_cone():
             k = rng.uniform(-5.0, 5.0, 2)
             if WEDGE.contains(k):
                 assert float(v @ k) >= -1e-8
+
+
+def test_subdiff_check_scales_with_u():
+    """At |u| up to 1e12 the exact witness passes its own check, whose
+    slack grows with |v*_i u_i|, while the witness scaled by 1 + 1e-6 and
+    the normalized row of least ratio (in K+, 1 at e, below s(u) at u) are
+    still rejected at every u."""
+    u = [-86789778028.88356, 56236212286.85817]
+    cert = gerstewitz_subdiff(CTX_POLY, u)
+    assert cert.satisfies(cert.witness)
+    rng = np.random.default_rng(24)
+    failed, accepted = 0, 0
+    for _ in range(2000):
+        u = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(0.0, 12.0)
+        cert = gerstewitz_subdiff(CTX_POLY, u)
+        failed += not cert.satisfies(cert.witness)
+        accepted += cert.satisfies(np.asarray(cert.witness) * (1.0 + 1e-6))
+        k = int(np.argmin(CTX_POLY.ratios(u)))
+        accepted += cert.satisfies(CTX_POLY.K.rows[k] / CTX_POLY.scales[k])
+    assert (failed, accepted) == (0, 0)

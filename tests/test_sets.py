@@ -323,3 +323,10 @@ def test_polygon_rejects_bad_vertices(vertices):
 def test_polygon_rejects_bad_edge_tol(edge_tol):
     with pytest.raises(GeometryError):
         PolygonRegion([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], edge_tol=edge_tol)
+
+
+def test_polygon_dimension_is_fixed():
+    """A polygon is planar: its dim is 2 and not an argument."""
+    assert PolygonRegion([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]).dim == 2
+    with pytest.raises(TypeError):
+        PolygonRegion([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dim=3)
