@@ -20,6 +20,7 @@ from .geometry import (
     as_vector,
     cone_contains_many,
     direction_samples,
+    in_space,
     ray_points,
     row_dots,
     row_products,
@@ -77,6 +78,9 @@ class Problem:
             raise CertifyError("direction set lives in the wrong space")
         if self.K.dim != self.f.dim_out:
             raise CertifyError("ordering cone lives in the wrong space")
+        if not isinstance(self.constraint, (IneqEq, type(None))) \
+                and self.constraint.dim != self.f.dim_in:
+            raise CertifyError("constraint lives in the wrong space")
         ok, error = _feasible(self.constraint, x[None])
         if error is not None:
             raise error
@@ -342,6 +346,8 @@ def openness_falsifier(f: SmoothMap, xbar, L: DirectionSet, C: DirectionSet,
     """
     if C.variant != "finite":
         raise CertifyError("target direction set C must be finite")
+    in_space(L, f.dim_in, "L")
+    in_space(C, f.dim_out, "C")
     xbar = as_vector(xbar, f.dim_in)
     f0 = reference_value(f, xbar)
     eps_schedule = list(eps_schedule if eps_schedule is not None

@@ -217,7 +217,7 @@ def _cmd_kkt(doc, args) -> tuple:
 def _cmd_fritz_john(doc, args) -> tuple:
     p = parse_problem(doc)
     g = read(doc, "g", parse_objective, p.f.dim_in, "g", default=None)
-    Q = None if g is None else read(doc, "Q", parse_cone)
+    Q = None if g is None else read(doc, "Q", parse_cone, g.dim_out)
     res = fritz_john(p, g, Q)
     if res is None:
         return {"multipliers": None, "note": NO_MULTIPLIERS}, False
@@ -253,8 +253,11 @@ def _cmd_openness(doc, args) -> tuple:
 
 def _cmd_penalized(doc, args) -> tuple:
     p = parse_problem(doc)
-    A = read(doc, "A", parse_set, ("polyhedron",))
+    A = read(doc, "A", parse_set, p.f.dim_in, ("polyhedron",))
     vm = read(doc, "vector_mode", parse_vector_mode, p.K, default=None)
+    if vm is None and p.f.dim_out != 1:  # scalar mode orders by R+
+        raise ProblemFileError(f"required for an objective with {p.f.dim_out} outputs",
+                               ("vector_mode",))
     res = stationarity_penalized(p.f, A, p.x0, p.L, vm)
     if res is None:
         return {"witness": None, "note": NO_MULTIPLIERS}, False

@@ -47,6 +47,14 @@ def as_points(X, dim: int) -> np.ndarray:
     return a
 
 
+def in_space(obj, dim: int, name: str):
+    """``obj`` (anything with a ``dim``) when it lives in R^dim; otherwise a
+    GeometryError that names it."""
+    if obj.dim != dim:
+        raise GeometryError(f"{name} has dimension {obj.dim}, expected {dim}")
+    return obj
+
+
 # The batched forms of ``np.linalg.norm(x)``, ``rows @ x`` and ``g @ x``.
 # All give the one-point result on every row, bit for bit, so a batched
 # membership test decides exactly as the one-point test it replaces;

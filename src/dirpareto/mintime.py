@@ -22,6 +22,7 @@ from .geometry import (
     cone_contains_many,
     direction_samples,
     frozen_array,
+    in_space,
     row_dots,
     row_norms,
     row_products,
@@ -93,6 +94,7 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
     bound (cone-section L over a polyhedron in the euclidean norm).
     """
     x = as_vector(x, L.dim)
+    in_space(target, L.dim, "target")
     if norm not in ("l2", "linf"):
         raise GeometryError(f"unknown norm {norm!r}")
 
@@ -178,6 +180,7 @@ def calmness_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
     """
     grid = GridSpec(radius, levels, rays)
     xbar = as_vector(xbar, f.dim_in)
+    in_space(L, f.dim_in, "L")
     fx0 = as_vector(reference_value(f, xbar), M.dim)
     points = grid.points(xbar, L)
     denom = row_norms(points - xbar)
@@ -200,6 +203,7 @@ def subregularity_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
     """
     grid = GridSpec(radius, levels, rays)
     xbar = as_vector(xbar, f.dim_in)
+    in_space(L, f.dim_in, "L")
     fx0 = as_vector(reference_value(f, xbar), M.dim)
     # the steps t*ell of the grid at the origin, taken back from xbar
     points = xbar - grid.points(np.zeros_like(xbar), L)

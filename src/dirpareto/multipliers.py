@@ -46,6 +46,28 @@ def _cone_generators(L: DirectionSet) -> np.ndarray:
     raise CertifyError("cone L must come with a finite generator list")
 
 
+def _stationarity_lp(p: Problem, e, jf, grads, nonneg: int, pinned=(),
+                     extra: int = 0) -> LPProblem:
+    """LP for y* in K+ with y*(e) = 1 and multipliers such that the residual
+    y* o jf + sum mult_i grads_i is >= 0 on every generator of cone L (jf
+    is the Jacobian of f at p's point).  Variables: w (one per row of K,
+    >= 0; y* = K.rows^T w), one multiplier per row of ``grads`` (the first
+    ``nonneg`` >= 0, the rest free, those indexed by ``pinned`` held at 0),
+    then ``extra`` free ones for the caller's rows."""
+    gens = _cone_generators(p.L)
+    e = as_vector(e)
+    if e.size != p.K.dim:
+        raise CertifyError("e lives in the wrong space")
+    a_rows = p.K.rows
+    nw, ng = len(a_rows), len(grads)
+    lp = LPProblem(nw + ng + extra, nonneg=range(nw + nonneg))
+    lp.add_eq(np.eye(lp.n)[nw + np.asarray(pinned, dtype=int)], 0.0)
+    lp.add_eq(np.append(a_rows @ e, np.zeros(ng + extra)), 1.0)  # y*(e) = 1
+    lp.add_ge(np.hstack([row_products(a_rows, row_products(jf, gens)),
+                         row_dots(grads, gens), np.zeros((len(gens), extra))]), 0.0)
+    return lp
+
+
 def fritz_john(p: Problem, g: SmoothMap | None = None,
                Q: HalfspaceCone | None = None):
     """Fritz John multipliers: y* in K+, z* in Q+, (y*, z*) != 0 with
@@ -59,6 +81,10 @@ def fritz_john(p: Problem, g: SmoothMap | None = None,
     if g is not None:
         if Q is None:
             raise CertifyError("constraint map g needs its cone Q")
+        if g.dim_in != p.f.dim_in:
+            raise CertifyError("constraint map g lives in the wrong space")
+        if Q.dim != g.dim_out:
+            raise CertifyError("cone Q lives in the wrong space")
         jg, q_rows = g.jacobian(xbar), Q.rows
     else:
         jg, q_rows = np.zeros((0, len(xbar))), np.zeros((0, 0))
@@ -81,39 +107,27 @@ def kkt_multipliers(p: Problem, e) -> MultiplierCert | None:
     complementarity, tau free, and
     -(y* o grad f + sum lambda_i grad mu_i + sum tau_j grad nu_j)
     in the negative polar of cone L (checked on its generators)."""
-    gens = _cone_generators(p.L)
-    e = as_vector(e, p.K.dim)
-    if not p.K.contains(e, strict=True):
-        raise CertifyError("e must be strictly interior to K")
     if not isinstance(p.constraint, (IneqEq, type(None))):
         raise CertifyError("kkt_multipliers needs inequality/equality "
                            "constraints (or none)")
     con = p.constraint if isinstance(p.constraint, IneqEq) else IneqEq()
     xbar = p.x0
     jf = p.f.jacobian(xbar)
-    a_rows = p.K.rows
-    nw = a_rows.shape[0]
-    nmu, nnu = len(con.mu), len(con.nu)
+    nw, nmu = len(p.K.rows), len(con.mu)
     active = [abs(m(xbar)[0]) <= FEAS_TOL for m in con.mu]
-    grads_mu = np.array([m.jacobian(xbar)[0] for m in con.mu]).reshape(nmu, len(xbar))
-    grads_nu = np.array([n.jacobian(xbar)[0] for n in con.nu]).reshape(nnu, len(xbar))
-
-    # variables: w (nw, >=0), lambda (nmu, >=0), tau (nnu, free)
-    lp = LPProblem(nw + nmu + nnu, nonneg=range(nw + nmu))
-    # complementarity: lambda_i = 0 off the active constraints
-    lp.add_eq(np.eye(lp.n)[nw:nw + nmu][np.logical_not(active)], 0.0)
-    lp.add_eq(np.append(a_rows @ e, np.zeros(nmu + nnu)), 1.0)  # y*(e) = 1
-    # residual G = y* o grad f + sum lam grad mu + sum tau grad nu;
-    # -G in L^-  <=>  G(ell_k) >= 0 for all generators
-    lp.add_ge(np.hstack([row_products(a_rows, row_products(jf, gens)),
-                         row_dots(grads_mu, gens), row_dots(grads_nu, gens)]), 0.0)
+    grads = np.array([g.jacobian(xbar)[0] for g in (*con.mu, *con.nu)]).reshape(-1, len(xbar))
+    # lambda >= 0, tau free, and complementarity: lambda_i = 0 off the
+    # active constraints
+    lp = _stationarity_lp(p, e, jf, grads, nmu, pinned=np.flatnonzero(np.logical_not(active)))
+    if not p.K.contains(e, strict=True):
+        raise CertifyError("e must be strictly interior to K")
     v = lp_feasible(lp)
     if v is None:
         return None
     w, lam, tau = v[:nw], v[nw:nw + nmu], v[nw + nmu:]
-    ystar = a_rows.T @ w
+    ystar = p.K.rows.T @ w
     residual = jf.T @ ystar
-    for coef, grad in zip(v[nw:], np.vstack([grads_mu, grads_nu])):  # lam, then tau
+    for coef, grad in zip(v[nw:], grads):  # lam, then tau
         residual = residual + coef * grad
     return MultiplierCert(tuple(ystar), tuple(w), tuple(lam), tuple(tau),
                           "ystar_e_eq_1", tuple(-residual))
@@ -164,78 +178,44 @@ def sufficiency_certificate(p: Problem, cert: MultiplierCert) -> dict:
             "spot_checks": SPOT_CHECKS}
 
 
-def _normal_plus_polar_lp(target, normal_gens, gens_L, lead=None,
-                          extra: int = 0) -> LPProblem:
-    """LP pinning lead @ w + n + q = target with n in N(A, xbar) and q in
-    the negative polar of cone L.
-
-    Variables: w (lead's columns, >= 0; absent without ``lead``), the N
-    weights (>= 0, n = normal_gens^T weights), q (q . ell <= 0 on every
-    generator ell), then ``extra`` free variables for the caller's rows.
-    """
-    dim = len(target)
-    lead = np.zeros((dim, 0)) if lead is None else lead
-    nw = lead.shape[1]
-    m = normal_gens.shape[0]
-    lp = LPProblem(nw + m + dim + extra, nonneg=range(nw + m))
-    ng = len(gens_L)
-    lp.add_ge(np.hstack([np.zeros((ng, nw + m)), -gens_L, np.zeros((ng, extra))]), 0.0)
-    lp.add_eq(np.hstack([lead, normal_gens.T, np.eye(dim), np.zeros((dim, extra))]), target)
-    return lp
+_R_PLUS = HalfspaceCone.from_rows([[1.0]])  # the order of a scalar objective
 
 
 def stationarity_penalized(f: SmoothMap, A: PolyhedralSet, xbar,
                            L: DirectionSet, vector_mode: dict | None = None):
-    """Penalized stationarity via LP decomposition.
-
-    Scalar mode: -grad f(xbar) = n + q with n in N(A, xbar) and q in the
-    negative polar of cone L.  Vector mode ({'e': ..., 'ell': lip}):
-    y* in K+ with y*(e) = 1, x* = grad f(xbar)^T y*, -x* in N + L^-,
-    and |x*|_1 <= lip * y*(e) (the l1 norm keeps the bound linear).
-    Returns a witness dict or None.
-    """
-    xbar = as_vector(xbar, f.dim_in)
-    if not A.contains(xbar):
-        raise CertifyError("reference point is not feasible")
-    gens_L = _cone_generators(L)
-    normal_gens = -A.active_rows(xbar)  # N(A, xbar) is generated by these
-    m = normal_gens.shape[0]
-    dim = f.dim_in
-
-    if vector_mode is None:
-        if f.dim_out != 1:
-            raise CertifyError("scalar mode needs a scalar objective")
-        lp = _normal_plus_polar_lp(-f.jacobian(xbar)[0], normal_gens, gens_L)
-        w = lp_feasible(lp)
-        if w is None:
-            return None
-        return {"mode": "scalar", "normal_weights": tuple(w[:m]),
-                "polar_part": tuple(w[m:m + dim])}
-
-    e = as_vector(vector_mode["e"])
-    lip = float(vector_mode["ell"])
-    K = vector_mode.get("K")
-    if K is None:
-        raise CertifyError("vector mode needs the ordering cone K")
-    a_rows = K.rows
-    nw = a_rows.shape[0]
-    jf = f.jacobian(xbar)
-    # variables: w (nw), normal weights (m), q (dim), u (dim, u >= |x*|);
-    # x* + n + q = 0 where x* = jf^T A^T w
-    coef = (jf.T @ a_rows.T)                   # dim x nw; x* = coef @ w
-    lp = _normal_plus_polar_lp(np.zeros(dim), normal_gens, gens_L,
-                               lead=coef, extra=dim)
-    lp.add_eq(np.append(a_rows @ e, np.zeros(m + 2 * dim)), 1.0)
-    # u_k >= |x*_k| (the rows -x*_k + u_k >= 0 and x*_k + u_k >= 0 in turn)
-    # and sum u <= lip * y*(e) = lip
-    lp.add_ge(np.hstack([np.stack([-coef, coef], axis=1).reshape(2 * dim, nw),
-                         np.zeros((2 * dim, m + dim)),
-                         np.repeat(np.eye(dim), 2, axis=0)]), 0.0)
-    lp.add_ge(np.append(np.zeros(nw + m + dim), np.full(dim, -1.0)), -lip)
-    w = lp_feasible(lp)
-    if w is None:
+    """Penalized stationarity: y* in K+ with y*(e) = 1 and -x* in
+    N(A, xbar) + L^- for x* = grad f(xbar)^T y*.  This is the KKT LP with
+    the negated active rows N of A as inequality gradients; their weights
+    a are the normal weights, and the polar part -x* - N^T a is read off.
+    Scalar mode is K = R+, e = 1 and no bound; vector mode ({'e': ...,
+    'ell': lip, 'K': K}) adds |x*|_1 <= lip * y*(e), linear in the l1 norm.
+    Returns a witness dict or None."""
+    K, e, lip = _R_PLUS, [1.0], None  # scalar mode
+    if vector_mode is not None:
+        K = vector_mode.get("K")
+        if K is None:
+            raise CertifyError("vector mode needs the ordering cone K")
+        e, lip = vector_mode["e"], float(vector_mode["ell"])
+    p = Problem(f, K, L, xbar, constraint=A)
+    normal_gens = -A.active_rows(p.x0)  # N(A, xbar) is generated by these
+    jf = f.jacobian(p.x0)
+    nw, m, dim = len(K.rows), len(normal_gens), f.dim_in
+    coef = jf.T @ K.rows.T                     # dim x nw; x* = coef @ w
+    lp = _stationarity_lp(p, e, jf, normal_gens, m, extra=0 if lip is None else dim)
+    if lip is not None:
+        # u (the extra columns) with u_k >= |x*_k| (the rows -x*_k + u_k >= 0
+        # and x*_k + u_k >= 0 in turn) and sum u <= lip * y*(e) = lip
+        lp.add_ge(np.hstack([np.stack([-coef, coef], axis=1).reshape(2 * dim, nw),
+                             np.zeros((2 * dim, m)),
+                             np.repeat(np.eye(dim), 2, axis=0)]), 0.0)
+        lp.add_ge(np.append(np.zeros(nw + m), np.full(dim, -1.0)), -lip)
+    v = lp_feasible(lp)
+    if v is None:
         return None
-    ystar = a_rows.T @ w[:nw]
-    xstar = coef @ w[:nw]
-    return {"mode": "vector", "ystar": tuple(ystar), "xstar": tuple(xstar),
+    w, a = v[:nw], v[nw:nw + m]
+    xstar = coef @ w
+    if lip is None:
+        return {"mode": "scalar", "normal_weights": tuple(a),
+                "polar_part": tuple(-xstar - normal_gens.T @ a)}
+    return {"mode": "vector", "ystar": tuple(K.rows.T @ w), "xstar": tuple(xstar),
             "norm": "l1", "bound": lip}

@@ -19,7 +19,7 @@ import numpy as np
 
 from .certify import CertifyError, GridSpec, IneqEq, Problem
 from .expressions import ExpressionError
-from .geometry import DirectionSet, GeometryError, HalfspaceCone, frozen_array
+from .geometry import DirectionSet, GeometryError, HalfspaceCone, frozen_array, in_space
 from .maps import BUILTINS, SmoothMap, from_expressions, sector_map
 from .mintime import Target
 from .sets import (
@@ -146,9 +146,11 @@ def _true(value) -> bool:
 
 # -- objects --------------------------------------------------------------
 
-def parse_cone(value) -> HalfspaceCone:
-    """An H-representation ``[[a_11, ...], ...]`` of {y : a_i . y >= 0}."""
-    return HalfspaceCone.from_rows(rows(value))
+def parse_cone(value, dim: int | None = None) -> HalfspaceCone:
+    """An H-representation ``[[a_11, ...], ...]`` of {y : a_i . y >= 0};
+    a cone in R^dim if ``dim`` is given."""
+    K = HalfspaceCone.from_rows(rows(value))
+    return K if dim is None else in_space(K, dim, "cone")
 
 
 # objective forms and how normalize echoes each one
@@ -204,11 +206,14 @@ def parse_polyhedron(spec) -> PolyhedralSet:
                                    read(spec, "offsets", vector))
 
 
-def parse_set(spec, kinds: tuple = ("polyhedron", "named")):
-    """A polyhedron or a named region; ``kinds`` limits the accepted forms."""
+def parse_set(spec, dim: int | None = None, kinds: tuple = ("polyhedron", "named")):
+    """A polyhedron or a named region, in R^dim if ``dim`` is given;
+    ``kinds`` limits the accepted forms."""
     if _variant(spec, kinds) == "polyhedron":
-        return read(spec, "polyhedron", parse_polyhedron)
-    return read(spec, "named", _entry, NAMED_SETS)()
+        s = read(spec, "polyhedron", parse_polyhedron)
+    else:
+        s = read(spec, "named", _entry, NAMED_SETS)()
+    return s if dim is None else in_space(s, dim, "set")
 
 
 def parse_target(spec) -> Target:
@@ -223,7 +228,7 @@ def parse_target(spec) -> Target:
 
 def parse_vector_mode(spec, K: HalfspaceCone) -> dict:
     """Vector mode of penalized stationarity: ``{"e": [...], "ell": lip}``."""
-    return {"e": read(spec, "e", vector), "ell": read(spec, "ell", _number), "K": K}
+    return {"e": read(spec, "e", vector, K.dim), "ell": read(spec, "ell", _number), "K": K}
 
 
 _GRID_FIELDS = {"radius": _number, "levels": _integer, "rays_per_level": _integer,
@@ -243,7 +248,7 @@ def parse_constraint(spec, dim_in: int):
         nu = tuple(from_expressions([e], dim_in, name=f"nu{j}")
                    for j, e in enumerate(read(spec, "nu", _strings, default=[])))
         return IneqEq(mu, nu)
-    return parse_set(spec)
+    return parse_set(spec, dim_in)
 
 
 def parse_problem(doc: dict) -> Problem:

@@ -23,6 +23,7 @@ from .geometry import (
     cone_contains,
     cone_contains_many,
     frozen_array,
+    in_space,
     ray_points,
     row_norms,
     unit_blocks,
@@ -94,6 +95,7 @@ def bouligand_polyhedral(A: PolyhedralSet, xbar) -> HalfspaceCone | None:
 def tangent_polyhedral(A: PolyhedralSet, xbar, L: DirectionSet) -> ExactTangentCone:
     """Exact T_B^L(A, xbar): active-row cone intersected with cone L."""
     xbar = as_vector(xbar, A.dim)
+    in_space(L, A.dim, "L")
     base = bouligand_polyhedral(A, xbar)
     if L.variant == "finite":
         rays = L.vectors if base is None else L.vectors[base.contains_many(L.vectors)]

@@ -102,6 +102,15 @@ def test_infeasible_reference_point_rejected():
                 constraint=ImplicitSet(1, lambda x: x[0] <= 0.0))
 
 
+@pytest.mark.parametrize("f, L, xbar, constraint", [
+    (builtin("saddle_x2_y2"), L_X_AXIS, (0.0, 0.0), PolyhedralSet.from_rows(np.eye(3), np.zeros(3))),
+    (identity(1), L_PLUS, (0.0,), cardioid_region(64)),
+], ids=["polyhedron-3d-on-2d", "cardioid-on-1d"])
+def test_problem_rejects_a_constraint_in_the_wrong_space(f, L, xbar, constraint):
+    with pytest.raises(CertifyError, match="^constraint lives in the wrong space$"):
+        Problem(f, R_PLUS if f.dim_out == 1 else R2_PLUS, L, xbar, constraint=constraint)
+
+
 def test_constraint_restricts_samples():
     # f(x) = x refuted on L={-1} unconstrained, certified (vacuously)
     # when the feasible set blocks the descent side

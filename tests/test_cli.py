@@ -40,6 +40,30 @@ FD_OVERFLOW_DOC = dict(SADDLE_DOC, objective={"expressions": ["x0 * 1e308 * 10 +
                        directions=[[1, 0], [-2, 0]], e=[1.0])
 G_OVERFLOW_DOC = dict(SADDLE_DOC, g={"expressions": ["x0 * 1e308 * 10 + x1"]}, Q=[[1.0]])
 G_DIMENSION_DOC = dict(SADDLE_DOC, g={"builtin": "identity_1"}, Q=[[1.0]])
+# fields that parse alone but do not fit the problem's spaces
+POLYHEDRON_3D = {"polyhedron": {"rows": [[1, 0, 0]], "offsets": [0]}}
+WRONG_SPACE_DOCS = {
+    "Q-3d-on-scalar-g": ("fritz-john", dict(SADDLE_DOC, g={"expressions": ["x0"]},
+                                            Q=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                         "Q: cone has dimension 3, expected 1"),
+    "constraint-3d": ("certify", dict(SADDLE_DOC, constraint=POLYHEDRON_3D),
+                      "constraint: set has dimension 3, expected 2"),
+    "constraint-cardioid-1d": ("certify", dict(SADDLE_DOC, dim_in=1, objective={"expressions": ["x0"]},
+                                               L={"finite": [[1]]}, point=[0],
+                                               constraint={"named": "cardioid"}),
+                               "constraint: set has dimension 2, expected 1"),
+    "penalized-A-3d": ("penalized", dict(SADDLE_DOC, A=POLYHEDRON_3D),
+                       "A: set has dimension 3, expected 2"),
+    "penalized-e-3": ("penalized", dict(SADDLE_DOC, objective={"expressions": ["x0", "x1"]},
+                                        K=[[1, 0], [0, 1]],
+                                        A={"polyhedron": {"rows": [[1, 0]], "offsets": [0]}},
+                                        vector_mode={"e": [1, 1, 1], "ell": 10}),
+                      "vector_mode.e: expected 2 numbers, got [1, 1, 1]"),
+    "penalized-vector-objective-scalar-mode": (
+        "penalized", dict(SADDLE_DOC, objective={"expressions": ["x0", "x1"]}, K=[[1, 0], [0, 1]],
+                          A={"polyhedron": {"rows": [[1, 0]], "offsets": [0]}}),
+        "vector_mode: required for an objective with 2 outputs"),
+}
 # '²' passes str.isdigit but is no decimal digit, so 'x²' names no variable
 SUPERSCRIPT_DOC = dict(SADDLE_DOC, objective={"expressions": ["x² - x1^2"]})
 # deeper than the interpreter's recursion limit: in the parser and in ``json``
@@ -287,6 +311,7 @@ def _run(argv, doc, tmp_dir):
     (["first-order"], dict(SADDLE_DOC, objective={"builtin": "saddle_x2_y3"},
                            point=[0, 1e155], directions=[[1, 0]])),
     (["certify"], SUPERSCRIPT_DOC),
+    *(([command], doc) for command, doc, _ in WRONG_SPACE_DOCS.values()),
 ], ids=["L-finite-flat", "K-flat", "L-list", "point-number", "set-point-number",
         "directions-number", "directions-wrong-length", "set-number", "gerstewitz-no-y", "expression-number",
         "mu-number", "dim_in-fraction", "dim_in-bool", "levels-fraction",
@@ -295,7 +320,7 @@ def _run(argv, doc, tmp_dir):
         "levels-not-int", "unknown-command", "unknown-norm", "examples-no-action",
         "objective-infinite-at-point", "openness-infinite-at-point",
         "builtin-overflows-at-point", "builtin-jacobian-overflows",
-        "objective-superscript-digit"])
+        "objective-superscript-digit", *WRONG_SPACE_DOCS])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, argv, doc):
     code, err, reports = _run(argv, doc, str(tmp_path))
     assert code == 1
@@ -344,6 +369,13 @@ def test_error_line_names_the_missing_field(tmp_path):
 def test_error_line_names_the_field_of_a_wrong_dimension_map(tmp_path):
     _, err, _ = _run(["fritz-john"], G_DIMENSION_DOC, str(tmp_path))
     assert err == ["error: g: g expects dimension 1, file says 2"]
+
+
+@pytest.mark.parametrize("name", WRONG_SPACE_DOCS)
+def test_error_line_names_the_field_in_the_wrong_space(tmp_path, name):
+    command, doc, message = WRONG_SPACE_DOCS[name]
+    _, err, _ = _run([command], doc, str(tmp_path))
+    assert err == [f"error: {message}"]
 
 
 def test_error_line_names_a_wrong_length_direction(tmp_path):

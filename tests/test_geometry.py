@@ -14,7 +14,9 @@ from dirpareto.geometry import (
     normalize_directions,
     sphere_lattice,
 )
-from dirpareto.mintime import Target
+from dirpareto.certify import openness_falsifier
+from dirpareto.maps import identity
+from dirpareto.mintime import Target, calmness_ratio, minimal_time, subregularity_ratio
 from dirpareto.scalarize import ScalarizationContext
 from dirpareto.sets import PolyhedralSet, closed_curve_region
 from dirpareto.tangent import tangent_polyhedral
@@ -255,3 +257,23 @@ def test_direction_samples_of_finite_L_cannot_corrupt_it():
     with pytest.raises(ValueError):
         s[0] = [5.0, 5.0]
     assert np.array_equal(L.vectors, [[0.0, 1.0], [1.0, 0.0]])
+
+
+L_2D = DirectionSet.finite([[1.0, 0.0]])
+L_3D = DirectionSet.finite([[1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: openness_falsifier(identity(2), [0.0, 0.0], L_3D, L_2D), "L has dimension 3, expected 2"),
+    (lambda: openness_falsifier(identity(2), [0.0, 0.0], L_2D, L_3D), "C has dimension 3, expected 2"),
+    (lambda: calmness_ratio(identity(2), [0.0, 0.0], L_3D, L_2D), "L has dimension 3, expected 2"),
+    (lambda: subregularity_ratio(identity(2), [0.0, 0.0], L_3D, L_2D), "L has dimension 3, expected 2"),
+    (lambda: minimal_time(L_2D, [0.0, 0.0], Target.point([1.0, 0.0, 0.0])),
+     "target has dimension 3, expected 2"),
+    (lambda: tangent_polyhedral(PolyhedralSet.from_rows(np.eye(2), np.zeros(2)), [0.0, 0.0], L_3D),
+     "L has dimension 3, expected 2"),
+], ids=["openness-L", "openness-C", "calmness-L", "subregularity-L", "mintime-target",
+        "tangent-polyhedral-L"])
+def test_entry_points_name_the_object_in_the_wrong_space(call, message):
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        call()

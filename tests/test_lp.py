@@ -114,10 +114,12 @@ def test_round_off_row_is_a_zero_row():
 
 
 def test_degenerate_lp_with_near_parallel_columns():
-    # vector-mode penalized stationarity: variables w (2, >= 0), normal
-    # weights (2, >= 0), q (4), u (4).  The two w columns are parallel up
-    # to round-off, and with ties broken by lowest basis index the simplex
-    # cycled here forever.  HiGHS finds the LP infeasible.
+    # Two nonnegative columns w, parallel up to round-off, two more
+    # nonnegative ones, then eight free columns: the last four bounded by
+    # +-(coef @ w) and in sum, the first four on six homogeneous rows.
+    # Equalities tie coef @ w to the other columns and normalize w.  With
+    # ties broken by lowest basis index the simplex cycled here forever.
+    # HiGHS finds the LP infeasible.
     coef = np.array([[170.22472988282533, 0.0027775128867845605],
                      [-55.44926148522998, -0.0007967634732560892],
                      [-363.85209180899545, -0.006007268886308712],

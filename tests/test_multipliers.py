@@ -6,10 +6,13 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirpareto.certify import CertifyError, IneqEq, Problem
 from dirpareto.geometry import DirectionSet, HalfspaceCone
-from dirpareto.maps import SmoothMap, builtin, from_expressions
+from dirpareto.lp import LPProblem, lp_feasible
+from dirpareto.maps import SmoothMap, builtin, from_expressions, identity
 from dirpareto.multipliers import (
     MultiplierCert,
     fritz_john,
@@ -20,6 +23,7 @@ from dirpareto.multipliers import (
 from dirpareto.sets import PolyhedralSet
 
 from cones import K_WEDGE, L_BOTH, L_DOWN, L_MINUS, L_PLUS, L_X_AXIS, R2_PLUS, R_PLUS
+from oracles import rational_feasible
 
 
 def _affine_1d(slope, curv=0.0):
@@ -65,6 +69,17 @@ def test_fritz_john_with_constraint_map():
     ystar, zstar = out
     # stationarity: (y - z) * (-1) >= 0 requires z >= y
     assert zstar[0] >= ystar[0] - 1e-9
+
+
+@pytest.mark.parametrize("g, Q, message", [
+    (builtin("identity_1"), R_PLUS, "constraint map g"),
+    (SmoothMap("g", 2, 1, lambda x: x[:1], lambda x: np.array([[1.0, 0.0]])),
+     HalfspaceCone.from_rows(np.eye(3)), "cone Q"),
+], ids=["g-1d-on-2d-f", "Q-3d-on-scalar-g"])
+def test_fritz_john_rejects_mismatched_g_and_Q(g, Q, message):
+    p = Problem(builtin("saddle_x2_y2"), R_PLUS, L_X_AXIS, (0.0, 0.0))
+    with pytest.raises(CertifyError, match=f"^{message} lives in the wrong space$"):
+        fritz_john(p, g=g, Q=Q)
 
 
 def test_fritz_john_needs_finite_L():
@@ -297,6 +312,132 @@ def test_penalized_vector_mode_tight_lipschitz_fails():
                                  vector_mode={"e": [2.0, 1.0], "ell": 1e-6,
                                               "K": K_WEDGE})
     assert out is None
+
+
+def _linear(grad):
+    """f(x) = grad . x, with its exact Jacobian."""
+    grad = np.array(grad, dtype=float)
+    return SmoothMap("linear", len(grad), 1, lambda x: np.array([grad @ x]),
+                     lambda x: grad[None, :].copy())
+
+
+def _unit_rows(rows):
+    rows = np.array(rows, dtype=float)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+_SMALL_INT = st.integers(-3, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_penalized_scalar_matches_rational_oracle(data):
+    """Scalar mode finds a witness exactly when -grad f = N^T a + q has a
+    solution with a >= 0 and q . ell <= 0 on every generator, decided in
+    exact arithmetic over (a, q) with q a free variable (the LP reads q
+    off instead of solving for it)."""
+    dim = data.draw(st.integers(1, 2))
+    m = data.draw(st.integers(0, 3 - dim))
+    vec = st.lists(_SMALL_INT, min_size=dim, max_size=dim)
+    grad = data.draw(vec)
+    active = data.draw(st.lists(vec.filter(any), min_size=m, max_size=m))
+    gens = data.draw(st.lists(vec.filter(any), min_size=1, max_size=4))
+    # the active rows pass through xbar = 0, the last row is inactive there
+    A = PolyhedralSet.from_rows(active + [[1] + [0] * (dim - 1)], [0] * m + [-1])
+    N = [[-c for c in row] for row in active]
+    ge = [([1 if j == i else 0 for j in range(m)] + [0] * dim, 0) for i in range(m)]
+    ge += [([0] * m + [-c for c in ell], 0) for ell in gens]
+    eq = [([N[i][k] for i in range(m)] + [1 if j == k else 0 for j in range(dim)], -grad[k])
+          for k in range(dim)]
+    out = stationarity_penalized(_linear(grad), A, [0.0] * dim,
+                                 DirectionSet.finite(_unit_rows(gens)))
+    assert (out is not None) == rational_feasible(m + dim, ge, eq)
+    if out is not None:
+        a, q = np.array(out["normal_weights"]), np.array(out["polar_part"])
+        assert np.all(a >= 0.0) and np.all(_unit_rows(gens) @ q <= 1e-9)
+        assert np.allclose(np.reshape(N, (m, dim)).T @ a + q, -np.array(grad), atol=1e-9)
+
+
+def _decomposition_penalized(f, A, xbar, gens, vector_mode):
+    """Found/none of penalized stationarity in the decomposition form:
+    lead @ w + N^T a + q = target with a >= 0 and q . ell <= 0 on every
+    generator, q solved for (one equality row per coordinate).  Scalar
+    mode has no w and target -grad f; vector mode has x* = lead @ w,
+    target 0, y*(e) = 1 and u >= |x*| with sum u <= lip."""
+    N = -A.active_rows(xbar)
+    jf = f.jacobian(xbar)
+    dim, m, ng = f.dim_in, len(N), len(gens)
+    if vector_mode is None:
+        lp = LPProblem(m + dim, nonneg=range(m))
+        lp.add_ge(np.hstack([np.zeros((ng, m)), -gens]), 0.0)
+        lp.add_eq(np.hstack([N.T, np.eye(dim)]), -jf[0])
+        return lp_feasible(lp) is not None
+    rows, e, lip = vector_mode["K"].rows, np.array(vector_mode["e"]), vector_mode["ell"]
+    nw = len(rows)
+    coef = jf.T @ rows.T
+    lp = LPProblem(nw + m + 2 * dim, nonneg=range(nw + m))
+    lp.add_ge(np.hstack([np.zeros((ng, nw + m)), -gens, np.zeros((ng, dim))]), 0.0)
+    lp.add_eq(np.hstack([coef, N.T, np.eye(dim), np.zeros((dim, dim))]), np.zeros(dim))
+    lp.add_eq(np.append(rows @ e, np.zeros(m + 2 * dim)), 1.0)
+    for k in range(dim):
+        for sign in (-1.0, 1.0):
+            lp.add_ge(np.r_[sign * coef[k], np.zeros(m + dim), np.eye(dim)[k]], 0.0)
+    lp.add_ge(np.r_[np.zeros(nw + m + dim), -np.ones(dim)], -lip)
+    return lp_feasible(lp) is not None
+
+
+def test_penalized_agrees_with_the_decomposition_lp():
+    """Both modes, 1-5 dimensions, a quarter with the rows of A and K
+    rescaled by 10^+-3: eliminating q changes no found/none answer."""
+    rng = np.random.default_rng(25)
+    found = 0
+    for i in range(400):
+        vector = i % 2 == 1
+        scales = (lambda k: 10.0 ** rng.uniform(-3, 3, k)) if i // 2 % 4 == 3 else np.ones
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 4)) if vector else 1
+        xbar = rng.uniform(-1, 1, n)
+        nrows = int(rng.integers(1, n + 3))
+        nactive = int(rng.integers(0, nrows + 1))
+        rows = _unit_rows(rng.standard_normal((nrows, n))) * scales(nrows)[:, None]
+        offsets = rows @ xbar
+        offsets[nactive:] -= 0.5 * np.abs(rows[nactive:]).sum(axis=1)
+        A = PolyhedralSet.from_rows(rows, offsets)
+        J = rng.standard_normal((m, n))
+        f = SmoothMap("affine", n, m, lambda x, J=J: J @ x, lambda x, J=J: J.copy())
+        gens = _unit_rows(rng.standard_normal((int(rng.integers(n, 2 * n + 5)), n)))
+        if rng.random() < 0.5:  # generators on the ascent side of a positive y*
+            gens *= np.where(gens @ (J.T @ rng.uniform(0, 1, m)) < 0, -1.0, 1.0)[:, None]
+        vm = None
+        if vector:
+            c = _unit_rows(rng.standard_normal((1, m)))[0]
+            nw = int(rng.integers(m, m + 4))
+            K_rows = (c + 0.8 * _unit_rows(rng.standard_normal((nw, m)))) * scales(nw)[:, None]
+            vm = {"e": list(c), "ell": float(rng.uniform(0.5, 4.0)),
+                  "K": HalfspaceCone.from_rows(K_rows)}
+        out = stationarity_penalized(f, A, xbar, DirectionSet.finite(gens), vm)
+        assert (out is not None) == _decomposition_penalized(f, A, xbar, gens, vm), i
+        found += out is not None
+    assert 100 < found < 300  # both answers are well represented
+
+
+_VECTOR_MODE = {"e": [1.0, 1.0], "ell": 10.0, "K": R2_PLUS}
+_SCALAR_2D = SmoothMap("sum", 2, 1, lambda x: np.array([x[0] + x[1]]),
+                       lambda x: np.array([[1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("f, A, L, vector_mode, message", [
+    (_SCALAR_2D, np.eye(2), L_PLUS, None, "direction set"),
+    (_SCALAR_2D, np.eye(3), L_X_AXIS, None, "constraint"),
+    (identity(2), np.eye(2), L_X_AXIS,
+     dict(_VECTOR_MODE, K=HalfspaceCone.from_rows(np.eye(3))), "ordering cone"),
+    (identity(2), np.eye(2), L_X_AXIS, dict(_VECTOR_MODE, e=[1.0, 1.0, 1.0]), "e"),
+], ids=["L-1d", "A-3d", "K-3d", "e-3"])
+def test_penalized_rejects_mismatched_spaces(f, A, L, vector_mode, message):
+    """Named by Problem (or, for e, by the LP builder) before any LP."""
+    A = PolyhedralSet.from_rows(A, np.zeros(len(A)))
+    with pytest.raises(CertifyError, match=f"^{message} lives in the wrong space$"):
+        stationarity_penalized(f, A, [0.0, 0.0], L, vector_mode)
 
 
 # ---------------------------------------------------------------------------
