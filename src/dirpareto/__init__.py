@@ -29,9 +29,6 @@ from .geometry import (
     cone_contains_many,
     conic_hull,
     direction_samples,
-    dual_generators,
-    negative_polar,
-    normalize_directions,
     sphere_lattice,
 )
 from .lp import LPError, LPProblem, lp_feasible, lp_minimize
@@ -72,7 +69,6 @@ from .tangent import (
     TSchedule,
     TangentVerdict,
     bouligand_polyhedral,
-    derivative_image,
     tangent_membership_sampled,
     tangent_polyhedral,
 )

@@ -78,8 +78,14 @@ class Problem:
             raise CertifyError("direction set lives in the wrong space")
         if self.K.dim != self.f.dim_out:
             raise CertifyError("ordering cone lives in the wrong space")
-        if not isinstance(self.constraint, (IneqEq, type(None))) \
-                and self.constraint.dim != self.f.dim_in:
+        con, n = self.constraint, self.f.dim_in
+        if isinstance(con, IneqEq):
+            for name, m in [*((f"mu{i}", m) for i, m in enumerate(con.mu)),
+                            *((f"nu{j}", m) for j, m in enumerate(con.nu))]:
+                if (m.dim_in, m.dim_out) != (n, 1):
+                    raise CertifyError(f"constraint map {name} sends R^{m.dim_in} to "
+                                       f"R^{m.dim_out}, expected R^{n} to R^1")
+        elif con is not None and con.dim != n:
             raise CertifyError("constraint lives in the wrong space")
         ok, error = _feasible(self.constraint, x[None])
         if error is not None:

@@ -1,4 +1,4 @@
-"""Polyhedral cones, polar/dual operations, and direction sets.
+"""Polyhedral cones and direction sets.
 
 Cones acting as orderings (K, Q) are kept in H-representation
 ``{y : a_i . y >= 0}``; direction sets are finite lists of unit vectors,
@@ -263,29 +263,6 @@ class GeneratorCone:
         return parallel | ((cross >= -TOL) & before).any(axis=1)
 
 
-def negative_polar(c: GeneratorCone) -> HalfspaceCone:
-    """{x* : x* . g <= 0 for every generator g}, as an H-rep cone."""
-    return HalfspaceCone.from_rows(-c.generators)
-
-
-@dataclass(frozen=True)
-class DualGenerators:
-    """Positive dual cone K+ of an H-rep cone, as generators.
-
-    The rows of the H-representation always generate a subset of K+;
-    they span all of K+ only when the cone is full-dimensional, which
-    ``spanning`` records.
-    """
-
-    cone: GeneratorCone
-    spanning: bool
-
-
-def dual_generators(c: HalfspaceCone) -> DualGenerators:
-    spanning = c.interior_point() is not None
-    return DualGenerators(GeneratorCone(c.dim, c.rows), spanning)
-
-
 @dataclass(frozen=True, eq=False)
 class DirectionSet:
     """Closed set of directions on the unit sphere.
@@ -359,20 +336,6 @@ def cone_contains_many(L: DirectionSet, V) -> np.ndarray:
     rest = np.flatnonzero(~out)
     out[rest] = hull.contains_many(V[rest])
     return out
-
-
-def normalize_directions(vs) -> DirectionSet:
-    """Unit-normalize, drop exact duplicates (order preserved)."""
-    out: list[np.ndarray] = []
-    for v in vs:
-        v = as_vector(v)
-        nrm = np.linalg.norm(v)
-        if nrm <= UNIT_TOL:
-            raise GeometryError("cannot normalize a zero vector")
-        u = v / nrm
-        if not any(np.linalg.norm(u - w) <= UNIT_TOL for w in out):
-            out.append(u)
-    return DirectionSet.finite(out)
 
 
 def sphere_lattice(dim: int, count: int, seed: int = 0) -> np.ndarray:

@@ -56,9 +56,6 @@ class LPProblem:
         one rhs for all of them or one per row."""
         self.a_ub += self._rows(coef, rhs, "inequality")
 
-    def add_le(self, coef, rhs):
-        self.add_ge(-np.asarray(coef, dtype=float), -np.asarray(rhs, dtype=float))
-
     def add_eq(self, coef, rhs):
         self.a_eq += self._rows(coef, rhs, "equality")
 

@@ -181,7 +181,8 @@ def calmness_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
     grid = GridSpec(radius, levels, rays)
     xbar = as_vector(xbar, f.dim_in)
     in_space(L, f.dim_in, "L")
-    fx0 = as_vector(reference_value(f, xbar), M.dim)
+    in_space(M, f.dim_out, "M")
+    fx0 = reference_value(f, xbar)
     points = grid.points(xbar, L)
     denom = row_norms(points - xbar)
     rows = np.flatnonzero(denom > TOL)
@@ -204,7 +205,8 @@ def subregularity_ratio(f: SmoothMap, xbar, L: DirectionSet, M: DirectionSet,
     grid = GridSpec(radius, levels, rays)
     xbar = as_vector(xbar, f.dim_in)
     in_space(L, f.dim_in, "L")
-    fx0 = as_vector(reference_value(f, xbar), M.dim)
+    in_space(M, f.dim_out, "M")
+    fx0 = reference_value(f, xbar)
     # the steps t*ell of the grid at the origin, taken back from xbar
     points = xbar - grid.points(np.zeros_like(xbar), L)
     num = _point_times(L, xbar - points)

@@ -28,7 +28,6 @@ from .geometry import (
     row_norms,
     unit_blocks,
 )
-from .maps import SmoothMap
 from .sets import PolyhedralSet
 
 
@@ -206,15 +205,3 @@ def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
             note="sampled neighborhoods missed the set at the final levels; "
                  "sampling evidence, not a proof")
     return TangentVerdict("inconclusive", evidence)
-
-
-def derivative_image(f: SmoothMap, xbar, u, L: DirectionSet | None = None):
-    """Gradient image of a direction: Jf(xbar) u, restricted to cone L.
-
-    With L given, directions outside cone L map to None (empty image).
-    """
-    xbar = as_vector(xbar, f.dim_in)
-    u = as_vector(u, f.dim_in)
-    if L is not None and not cone_contains(L, u):
-        return None
-    return f.jacobian(xbar) @ u

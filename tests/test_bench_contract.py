@@ -1,17 +1,24 @@
 """The names the benchmark harness patches and calls still exist.
 
-perfbench/tracer.py wraps the public names listed in its TARGETS and
+perfbench/tracer.py wraps the public names listed in its TARGETS, the
+workloads perfbench/wl_*.py reach the package through ``dp.<name>``, and
 perfbench/wl_grid.py calls the ratio estimates with grid keywords; a
-rename under src/ would otherwise surface only in the slow
-perfbench/selftest.py.  This reads the tracer without changing it.
+rename or a trimmed export under src/ would otherwise surface only in the
+slow perfbench/selftest.py.  This reads the tracer and the workloads
+without changing them.
 """
 
+import glob
 import importlib
 import importlib.util
 import inspect
 import os
+import re
 
 import pytest
+
+import dirpareto
+import dirpareto.cli  # wl_cli imports it before it calls dp.cli.main
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -62,3 +69,22 @@ def test_ratio_estimates_take_the_grid_keywords(name):
     owner, attr = _owner("mintime", name)
     params = inspect.signature(getattr(owner, attr)).parameters
     assert {"radius", "levels"} <= params.keys()
+
+
+def _workload_names():
+    """Every dotted ``dp.<name>...`` chain the workload files spell out."""
+    names = set()
+    for path in glob.glob(os.path.join(PERFBENCH, "wl_*.py")):
+        with open(path) as fh:
+            names.update(re.findall(r"\bdp\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", fh.read()))
+    return sorted(names)
+
+
+# HalfspaceCone.matrix and geometry.conic_hull are read through objects
+# the workloads build and by the tracer, not spelled after ``dp.``
+@pytest.mark.parametrize("dotted", _workload_names() + ["HalfspaceCone.matrix",
+                                                        "geometry.conic_hull"])
+def test_workload_name_resolves(dotted):
+    owner = dirpareto
+    for part in dotted.split("."):
+        owner = getattr(owner, part)

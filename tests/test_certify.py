@@ -2,6 +2,7 @@
 examples, first-order checks, exact tangent sufficiency, and the
 openness falsifier."""
 
+import re
 import warnings
 
 import numpy as np
@@ -102,12 +103,22 @@ def test_infeasible_reference_point_rejected():
                 constraint=ImplicitSet(1, lambda x: x[0] <= 0.0))
 
 
-@pytest.mark.parametrize("f, L, xbar, constraint", [
-    (builtin("saddle_x2_y2"), L_X_AXIS, (0.0, 0.0), PolyhedralSet.from_rows(np.eye(3), np.zeros(3))),
-    (identity(1), L_PLUS, (0.0,), cardioid_region(64)),
-], ids=["polyhedron-3d-on-2d", "cardioid-on-1d"])
-def test_problem_rejects_a_constraint_in_the_wrong_space(f, L, xbar, constraint):
-    with pytest.raises(CertifyError, match="^constraint lives in the wrong space$"):
+@pytest.mark.parametrize("f, L, xbar, constraint, message", [
+    (builtin("saddle_x2_y2"), L_X_AXIS, (0.0, 0.0), PolyhedralSet.from_rows(np.eye(3), np.zeros(3)),
+     "constraint lives in the wrong space"),
+    (identity(1), L_PLUS, (0.0,), cardioid_region(64), "constraint lives in the wrong space"),
+    # its second output, 1 > 0, leaves no feasible point; a walk that read
+    # only the first output would refute minimality on the empty set
+    (builtin("saddle_x2_y2"), L_X_AXIS, (0.0, 0.0), IneqEq(mu=(from_expressions(["x0", "1"], 2),)),
+     "constraint map mu0 sends R^2 to R^2, expected R^2 to R^1"),
+    (builtin("saddle_x2_y2"), L_X_AXIS, (0.0, 0.0), IneqEq(mu=(identity(1),)),
+     "constraint map mu0 sends R^1 to R^1, expected R^2 to R^1"),
+    (builtin("saddle_x2_y2"), L_X_AXIS, (0.0, 0.0),
+     IneqEq(mu=(from_expressions(["x0"], 2),), nu=(identity(1),)),
+     "constraint map nu0 sends R^1 to R^1, expected R^2 to R^1"),
+], ids=["polyhedron-3d-on-2d", "cardioid-on-1d", "mu-two-outputs", "mu-1d-on-2d", "nu-1d-on-2d"])
+def test_problem_rejects_a_constraint_in_the_wrong_space(f, L, xbar, constraint, message):
+    with pytest.raises(CertifyError, match=f"^{re.escape(message)}$"):
         Problem(f, R_PLUS if f.dim_out == 1 else R2_PLUS, L, xbar, constraint=constraint)
 
 

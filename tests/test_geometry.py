@@ -9,9 +9,6 @@ from dirpareto.geometry import (
     cone_contains,
     conic_hull,
     direction_samples,
-    dual_generators,
-    negative_polar,
-    normalize_directions,
     sphere_lattice,
 )
 from dirpareto.certify import openness_falsifier
@@ -65,45 +62,16 @@ def test_generator_cone_membership():
     assert not C.contains([-1.0, 0.0])
 
 
-def test_negative_polar_soundness():
-    C = GeneratorCone.from_generators([[1.0, 0.0], [1.0, 1.0]])
-    P = negative_polar(C)
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        v = rng.normal(size=2)
-        if P.contains(v):
-            for g in C.generators:
-                assert float(v @ g) <= 1e-7
-
-
 def test_bipolar_orthants_up_to_dim4():
-    """(K-)- = -K+ ... for self-checking: the polar of the polar of the
-    nonnegative orthant's generator cone is the orthant again."""
+    """The generator cone of the unit vectors is the nonnegative orthant,
+    which is its own bipolar, in dimensions 1-4 (the 3-D and 4-D cones go
+    through the LP membership test)."""
     rng = np.random.default_rng(2)
     for n in range(1, 5):
         C = GeneratorCone.from_generators(np.eye(n))
-        P = negative_polar(C)            # nonpositive orthant
-        PP = negative_polar(GeneratorCone.from_generators(-np.eye(n)))
         for _ in range(100):
             v = rng.normal(size=n)
             assert C.contains(v) == bool(np.all(v >= -1e-9))
-            assert P.contains(v) == bool(np.all(v <= 1e-9))
-            assert PP.contains(v) == bool(np.all(v >= -1e-9))
-
-
-def test_dual_generators_soundness():
-    K = HalfspaceCone.from_rows([[0.0, 1.0], [1.0, -1.0]])
-    dg = dual_generators(K)
-    rng = np.random.default_rng(3)
-    count = 0
-    for _ in range(1000):
-        v = rng.normal(size=2)
-        if K.contains(v):
-            count += 1
-            for g in dg.cone.generators:
-                assert float(np.asarray(g) @ v) >= -1e-9
-    assert count > 100
-    assert dg.spanning
 
 
 def test_direction_set_finite_requires_unit():
@@ -111,14 +79,6 @@ def test_direction_set_finite_requires_unit():
         DirectionSet.finite([[2.0, 0.0]])
     with pytest.raises(GeometryError):
         DirectionSet.finite([])
-
-
-def test_normalize_directions_dedupes():
-    L = normalize_directions([[2.0, 0.0], [1.0, 0.0], [0.0, -3.0]])
-    assert L.vectors.shape == (2, 2)
-    assert np.allclose(L.vectors[0], [1.0, 0.0])
-    with pytest.raises(GeometryError):
-        normalize_directions([[0.0, 0.0]])
 
 
 def test_cone_section_rejects_trivial():
@@ -259,6 +219,7 @@ def test_direction_samples_of_finite_L_cannot_corrupt_it():
     assert np.array_equal(L.vectors, [[0.0, 1.0], [1.0, 0.0]])
 
 
+L_1D = DirectionSet.finite([[1.0]])
 L_2D = DirectionSet.finite([[1.0, 0.0]])
 L_3D = DirectionSet.finite([[1.0, 0.0, 0.0]])
 
@@ -268,12 +229,14 @@ L_3D = DirectionSet.finite([[1.0, 0.0, 0.0]])
     (lambda: openness_falsifier(identity(2), [0.0, 0.0], L_2D, L_3D), "C has dimension 3, expected 2"),
     (lambda: calmness_ratio(identity(2), [0.0, 0.0], L_3D, L_2D), "L has dimension 3, expected 2"),
     (lambda: subregularity_ratio(identity(2), [0.0, 0.0], L_3D, L_2D), "L has dimension 3, expected 2"),
+    (lambda: calmness_ratio(identity(1), [0.0], L_1D, L_2D), "M has dimension 2, expected 1"),
+    (lambda: subregularity_ratio(identity(1), [0.0], L_1D, L_2D), "M has dimension 2, expected 1"),
     (lambda: minimal_time(L_2D, [0.0, 0.0], Target.point([1.0, 0.0, 0.0])),
      "target has dimension 3, expected 2"),
     (lambda: tangent_polyhedral(PolyhedralSet.from_rows(np.eye(2), np.zeros(2)), [0.0, 0.0], L_3D),
      "L has dimension 3, expected 2"),
-], ids=["openness-L", "openness-C", "calmness-L", "subregularity-L", "mintime-target",
-        "tangent-polyhedral-L"])
+], ids=["openness-L", "openness-C", "calmness-L", "subregularity-L", "calmness-M",
+        "subregularity-M", "mintime-target", "tangent-polyhedral-L"])
 def test_entry_points_name_the_object_in_the_wrong_space(call, message):
     with pytest.raises(GeometryError, match=f"^{message}$"):
         call()

@@ -10,7 +10,7 @@ from oracles import rational_feasible
 def test_interval_witness():
     p = LPProblem(1)
     p.add_ge([1.0], 0.0)
-    p.add_le([1.0], 1.0)
+    p.add_ge([-1.0], -1.0)
     w = lp_feasible(p)
     assert w is not None
     assert -1e-9 <= w[0] <= 1.0 + 1e-9
@@ -19,7 +19,7 @@ def test_interval_witness():
 def test_empty_interval_infeasible():
     p = LPProblem(1)
     p.add_ge([1.0], 1.0)
-    p.add_le([1.0], 0.0)
+    p.add_ge([-1.0], -0.0)
     assert lp_feasible(p) is None
 
 
@@ -46,7 +46,7 @@ def test_minimize_on_box():
         e = np.zeros(2)
         e[k] = 1.0
         p.add_ge(e, -1.0)
-        p.add_le(e, 2.0)
+        p.add_ge(-e, -2.0)
     p.objective = np.array([1.0, -1.0])
     val, arg = lp_minimize(p)
     assert val == pytest.approx(-3.0, abs=1e-9)
@@ -57,7 +57,7 @@ def test_minimize_on_box():
 def test_minimize_infeasible_returns_none():
     p = LPProblem(1)
     p.add_ge([1.0], 1.0)
-    p.add_le([1.0], 0.0)
+    p.add_ge([-1.0], -0.0)
     p.objective = np.array([1.0])
     assert lp_minimize(p) is None
 
@@ -91,13 +91,13 @@ def test_non_finite_data():
 def test_nonneg_variables_need_no_rows():
     p = LPProblem(2, nonneg=[1])
     p.add_eq([1.0, 1.0], -1.0)
-    p.add_le([0.0, 1.0], 2.0)
+    p.add_ge([-0.0, -1.0], -2.0)
     p.objective = np.array([0.0, -1.0])
     val, arg = lp_minimize(p)
     assert val == pytest.approx(-2.0, abs=1e-9)
     assert arg == pytest.approx([-3.0, 2.0], abs=1e-9)
     q = LPProblem(1, nonneg=[0])
-    q.add_le([1.0], -1.0)
+    q.add_ge([-1.0], 1.0)
     assert lp_feasible(q) is None
 
 
@@ -296,7 +296,7 @@ def test_rows_with_nonpositive_rhs_need_no_phase_1_pivot(monkeypatch):
         b = np.where(rng.random(len(a)) < 0.5, 0.0, -rng.uniform(0.0, 2.0, len(a)))
         p = LPProblem(n, nonneg=[j for j in range(n) if rng.random() < 0.5])
         p.add_ge(a, b)
-        p.add_le(a[:1], 1.0)          # -a.v >= -1: its rhs is negative too
+        p.add_ge(-a[:1], -1.0)        # a.v <= 1: its rhs is negative too
         w = lp_feasible(p)
         assert w is not None and np.all(a @ w >= b) and a[0] @ w <= 1.0
     assert pivots == []
@@ -317,7 +317,7 @@ def _block():
     return block
 
 
-@pytest.mark.parametrize("method", ["add_ge", "add_le", "add_eq"])
+@pytest.mark.parametrize("method", ["add_ge", "add_eq"])
 @pytest.mark.parametrize("rhs", [0.7, -0.0, [1.5, -2.0, 0.0, -0.0]], ids=["one", "zero", "per-row"])
 def test_block_matches_one_row_calls(method, rhs):
     block = _block()
@@ -329,7 +329,7 @@ def test_block_matches_one_row_calls(method, rhs):
     assert len(many.a_ub) + len(many.a_eq) == len(block)
 
 
-@pytest.mark.parametrize("method", ["add_ge", "add_le", "add_eq"])
+@pytest.mark.parametrize("method", ["add_ge", "add_eq"])
 def test_empty_block_adds_nothing(method):
     p = LPProblem(3)
     getattr(p, method)(np.zeros((0, 3)), 1.0)
@@ -337,7 +337,7 @@ def test_empty_block_adds_nothing(method):
     assert p.a_ub == [] and p.a_eq == []
 
 
-@pytest.mark.parametrize("method", ["add_ge", "add_le", "add_eq"])
+@pytest.mark.parametrize("method", ["add_ge", "add_eq"])
 @pytest.mark.parametrize("coef, rhs", [
     (np.ones((2, 4)), 0.0),
     (np.ones((2, 3, 1)), 0.0),
@@ -351,12 +351,3 @@ def test_malformed_block_raises(method, coef, rhs):
     with pytest.raises(LPError):
         getattr(p, method)(coef, rhs)
     assert p.a_ub == [] and p.a_eq == []
-
-
-def test_add_le_block_negates_rows_and_rhs():
-    block = _block()
-    rhs = np.array([1.5, -2.0, 0.0, -0.0])
-    p = LPProblem(3)
-    p.add_le(block, rhs)
-    assert _entries(p)[0] == [((-r).tobytes(), np.float64(-b).tobytes())
-                              for r, b in zip(block, rhs)]

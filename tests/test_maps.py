@@ -372,6 +372,17 @@ def test_non_finite_fd_jacobian_is_an_evaluation_error():
             f.jacobian([0.0, 1.0])
 
 
+def test_jacobian_image_matches_the_directional_difference_quotient():
+    """f'(x̄)u, the first-order change of f along u, agrees with a central
+    difference quotient taken along u itself."""
+    f = from_expressions(["x0^2 + sin(x1)", "x0 * x1"], 2)
+    xbar = np.array([0.4, -0.7])
+    u = np.array([1.0, 0.5])
+    h = 1e-6
+    fd = (f(xbar + h * u) - f(xbar - h * u)) / (2 * h)
+    assert np.allclose(f.jacobian(xbar) @ u, fd, atol=1e-5)
+
+
 @pytest.mark.parametrize("t", [0.0, 0.3, -1.7])
 def test_x3_sin_inv_x_analytic_jacobian(t):
     """f'(0) = 0 (|f(t)| <= |t|^3); elsewhere the closed form, which the

@@ -388,12 +388,6 @@ def test_ratio_rejects_a_non_finite_reference_value(ratio):
 
 
 @pytest.mark.parametrize("ratio", [calmness_ratio, subregularity_ratio])
-def test_ratio_checks_the_dimension_of_the_reference_value(ratio):
-    with pytest.raises(GeometryError, match="^dimension mismatch: got 1, expected 2$"):
-        ratio(builtin("identity_1"), (0.0,), D((1.0,)), D((1.0, 0.0)))
-
-
-@pytest.mark.parametrize("ratio", [calmness_ratio, subregularity_ratio])
 @pytest.mark.parametrize("grid", [
     {"radius": -0.1}, {"radius": 0.0}, {"radius": float("nan")},
     {"radius": float("inf")}, {"levels": 0}, {"rays": 0},

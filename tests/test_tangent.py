@@ -22,7 +22,6 @@ from dirpareto.geometry import (
     row_norms,
     unit_blocks,
 )
-from dirpareto.maps import SmoothMap, from_expressions
 from dirpareto.problemfile import parse_direction_set, parse_set, read, vector
 from dirpareto.sets import PolygonRegion, PolyhedralSet, UnionSet, cardioid_region
 from dirpareto.tangent import (
@@ -30,7 +29,6 @@ from dirpareto.tangent import (
     TSchedule,
     _ball_lattice,
     bouligand_polyhedral,
-    derivative_image,
     tangent_membership_sampled,
     tangent_polyhedral,
 )
@@ -444,36 +442,3 @@ def test_intersection_rule_exact_polyhedral_triples():
                 assert TI is None or TI.contains(u), (dim, xbar, u)
         checked += 1
     assert checked == 50
-
-
-# ---------------------------------------------------------------------------
-# derivative images
-
-def _linear_map(rows):
-    A = np.array(rows, dtype=float)
-    return SmoothMap("linear", A.shape[1], A.shape[0],
-                     lambda x, _A=A: _A @ x, lambda x, _A=A: _A)
-
-
-def test_derivative_image_linear_map():
-    f = _linear_map([[2.0, 0.0], [0.0, 3.0]])
-    img = derivative_image(f, [0.0, 0.0], [1.0, 1.0])
-    assert np.allclose(img, [2.0, 3.0])
-
-
-def test_derivative_image_respects_cone_L():
-    f = _linear_map([[1.0, 0.0]])
-    L = DirectionSet.finite([[0.0, 1.0]])
-    assert derivative_image(f, [0.0, 0.0], [1.0, 0.0], L) is None
-    img = derivative_image(f, [0.0, 0.0], [0.0, 2.0], L)
-    assert np.allclose(img, [0.0])
-
-
-def test_derivative_image_fd_matches_analytic():
-    f = from_expressions(["x0^2 + sin(x1)", "x0 * x1"], 2)
-    xbar = np.array([0.4, -0.7])
-    u = np.array([1.0, 0.5])
-    analytic = derivative_image(f, xbar, u)
-    h = 1e-6
-    fd = (f(xbar + h * u) - f(xbar - h * u)) / (2 * h)
-    assert np.allclose(analytic, fd, atol=1e-5)
