@@ -238,8 +238,11 @@ def check_first_order_necessary(p: Problem, directions) -> dict:
     image J_f(xbar) u falls in -int K.  Any violation refutes weak
     directional minimality; non-admissible directions are rejected, the
     first one in input order, as is a malformed direction that comes
-    before any non-admissible one.
+    before any non-admissible one, and so is an empty list.
     """
+    directions = list(directions)
+    if not directions:
+        raise CertifyError("no direction to check")
     xbar = p.x0
     dim = p.f.dim_in
     jac = p.f.jacobian(xbar)
@@ -349,6 +352,7 @@ def openness_falsifier(f: SmoothMap, xbar, L: DirectionSet, C: DirectionSet,
     f to look open.  If for some eps every r in the schedule leaves a
     target unreached on a dense sample, that (eps, targets) family is
     returned as a witness.  'inconclusive' means no such eps was found.
+    Every entry of a given schedule must be positive and finite.
     """
     if C.variant != "finite":
         raise CertifyError("target direction set C must be finite")
@@ -358,13 +362,18 @@ def openness_falsifier(f: SmoothMap, xbar, L: DirectionSet, C: DirectionSet,
     f0 = reference_value(f, xbar)
     eps_schedule = list(eps_schedule if eps_schedule is not None
                         else [0.5 * 0.5 ** k for k in range(5)])
+    r_schedule = None if r_schedule is None else list(r_schedule)
+    for name, schedule in (("eps_schedule", eps_schedule), ("r_schedule", r_schedule or ())):
+        for v in schedule:
+            if not 0.0 < v < np.inf:
+                raise CertifyError(f"{name} entries must be positive and finite, got {v!r}")
     dirs = direction_samples(L, 64)
     steps = np.linspace(0.0, 1.0, 513)
     for eps in eps_schedule:
         xs = ray_points(xbar, dirs, eps * steps[1:])
         images = np.vstack([f0, f.eval_many(xs)])
-        rs = list(r_schedule if r_schedule is not None
-                  else [eps * 0.5 ** j for j in range(1, 7)])
+        rs = (r_schedule if r_schedule is not None
+              else [eps * 0.5 ** j for j in range(1, 7)])
         missed = []
         for r in rs:
             hit_all = True

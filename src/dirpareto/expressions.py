@@ -1,13 +1,12 @@
 """Arithmetic expression language for problem files.
 
-Precedence, loosest first: ``or`` < ``and`` < one comparison (``<`` ``<=``
-``>`` ``>=`` ``==`` ``!=``, not chained) < ``+ -`` < ``* /`` < unary ``-``
-< ``^``.  A piecewise guard (``parse_condition``) starts at ``or``; an
-expression (``parse_expression``), a parenthesised group and a call
-argument start at ``+ -``, so only guards compare.  ``^`` is right
-associative, takes an integer exponent and binds tighter than unary minus,
-so ``-x0^2`` is ``-(x0^2)``.  Atoms are numbers, ``pi``, the variables
-x0..x{n-1} and the calls in ``FUNCTIONS``.
+Precedence, loosest first: ``+ -`` < ``* /`` < unary ``-`` < ``^``.  The
+binary operators associate to the left, but ``^`` is right associative,
+takes an integer exponent and binds tighter than unary minus, so ``-x0^2``
+is ``-(x0^2)``.  Atoms are numbers, ``pi``, the variables x0..x{n-1}, the
+calls in ``FUNCTIONS`` and parenthesised expressions.  The tokenizer also
+lexes the comparison operators, which no rule takes, so ``x0 < 1`` fails
+at the ``<`` like any other token out of place.
 """
 
 from __future__ import annotations
@@ -71,25 +70,6 @@ class Call:
     args: tuple
 
 
-@dataclass(frozen=True)
-class Compare:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class BoolOp:
-    op: str  # 'and' | 'or'
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Piecewise:
-    branches: tuple  # of (condition, expr); condition None = else branch
-
-
 # a number (digits and dots, then at most one exponent marker and sign), an
 # operator, a name, or any other character but whitespace, which is skipped
 _TOKEN = re.compile(r"(?P<num>[\d.]+(?:[eE][+-]?[\d.]*)?)|(?P<op><=|>=|==|!=|[-+*/^()<>,])"
@@ -113,17 +93,9 @@ def tokenize(text: str):
     return tokens
 
 
-# binary operators by precedence, loosest first: (tokens, node type, chains)
-_LEVELS = (
-    (("or",), BoolOp, True),
-    (("and",), BoolOp, True),
-    (("<", ">", "<=", ">=", "==", "!="), Compare, False),
-    (("+", "-"), Bin, True),
-    (("*", "/"), Bin, True),
-)
-_BINARY = {op: (level, node_type, chains)
-           for level, (ops, node_type, chains) in enumerate(_LEVELS) for op in ops}
-_GUARD, _ARITH = 0, 3  # where guards and arithmetic expressions start
+# the binary level of each left-associative operator, loosest first
+_LEVELS = (("+", "-"), ("*", "/"))
+_BINARY = {op: level for level, ops in enumerate(_LEVELS) for op in ops}
 
 
 class _Parser:
@@ -145,8 +117,8 @@ class _Parser:
             raise ExpressionError(f"expected {value!r}, found {tok[0]!r}", tok[2])
         return tok
 
-    def parse(self, level: int):
-        node = self.parse_binary(level)
+    def parse(self):
+        node = self.parse_binary(0)
         tok = self.peek()
         if tok[1] != "end":
             raise ExpressionError(f"unexpected trailing input {tok[0]!r}", tok[2])
@@ -154,18 +126,15 @@ class _Parser:
 
     def parse_binary(self, level: int):
         """Left-associative operators from ``level`` of ``_LEVELS`` down, by
-        precedence climbing: a right operand takes only tighter levels, and
-        only looser operators may follow a comparison, so none chains."""
+        precedence climbing: a right operand takes only tighter levels."""
         node = self.parse_unary()
-        top = len(_LEVELS) - 1  # the tightest level the loop may still take
         while True:
             op = self.peek()[0]
-            op_level, node_type, chains = _BINARY.get(op, (-1, None, None))
-            if not level <= op_level <= top:
+            op_level = _BINARY.get(op, -1)
+            if op_level < level:
                 return node
             self.next()
-            node = node_type(op, node, self.parse_binary(op_level + 1))
-            top = op_level if chains else op_level - 1
+            node = Bin(op, node, self.parse_binary(op_level + 1))
 
     def parse_unary(self):
         if self.peek()[0] == "-":
@@ -183,7 +152,7 @@ class _Parser:
         if kind == "num":
             return Num(value)
         if value == "(":
-            node = self.parse_binary(_ARITH)
+            node = self.parse_binary(0)
             self.expect(")")
             return node
         if kind == "ident":
@@ -193,10 +162,10 @@ class _Parser:
                 if value not in FUNCTIONS:
                     raise ExpressionError(f"unknown function {value!r}", at)
                 self.next()
-                args = [self.parse_binary(_ARITH)]
+                args = [self.parse_binary(0)]
                 while self.peek()[0] == ",":
                     self.next()
-                    args.append(self.parse_binary(_ARITH))
+                    args.append(self.parse_binary(0))
                 self.expect(")")
                 arity = FUNCTIONS[value][0]
                 if len(args) != arity:
@@ -212,19 +181,12 @@ class _Parser:
 
 def parse_expression(text: str):
     """Parse an arithmetic expression into its AST."""
-    return _Parser(text).parse(_ARITH)
-
-
-def parse_condition(text: str):
-    """Parse a piecewise guard (comparisons joined with and/or)."""
-    return _Parser(text).parse(_GUARD)
+    return _Parser(text).parse()
 
 
 # operators that act alike on floats and on float arrays, so both modes of
 # ``compile_rows`` read them, as they read ``int_power``
 ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-           ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 CHAIN_OPS = ("+", "-", "*", "/")  # the left-associative operators
 EXPONENT_TOL = 1e-12  # how far from an integer a '^' exponent may be
 
@@ -375,27 +337,17 @@ _MATH = {name: elementwise(FUNCTIONS[name][1], FUNCTIONS[name][0])
          for name in ("sin", "cos", "atan", "atan2")}
 
 
-def _on_rows(g, X, rows, redo):
-    """The closure ``g`` on the given rows of X only, marking into ``redo``."""
-    marks = np.zeros(len(rows), dtype=bool)
-    out = g(X[rows], marks)
-    redo[rows] |= marks
-    return out
-
-
 def compile_rows(node, dim: int):
     """``g(X, redo)``, the value of ``node`` at the points of X.
 
     Rows mode: X is an (n, dim) array and ``redo`` a bool array; ``g``
     returns the value at each row as an array, marks True in ``redo`` (no
     mark is ever cleared) the rows where point mode may raise, and leaves
-    unspecified values there; every other row is exact.  A guard or
-    branch of a ``Piecewise`` and the right side of a ``BoolOp`` run only
-    on the rows that reach them.
+    unspecified values there; every other row is exact.
 
     Point mode: X is a list of ``dim`` Python floats and ``redo`` is None;
-    ``g`` returns the value as a float (a bool for a guard) or raises the
-    EvaluationError of the first rule that fails.
+    ``g`` returns the value as a float or raises the EvaluationError of the
+    first rule that fails.
     """
     if isinstance(node, Num):
         value = node.value
@@ -470,54 +422,4 @@ def compile_rows(node, dim: int):
             _fail(redo, fails, _undefined, name, v)
             return out
         return call
-    if isinstance(node, Compare) and node.op in COMPARE:
-        a, b = compile_rows(node.left, dim), compile_rows(node.right, dim)
-        op = COMPARE[node.op]
-        return lambda X, redo: op(a(X, redo), b(X, redo))
-    if isinstance(node, BoolOp):
-        a, b = compile_rows(node.left, dim), compile_rows(node.right, dim)
-        want = node.op == "and"  # the left value that makes the right side run
-
-        def boolop(X, redo):
-            if redo is None:
-                t = bool(a(X, None))
-                return bool(b(X, None)) if t == want else t
-            t = a(X, redo) != 0
-            rows = np.flatnonzero(t == want)
-            t[rows] = _on_rows(b, X, rows, redo) != 0
-            return t
-        return boolop
-    if isinstance(node, Piecewise):
-        branches = [(None if cond is None else compile_rows(cond, dim),
-                     compile_rows(expr, dim)) for cond, expr in node.branches]
-
-        def piecewise(X, redo):
-            if redo is None:
-                for cond, expr in branches:
-                    if cond is None or cond(X, None):
-                        return expr(X, None)
-                _fail(None, True, "no piecewise branch matched".format)
-            out = np.zeros(len(X))
-            left = np.arange(len(X))  # rows that no guard has taken yet
-            for cond, expr in branches:
-                if cond is None:
-                    take, left = left, left[:0]
-                else:
-                    t = _on_rows(cond, X, left, redo) != 0
-                    take, left = left[t], left[~t]
-                out[take] = _on_rows(expr, X, take, redo)
-                if not left.size:
-                    break
-            redo[left] = True  # the rows where point mode finds no branch
-            return out
-        return piecewise
     return _fails_everywhere("cannot evaluate node {!r}".format, node)
-
-
-def piecewise_from_spec(branches) -> Piecewise:
-    """Build a Piecewise from [(guard_text | None, expr_text), ...]."""
-    parsed = []
-    for guard, expr in branches:
-        cond = parse_condition(guard) if guard is not None else None
-        parsed.append((cond, parse_expression(expr)))
-    return Piecewise(tuple(parsed))

@@ -188,14 +188,16 @@ def stationarity_penalized(f: SmoothMap, A: PolyhedralSet, xbar,
     the negated active rows N of A as inequality gradients; their weights
     a are the normal weights, and the polar part -x* - N^T a is read off.
     Scalar mode is K = R+, e = 1 and no bound; vector mode ({'e': ...,
-    'ell': lip, 'K': K}) adds |x*|_1 <= lip * y*(e), linear in the l1 norm.
-    Returns a witness dict or None."""
+    'ell': lip, 'K': K}) adds |x*|_1 <= lip * y*(e), linear in the l1 norm,
+    for lip >= 0.  Returns a witness dict or None."""
     K, e, lip = _R_PLUS, [1.0], None  # scalar mode
     if vector_mode is not None:
         K = vector_mode.get("K")
         if K is None:
             raise CertifyError("vector mode needs the ordering cone K")
         e, lip = vector_mode["e"], float(vector_mode["ell"])
+        if not lip >= 0.0:
+            raise CertifyError(f"vector mode bound ell must be nonnegative, got {lip!r}")
     p = Problem(f, K, L, xbar, constraint=A)
     normal_gens = -A.active_rows(p.x0)  # N(A, xbar) is generated by these
     jf = f.jacobian(p.x0)

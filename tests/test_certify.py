@@ -27,7 +27,7 @@ from dirpareto.certify import (
     tangent_sufficiency_sets,
 )
 from dirpareto.gallery import GALLERY, gallery_names, run_example
-from dirpareto.expressions import EvaluationError, piecewise_from_spec
+from dirpareto.expressions import EvaluationError
 from dirpareto.geometry import (
     TOL,
     DirectionSet,
@@ -194,14 +194,13 @@ RAY = GridSpec(radius=0.5, levels=6, rays_per_level=1)  # t = 0.5, 0.25, 0.125, 
 @pytest.mark.parametrize("objective, expected", [
     ("-x0 + 0 / (x0 - 0.125)", "refuted"),
     ("x0 * (x0 - 0.3) + 0 / (x0 - 0.25)", (EvaluationError, "division by zero")),
-    ([("x0 > 0.4", "1e308 * 10"), (None, "-x0")],
+    ("1e308 * (4 * x0) - 1e308 * (4 * x0) - x0",  # nan at 0.5, -0.25 at 0.25
      (CertifyError, "non-finite objective value at [0.5]")),
-    ([("x0 > 0.2 or x0 == 0", "-x0"), (None, "1e308 * 10")], "refuted"),
+    ("x0 * 1e308 / (0.124 - x0)", "refuted"),  # -inf at 0.25
 ], ids=["undefined-after-violation", "undefined-before-violation",
         "non-finite-before-violation", "non-finite-after-violation"])
 def test_walk_stops_where_the_point_by_point_walk_stops(objective, expected):
-    node = piecewise_from_spec(objective) if isinstance(objective, list) else objective
-    p = Problem(from_expressions([node], 1), R_PLUS, L_PLUS, (0.0,), RAY)
+    p = Problem(from_expressions([objective], 1), R_PLUS, L_PLUS, (0.0,), RAY)
     got = _outcome(lambda: certify_directional_min(p))
     assert got == _outcome(lambda: _pointwise_walk(p))
     if expected == "refuted":
@@ -635,6 +634,13 @@ def test_first_order_saddle_x2_y3_down():
     assert abs(out["checks"][0].image[0]) <= 1e-9
 
 
+def test_first_order_rejects_an_empty_direction_list():
+    """No direction checked is no evidence: the answer is an error, not holds."""
+    p = Problem(_identity_1d(), R_PLUS, L_PLUS, (0.0,))
+    with pytest.raises(CertifyError, match="^no direction to check$"):
+        check_first_order_necessary(p, [])
+
+
 def test_first_order_rejects_direction_outside_cone_L():
     p = Problem(_identity_1d(), R_PLUS, L_PLUS, (0.0,))
     with pytest.raises(CertifyError):
@@ -671,7 +677,10 @@ def test_first_order_computes_each_constraint_gradient_once(monkeypatch):
 
 def _pointwise_first_order(p, directions):
     """Reference: each direction in turn, checked for admissibility and
-    then mapped through the Jacobian, with one-point products."""
+    then mapped through the Jacobian, with one-point products; an empty
+    list is rejected first."""
+    if not directions:
+        raise CertifyError("no direction to check")
     xbar = p.x0
     jac = p.f.jacobian(xbar)
     active, equality = [], []
@@ -871,6 +880,23 @@ def test_openness_identity_two_sided_inconclusive():
     f = _identity_1d()
     out = openness_falsifier(f, [0.0], L_BOTH, DirectionSet.finite([[1.0]]))
     assert out["status"] == "inconclusive"
+
+
+# a circle of directions on the identity: open, so the defaults find no witness
+CIRCLE_64 = DirectionSet.finite([[np.cos(a), np.sin(a)]
+                                 for a in np.arange(64) * (2.0 * np.pi / 64)])
+
+
+@pytest.mark.parametrize("schedule", ["eps_schedule", "r_schedule"])
+@pytest.mark.parametrize("value", [-0.5, -0.1, 0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_openness_rejects_a_schedule_entry_that_is_not_positive(schedule, value):
+    """A step of length <= 0 or a target at r <= 0 is no test of openness:
+    unchecked, such an entry reports a witness for this open map."""
+    with pytest.raises(CertifyError, match=f"^{schedule} entries must be positive and finite, "
+                                           f"got {re.escape(repr(value))}$"):
+        openness_falsifier(identity(2), [0.0, 0.0], CIRCLE_64,
+                           DirectionSet.finite([[0.6, 0.8]]),
+                           **{schedule: [0.25, value]})
 
 
 def test_strongly_certified_gallery_has_openness_witness():

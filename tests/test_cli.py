@@ -66,6 +66,52 @@ WRONG_SPACE_DOCS = {
 }
 # '²' passes str.isdigit but is no decimal digit, so 'x²' names no variable
 SUPERSCRIPT_DOC = dict(SADDLE_DOC, objective={"expressions": ["x² - x1^2"]})
+# the comparison and boolean tokens lex, but no rule of the grammar takes them
+COMPARISON_OBJECTIVES = {
+    "objective-less-than": ("x0 < 1", "unexpected trailing input '<' (at position 3)"),
+    "objective-and": ("x0 > 0 and x1", "unexpected trailing input '>' (at position 3)"),
+    "objective-or": ("x0 or x1", "unexpected trailing input 'or' (at position 3)"),
+    "objective-not-equal": ("x0 != 1", "unexpected trailing input '!=' (at position 3)"),
+    "objective-equal-in-parentheses": ("(x0 == 1)", "expected ')', found '==' (at position 4)"),
+    "objective-less-equal-in-call": ("sin(x0 <= 1)", "expected ')', found '<=' (at position 7)"),
+}
+CIRCLE_64 = [[np.cos(a), np.sin(a)] for a in np.arange(64) * (2.0 * np.pi / 64)]
+OPEN_IDENTITY_DOC = {"schema_version": 1, "dim_in": 2, "objective": {"builtin": "identity_2"},
+                     "K": [[1, 0], [0, 1]], "L": {"finite": CIRCLE_64}, "point": [0, 0],
+                     "C": {"finite": [[0.6, 0.8]]}}
+GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden")
+
+
+def _golden_problem(name):
+    """The problem document of the CLI golden ``name``."""
+    with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)["problem"]
+
+
+PENALIZED_VECTOR_DOC = _golden_problem("penalized-vector-mode")
+# documents that each print one pinned error line: (argv, doc, line)
+ERROR_LINES = {
+    "objective-superscript-digit": (
+        ["certify"], SUPERSCRIPT_DOC, "error: objective: unknown identifier 'x²' (at position 0)"),
+    **{name: (["certify"], dict(SADDLE_DOC, objective={"expressions": [text]}),
+              f"error: objective: {message}")
+       for name, (text, message) in COMPARISON_OBJECTIVES.items()},
+    "openness-negative-r": (
+        ["openness"], dict(OPEN_IDENTITY_DOC, r_schedule=[-0.1]),
+        "error: r_schedule entries must be positive and finite, got -0.1"),
+    "openness-negative-eps": (
+        ["openness"], dict(OPEN_IDENTITY_DOC, eps_schedule=[-0.5]),
+        "error: eps_schedule entries must be positive and finite, got -0.5"),
+    "penalized-negative-ell": (
+        ["penalized"], dict(PENALIZED_VECTOR_DOC, vector_mode={"e": [1, 1], "ell": -1}),
+        "error: vector mode bound ell must be nonnegative, got -1.0"),
+    "penalized-negative-tiny-ell": (
+        ["penalized"], dict(PENALIZED_VECTOR_DOC, vector_mode={"e": [1, 1], "ell": -1e-12}),
+        "error: vector mode bound ell must be nonnegative, got -1e-12"),
+    "first-order-no-direction": (
+        ["first-order"], dict(_golden_problem("first-order-violated"), directions=[]),
+        "error: no direction to check"),
+}
 # deeper than the interpreter's recursion limit: in the parser and in ``json``
 DEEP_PARENS_DOC = dict(SADDLE_DOC, objective={"expressions": ["(" * 20000 + "x0" + ")" * 20000]})
 DEEP_K_TEXT = json.dumps(dict(SADDLE_DOC, K="deep")).replace(
@@ -310,8 +356,8 @@ def _run(argv, doc, tmp_dir):
     (["certify"], dict(SADDLE_DOC, L={"finite": [[1, 0]]}, point=[1e200, 0])),
     (["first-order"], dict(SADDLE_DOC, objective={"builtin": "saddle_x2_y3"},
                            point=[0, 1e155], directions=[[1, 0]])),
-    (["certify"], SUPERSCRIPT_DOC),
     *(([command], doc) for command, doc, _ in WRONG_SPACE_DOCS.values()),
+    *((argv, doc) for argv, doc, _ in ERROR_LINES.values()),
 ], ids=["L-finite-flat", "K-flat", "L-list", "point-number", "set-point-number",
         "directions-number", "directions-wrong-length", "set-number", "gerstewitz-no-y", "expression-number",
         "mu-number", "dim_in-fraction", "dim_in-bool", "levels-fraction",
@@ -320,14 +366,15 @@ def _run(argv, doc, tmp_dir):
         "levels-not-int", "unknown-command", "unknown-norm", "examples-no-action",
         "objective-infinite-at-point", "openness-infinite-at-point",
         "builtin-overflows-at-point", "builtin-jacobian-overflows",
-        "objective-superscript-digit", *WRONG_SPACE_DOCS])
+        *WRONG_SPACE_DOCS, *ERROR_LINES])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, argv, doc):
     code, err, reports = _run(argv, doc, str(tmp_path))
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: ")
     assert reports == []
-    if doc is SUPERSCRIPT_DOC:
-        assert err == ["error: objective: unknown identifier 'x²' (at position 0)"]
+    for _, known, line in ERROR_LINES.values():
+        if doc is known:
+            assert err == [line]
 
 
 # the flags each subcommand reads besides --out and --problem
@@ -623,8 +670,6 @@ def test_examples_run_rejects_bad_grid_flags(tmp_path, capsys, flags):
 
 # ---------------------------------------------------------------------------
 # golden reports: every subcommand on committed fixtures
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden")
 
 
 def _same(got, want, where="report"):

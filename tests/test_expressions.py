@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from dirpareto.expressions import (
     Bin,
-    BoolOp,
-    Compare,
     EvaluationError,
     ExpressionError,
     Neg,
@@ -19,9 +17,7 @@ from dirpareto.expressions import (
     Var,
     compile_rows,
     int_power,
-    parse_condition,
     parse_expression,
-    piecewise_from_spec,
 )
 from dirpareto.maps import from_expressions
 
@@ -88,66 +84,51 @@ def test_a_digit_that_is_not_decimal_is_no_variable_index():
     assert parse_expression("x٣") == Var(3)
 
 
-def _same(message, position):
-    """The same error as an expression and as a guard."""
-    return (message, position), (message, position)
-
-
-# (text, error as an expression, error as a guard): (message, position),
-# or None where the text parses
+# (text, (message, position))
 PARSE_ERRORS = [
-    ("1.2.3", *_same("bad number literal '1.2.3'", 0)),
-    ("1e+", *_same("bad number literal '1e+'", 0)),
-    (".e5", *_same("bad number literal '.e5'", 0)),
-    ("x0 * 2e", *_same("bad number literal '2e'", 5)),
-    ("$", *_same("unexpected character '$'", 0)),
-    ("=", *_same("unexpected character '='", 0)),
-    ("!", *_same("unexpected character '!'", 0)),
-    ("x0 ! 1", *_same("unexpected character '!'", 3)),
-    ("x0 + ½", *_same("unexpected character '½'", 5)),
-    ("x0 + * 2", *_same("expected a number, variable, function, or '(', found '*'", 5)),
-    ("1 + 2 )", *_same("unexpected trailing input ')'", 6)),
-    ("x0 , 1", *_same("unexpected trailing input ','", 3)),
-    ("(x0", *_same("expected ')', found None", 3)),
-    ("atan2(x0)", *_same("atan2 takes 2 argument(s), got 1", 0)),
-    ("sin(x0, x1)", *_same("sin takes 1 argument(s), got 2", 0)),
-    ("foo(1)", *_same("unknown function 'foo'", 0)),
-    ("y0", *_same("unknown identifier 'y0'", 0)),
-    ("", *_same("expected a number, variable, function, or '(', found None", 0)),
-    ("  ", *_same("expected a number, variable, function, or '(', found None", 2)),
-    ("2 ^", *_same("expected a number, variable, function, or '(', found None", 3)),
-    ("x0 < 1", ("unexpected trailing input '<'", 3), None),
-    ("x0 < 1 < 2", ("unexpected trailing input '<'", 3), ("unexpected trailing input '<'", 7)),
-    ("4 and x0 < 9 >", ("unexpected trailing input 'and'", 2),
-     ("unexpected trailing input '>'", 13)),
-    ("x0 <= 1 or", ("unexpected trailing input '<='", 3),
-     ("expected a number, variable, function, or '(', found None", 10)),
+    ("1.2.3", ("bad number literal '1.2.3'", 0)),
+    ("1e+", ("bad number literal '1e+'", 0)),
+    (".e5", ("bad number literal '.e5'", 0)),
+    ("x0 * 2e", ("bad number literal '2e'", 5)),
+    ("$", ("unexpected character '$'", 0)),
+    ("=", ("unexpected character '='", 0)),
+    ("!", ("unexpected character '!'", 0)),
+    ("x0 ! 1", ("unexpected character '!'", 3)),
+    ("x0 + ½", ("unexpected character '½'", 5)),
+    ("x0 + * 2", ("expected a number, variable, function, or '(', found '*'", 5)),
+    ("1 + 2 )", ("unexpected trailing input ')'", 6)),
+    ("x0 , 1", ("unexpected trailing input ','", 3)),
+    ("(x0", ("expected ')', found None", 3)),
+    ("atan2(x0)", ("atan2 takes 2 argument(s), got 1", 0)),
+    ("sin(x0, x1)", ("sin takes 1 argument(s), got 2", 0)),
+    ("foo(1)", ("unknown function 'foo'", 0)),
+    ("y0", ("unknown identifier 'y0'", 0)),
+    ("", ("expected a number, variable, function, or '(', found None", 0)),
+    ("  ", ("expected a number, variable, function, or '(', found None", 2)),
+    ("2 ^", ("expected a number, variable, function, or '(', found None", 3)),
+    ("x0 < 1", ("unexpected trailing input '<'", 3)),
+    ("x0 < 1 < 2", ("unexpected trailing input '<'", 3)),
+    ("4 and x0 < 9 >", ("unexpected trailing input 'and'", 2)),
+    ("x0 <= 1 or", ("unexpected trailing input '<='", 3)),
 ]
 
 
-@pytest.mark.parametrize("text, as_expression, as_guard", PARSE_ERRORS,
+@pytest.mark.parametrize("text, error", PARSE_ERRORS,
                          ids=[repr(case[0]) for case in PARSE_ERRORS])
-def test_parse_errors_name_the_token_and_its_position(text, as_expression, as_guard):
-    for parse, want in ((parse_expression, as_expression), (parse_condition, as_guard)):
-        if want is None:
-            parse(text)
-            continue
-        with pytest.raises(ExpressionError) as ei:
-            parse(text)
-        message, position = want
-        assert (str(ei.value), ei.value.position) == (
-            f"{message} (at position {position})", position)
+def test_parse_errors_name_the_token_and_its_position(text, error):
+    with pytest.raises(ExpressionError) as ei:
+        parse_expression(text)
+    message, position = error
+    assert (str(ei.value), ei.value.position) == (
+        f"{message} (at position {position})", position)
 
 
-def test_guards_group_by_precedence():
-    """or < and < one comparison < + - < * /, each left associative."""
+def test_arithmetic_groups_by_precedence():
+    """+ - < * / < unary - < ^; + - * / associate to the left, ^ to the right."""
     x0, x1, one = Var(0), Var(1), Num(1.0)
-    assert parse_condition("x0 < 1 and x1 > 1 or x0 == x1 and 1 != x1") == BoolOp(
-        "or", BoolOp("and", Compare("<", x0, one), Compare(">", x1, one)),
-        BoolOp("and", Compare("==", x0, x1), Compare("!=", one, x1)))
-    assert parse_condition("x0 - 1 - x1 * x0 / 1 >= -x1 ^ 1 ^ x0") == Compare(
-        ">=", Bin("-", Bin("-", x0, one), Bin("/", Bin("*", x1, x0), one)),
-        Neg(Bin("^", x1, Bin("^", one, x0))))
+    assert parse_expression("x0 - 1 - x1 * x0 / 1") == Bin(
+        "-", Bin("-", x0, one), Bin("/", Bin("*", x1, x0), one))
+    assert parse_expression("-x1 ^ 1 ^ x0") == Neg(Bin("^", x1, Bin("^", one, x0)))
 
 
 def test_evaluation_errors():
@@ -266,30 +247,6 @@ def test_int_power_is_within_k_ulp_of_the_exact_power(a, k):
     assert abs(Fraction(got) - exact) <= abs(k) * Fraction(math.ulp(got))
 
 
-def test_conditions():
-    cond = parse_condition("x0 > 0 and x1 <= 2")
-    assert at(cond, 1.0, 2.0)
-    assert not at(cond, 1.0, 3.0)
-    cond2 = parse_condition("x0 < 0 or x0 > 1")
-    assert at(cond2, -0.5)
-    assert not at(cond2, 0.5)
-
-
 def test_comparison_not_allowed_in_expression():
     with pytest.raises(ExpressionError):
         parse_expression("x0 > 1")
-
-
-def test_piecewise():
-    pw = piecewise_from_spec([
-        ("x0 < 0", "-x0"),
-        (None, "x0"),
-    ])
-    assert at(pw, -2.0) == 2.0
-    assert at(pw, 3.0) == 3.0
-
-
-def test_piecewise_no_match():
-    pw = piecewise_from_spec([("x0 < 0", "1")])
-    with pytest.raises(EvaluationError):
-        at(pw, 1.0)

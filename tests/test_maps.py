@@ -16,17 +16,13 @@ from hypothesis.extra import numpy as hnp
 
 from dirpareto.expressions import (
     FUNCTIONS,
-    BoolOp,
     Bin,
     Call,
-    Compare,
     EvaluationError,
     Neg,
     Num,
-    Piecewise,
     Var,
     parse_expression,
-    piecewise_from_spec,
 )
 from dirpareto.gallery import SECTOR_T1, SECTOR_T2
 from dirpareto.geometry import GeometryError
@@ -143,22 +139,12 @@ def test_batch_forms_make_no_one_point_call(name, monkeypatch):
 NUMS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -3.0, 1e-300, 1e300, 1e154, math.pi])
 EXPONENTS = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 400.0, 0.5,
                              2.0 + 1e-13])
-COMPARE_OPS = ["<", "<=", ">", ">=", "==", "!="]
 
 
 def _call(sub):
     return st.sampled_from(sorted(FUNCTIONS)).flatmap(
         lambda name: st.tuples(*[sub] * FUNCTIONS[name][0]).map(
             lambda args: Call(name, args)))
-
-
-def _piecewise(sub):
-    compare = st.builds(Compare, st.sampled_from(COMPARE_OPS), sub, sub)
-    guard = st.one_of(compare, sub, st.builds(BoolOp, st.sampled_from(["and", "or"]),
-                                              st.one_of(compare, sub), compare))
-    last = st.one_of(st.just(()), sub.map(lambda e: ((None, e),)))
-    return st.builds(lambda branches, tail: Piecewise(tuple(branches) + tail),
-                     st.lists(st.tuples(guard, sub), min_size=1, max_size=3), last)
 
 
 def _expressions(dim):
@@ -170,8 +156,7 @@ def _expressions(dim):
             st.builds(Bin, st.sampled_from("+-*/"), sub, sub),
             st.builds(Bin, st.just("^"), sub,
                       st.one_of(st.builds(Num, EXPONENTS), sub)),
-            _call(sub),
-            _piecewise(sub))
+            _call(sub))
     return st.recursive(leaves, extend, max_leaves=10)
 
 
@@ -191,8 +176,8 @@ def test_expression_batch_matches_one_point_calls(dim, data):
     _assert_parity(f, data.draw(EXPRESSION_POINTS[dim]))
 
 
-# one text per node type and function, with the points where each branch,
-# guard or domain edge decides
+# one text per node type and function, with the points where each branch
+# or domain edge decides
 EXPRESSION_CASES = [
     "x0 + x1 - 2.5 * x0 / (x1 - 0.5)",
     "-x0^2 - x1^3 + x0^(-2)",
@@ -207,12 +192,6 @@ EXPRESSION_CASES = [
     "sin(x0 * 1e308 * 10)",
     "1 / (x0 * x1)",
     "x2",
-]
-GUARDED_CASES = [
-    [("x0 < 0.5", "1 / x0"), ("x0 == 0.5", "sqrt(-1)"), (None, "x0^2")],
-    [("x0 > 0 and 1 / x0 > 1", "x1"), ("x0 <= 0 or sqrt(x0) >= 2", "-x1")],
-    [("x0 != x1", "atan2(x0, x1)"), (None, "1 / (x0 - x1)")],
-    [("x0 >= 1e300", "x0 * 10"), ("x1", "x0 / x1"), (None, "0")],
 ]
 CASE_POINTS = np.array([[0.0, 0.0], [-0.0, 1.0], [0.5, 0.5], [0.5, -2.0], [1.0, 0.0],
                         [-1.0, 2.0], [1e300, 1.0], [1e-300, 0.5], [-10.0, 0.0],
@@ -245,14 +224,6 @@ def test_libm_calls_on_many_points(text):
     _assert_parity(f, RANDOM_POINTS.reshape(-1, 1)[:20000])
 
 
-@pytest.mark.parametrize("spec", GUARDED_CASES, ids=range(len(GUARDED_CASES)))
-def test_piecewise_cases_on_guard_boundaries(spec):
-    f = from_expressions([piecewise_from_spec(spec)], 2)
-    for x in CASE_POINTS:
-        _assert_parity(f, x[None])
-    _assert_parity(f, CASE_POINTS)
-
-
 # ---------------------------------------------------------------------------
 # errors
 
@@ -282,18 +253,6 @@ def test_eval_many_raises_the_first_raising_rows_error(texts, rows, message):
     _assert_parity(f, np.array(rows))
     with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
         f.eval_many(rows)
-
-
-def test_unselected_piecewise_branch_raises_nothing():
-    f = from_expressions([piecewise_from_spec([("x0 > 1", "1 / (x0 - x0)"),
-                                               (None, "2 * x0")])], 1)
-    assert f.eval_many([[0.0], [0.5], [1.0]]).tolist() == [[0.0], [1.0], [2.0]]
-    with pytest.raises(EvaluationError, match="^division by zero$"):
-        f.eval_many([[0.5], [2.0]])
-    # the right side of 'and' runs only where the left side holds
-    g = from_expressions([piecewise_from_spec([("x0 != 0 and 1 / x0 > 1", "1"),
-                                               (None, "0")])], 1)
-    assert g.eval_many([[0.0], [0.5], [2.0]]).tolist() == [[0.0], [1.0], [0.0]]
 
 
 def test_map_with_only_fn_loops_over_the_rows():

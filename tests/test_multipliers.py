@@ -314,6 +314,29 @@ def test_penalized_vector_mode_tight_lipschitz_fails():
     assert out is None
 
 
+def _orthant_vector_mode(ell):
+    """Vector mode with bound ``ell`` for f = (x0 + 2 x1, x1 - x0) on the
+    orthant at 0, the problem of the CLI golden penalized-vector-mode."""
+    A = PolyhedralSet.from_rows([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    return stationarity_penalized(from_expressions(["x0 + 2*x1", "x1 - x0"], 2), A, [0.0, 0.0],
+                                  DirectionSet.finite([[1.0, 0.0], [0.0, 1.0]]),
+                                  vector_mode={"e": [1.0, 1.0], "ell": ell, "K": R2_PLUS})
+
+
+@pytest.mark.parametrize("ell", [-1.0, -1e-12, float("nan")])
+def test_penalized_vector_mode_rejects_a_negative_bound(ell):
+    """|x*|_1 <= ell * y*(e) with ell < 0 is infeasible for a malformed
+    reason, not a refutation."""
+    with pytest.raises(CertifyError, match="^vector mode bound ell must be nonnegative, got "):
+        _orthant_vector_mode(ell)
+
+
+def test_penalized_vector_mode_zero_bound_is_a_question():
+    """ell = 0 asks for x* = 0, which this problem has not."""
+    assert _orthant_vector_mode(0.0) is None
+    assert _orthant_vector_mode(10.0)["xstar"] == (0.0, 1.5)
+
+
 def _linear(grad):
     """f(x) = grad . x, with its exact Jacobian."""
     grad = np.array(grad, dtype=float)
