@@ -22,6 +22,7 @@ from .geometry import (
     direction_samples,
     in_space,
     ray_points,
+    require_integers,
     row_dots,
     row_products,
     unit_blocks,
@@ -44,6 +45,7 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, ("levels", "rays_per_level", "seed"), CertifyError, "grid")
         if not 0 < self.radius < np.inf or self.levels < 1 or self.rays_per_level < 1:
             raise CertifyError("grid parameters must be positive and finite")
 
@@ -236,9 +238,10 @@ def check_first_order_necessary(p: Problem, directions) -> dict:
     inequality/equality constraints, satisfy grad mu_i(xbar).u <= 0 for
     active i and grad nu_j(xbar).u = 0), checks whether the derivative
     image J_f(xbar) u falls in -int K.  Any violation refutes weak
-    directional minimality; non-admissible directions are rejected, the
-    first one in input order, as is a malformed direction that comes
-    before any non-admissible one, and so is an empty list.
+    directional minimality; non-admissible directions (the zero direction,
+    whose image is never in -int K, among them) are rejected, the first
+    one in input order, as is a malformed direction that comes before any
+    non-admissible one, and so is an empty list.
     """
     directions = list(directions)
     if not directions:
@@ -259,6 +262,7 @@ def check_first_order_necessary(p: Problem, directions) -> dict:
             malformed = exc  # raised below unless an earlier direction fails
             break
     U = np.reshape(U, (-1, dim))
+    zero = ~U.any(axis=1)
     outside = ~cone_contains_many(p.L, U)
     # an image or gradient product that overflows would warn about
     # directions that a loop stopping at the first failure never reaches;
@@ -267,12 +271,12 @@ def check_first_order_necessary(p: Problem, directions) -> dict:
         ascent = (row_dots(np.reshape(active, (-1, dim)), U) > FEAS_TOL).any(axis=1)
         off = (np.abs(row_dots(np.reshape(equality, (-1, dim)), U)) > FEAS_TOL).any(axis=1)
         images = row_products(jac, U)
-    bad = np.flatnonzero(outside | ascent | off)
+    bad = np.flatnonzero(zero | outside | ascent | off)
     n = bad[0] if bad.size else len(U)  # directions before the first one
     # raises on a non-finite image, as the one-point test on that direction does
     violated = p.K.contains_many(-images[:n], strict=True)
     if bad.size:
-        reason = ("is outside cone L" if outside[n]
+        reason = ("is zero" if zero[n] else "is outside cone L" if outside[n]
                   else "violates an active inequality gradient" if ascent[n]
                   else "violates an equality gradient")
         raise CertifyError(f"direction {U[n].tolist()} {reason}: not admissible")
@@ -352,7 +356,7 @@ def openness_falsifier(f: SmoothMap, xbar, L: DirectionSet, C: DirectionSet,
     f to look open.  If for some eps every r in the schedule leaves a
     target unreached on a dense sample, that (eps, targets) family is
     returned as a witness.  'inconclusive' means no such eps was found.
-    Every entry of a given schedule must be positive and finite.
+    A given schedule must be nonempty, and each entry positive and finite.
     """
     if C.variant != "finite":
         raise CertifyError("target direction set C must be finite")
@@ -363,8 +367,10 @@ def openness_falsifier(f: SmoothMap, xbar, L: DirectionSet, C: DirectionSet,
     eps_schedule = list(eps_schedule if eps_schedule is not None
                         else [0.5 * 0.5 ** k for k in range(5)])
     r_schedule = None if r_schedule is None else list(r_schedule)
-    for name, schedule in (("eps_schedule", eps_schedule), ("r_schedule", r_schedule or ())):
-        for v in schedule:
+    for name, schedule in (("eps_schedule", eps_schedule), ("r_schedule", r_schedule)):
+        if schedule == []:
+            raise CertifyError(f"{name} is empty: nothing to search")
+        for v in schedule or ():
             if not 0.0 < v < np.inf:
                 raise CertifyError(f"{name} entries must be positive and finite, got {v!r}")
     dirs = direction_samples(L, 64)

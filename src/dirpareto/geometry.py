@@ -9,6 +9,7 @@ the representation it is given.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,6 +54,16 @@ def in_space(obj, dim: int, name: str):
     if obj.dim != dim:
         raise GeometryError(f"{name} has dimension {obj.dim}, expected {dim}")
     return obj
+
+
+def require_integers(obj, names, error, what: str):
+    """Raise ``error`` for the first field of ``obj`` in ``names`` that
+    ``operator.index`` refuses, naming it ``what name``."""
+    for name in names:
+        try:
+            operator.index(getattr(obj, name))
+        except TypeError:
+            raise error(f"{what} {name} must be an integer, got {getattr(obj, name)!r}") from None
 
 
 # The batched forms of ``np.linalg.norm(x)``, ``rows @ x`` and ``g @ x``.
@@ -156,18 +167,17 @@ class HalfspaceCone:
         return self.rows
 
     def contains(self, v, strict: bool = False, tol: float = TOL) -> bool:
-        v = as_vector(v, self.dim)
-        prods = self.rows @ v
-        if strict:
-            return bool(np.all(prods > tol))
-        return bool(np.all(prods >= -tol))
+        return bool(self._contains_rows(as_vector(v, self.dim)[None], strict, tol)[0])
 
-    def contains_many(self, X, strict: bool = False) -> np.ndarray:
-        """``contains`` (tolerance TOL) for each row of X."""
-        prods = row_products(self.rows, as_points(X, self.dim))
+    def contains_many(self, X, strict: bool = False, tol: float = TOL) -> np.ndarray:
+        """``contains`` for each row of X."""
+        return self._contains_rows(as_points(X, self.dim), strict, tol)
+
+    def _contains_rows(self, X, strict: bool, tol: float) -> np.ndarray:
+        prods = row_products(self.rows, X)
         if strict:
-            return np.all(prods > TOL, axis=1)
-        return np.all(prods >= -TOL, axis=1)
+            return np.all(prods > tol, axis=1)
+        return np.all(prods >= -tol, axis=1)
 
     def interior_point(self) -> np.ndarray | None:
         """A point with a_i . y >= 1 for all i, or None (empty interior)."""

@@ -1,19 +1,19 @@
 """Evaluable vector functions with Jacobians.
 
-Builtins carry analytic Jacobians; maps parsed from expressions fall back
-to central finite differences with step 1e-6 * (1 + |x|), whose stencil is
-evaluated in one batch.  A non-finite finite-difference Jacobian is an
-EvaluationError.
+Each builtin, ``sector_map`` and ``identity`` is one batch formula on an
+(n, dim_in) array, and its one-point call is that formula on one row.
+An expression map's ``fn`` and ``fn_many`` are the point and rows modes of
+the same closures from ``expressions.compile_rows``.  A map given only
+``fn`` loops over the rows in ``SmoothMap.eval_many``.
 
-``SmoothMap.eval_many`` evaluates a whole array of points.  Builtins and
-expression maps carry a batch form that equals the one-point call bit for
-bit; a map given only ``fn`` loops over the rows.  An expression map's
-``fn`` and ``fn_many`` are the point and rows modes of the same closures
-from ``expressions.compile_rows``.
+Maps without an analytic Jacobian fall back to central finite differences
+with step 1e-6 * (1 + |x|), whose stencil is evaluated in one batch.  A
+non-finite Jacobian is an EvaluationError.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +31,9 @@ class SmoothMap:
     dim_out: int
     fn: object                 # callable ndarray -> ndarray
     jac: object = None         # optional callable ndarray -> (dim_out, dim_in) ndarray
-    # optional callable (n, dim_in) ndarray -> new (n, dim_out) ndarray, equal
-    # to ``fn`` on each row where it is finite and non-finite wherever the
-    # one-point call may raise; such rows get the one-point call
+    # optional batch form, (n, dim_in) ndarray -> new (n, dim_out) ndarray,
+    # equal to ``fn`` on each row where it is finite and non-finite wherever
+    # the one-point call may raise; such rows get the one-point call
     fn_many: object = None
 
     def __call__(self, x) -> np.ndarray:
@@ -121,108 +121,70 @@ def from_expressions(exprs, dim_in: int, name: str = "expr") -> SmoothMap:
     return SmoothMap(name, dim_in, len(columns), fn, fn_many=fn_many)
 
 
-def _saddle_x2_y2():
-    return SmoothMap(
-        "saddle-x2-y2", 2, 1,
-        lambda x: np.array([ex.int_power(x[0], 2) - ex.int_power(x[1], 2)]),
-        lambda x: np.array([[2 * x[0], -2 * x[1]]]),
-        lambda X: (ex.int_power(X[:, 0], 2) - ex.int_power(X[:, 1], 2))[:, None],
-    )
+def _formula(name: str, dim_in: int, dim_out: int, F, jac=None) -> SmoothMap:
+    """The map of the batch formula ``F``, (n, dim_in) -> (n, dim_out),
+    whose one-point call is ``F`` on one row."""
+    return SmoothMap(name, dim_in, dim_out, lambda x: F(x[None])[0], jac, F)
 
 
-def _saddle_x2_y3():
-    return SmoothMap(
-        "saddle-x2-y3", 2, 1,
-        lambda x: np.array([ex.int_power(x[0], 2) - ex.int_power(x[1], 3)]),
-        lambda x: np.array([[2 * x[0], -3 * x[1] ** 2]]),
-        lambda X: (ex.int_power(X[:, 0], 2) - ex.int_power(X[:, 1], 3))[:, None],
-    )
+def _inverse(t):
+    """1/t, and 0 where t is 0, dividing nothing there."""
+    return np.divide(1.0, t, out=np.zeros_like(t), where=t != 0.0)
 
 
-def _sin_inv_x():
-    def fn(x):
-        return np.array([np.sin(1.0 / x[0]) if x[0] != 0.0 else 0.0])
-
-    def fn_many(X):
-        t = X[:, 0]
-        return np.where(t != 0.0, np.sin(1.0 / t), 0.0)[:, None]
-    return SmoothMap("sin-inv-x", 1, 1, fn, fn_many=fn_many)
-
-
-def _x3_sin_inv_x():
-    def fn(x):
-        return np.array([ex.int_power(x[0], 3) * np.sin(1.0 / x[0]) if x[0] != 0.0 else 0.0])
-
-    def jac(x):
-        if x[0] == 0.0:
-            return np.array([[0.0]])
-        t = x[0]
-        return np.array([[3 * t ** 2 * np.sin(1.0 / t) - t * np.cos(1.0 / t)]])
-
-    def fn_many(X):
-        t = X[:, 0]
-        return np.where(t != 0.0, ex.int_power(t, 3) * np.sin(1.0 / t), 0.0)[:, None]
-    return SmoothMap("x3-sin-inv-x", 1, 1, fn, jac, fn_many)
+def _x2_minus_y(X, k: int):
+    """x0^2 - x1^k on each row of X."""
+    return ex.int_power(X[:, 0], 2) - ex.int_power(X[:, 1], k)
 
 
 def sector_map(theta1: float, theta2: float) -> SmoothMap:
-    """Scalar function vanishing exactly on the sector between two angles.
-
-    atan2 gives the angle everywhere except the printed x=0 split, which is
-    handled first; the third branch covers the open third quadrant.
-    """
-    def fn(x):
-        if x[0] == 0.0:
-            return np.array([0.0])
-        if x[0] < 0.0 and x[1] < 0.0:
-            return np.array([-1.0])
-        ang = np.arctan(x[1] / x[0])
-        return np.array([(theta2 - ang) * (ang - theta1)])
-
-    def fn_many(X):
-        ang = np.arctan(X[:, 1] / X[:, 0])
-        out = np.where(X[:, 0] == 0.0, 0.0,
-                       np.where((X[:, 0] < 0.0) & (X[:, 1] < 0.0), -1.0,
-                                (theta2 - ang) * (ang - theta1)))
+    """Scalar function vanishing exactly on the sector between two angles:
+    (theta2 - a)(a - theta1) with a = atan(x1/x0), except 0 on the printed
+    x0 = 0 split and -1 on the open third quadrant, where nothing divides."""
+    def F(X):
+        x0, x1 = X[:, 0], X[:, 1]
+        third = (x0 < 0.0) & (x1 < 0.0)
+        angle = (x0 != 0.0) & ~third
+        ang = np.arctan(np.divide(x1, x0, out=np.zeros_like(x0), where=angle))
+        out = np.multiply(theta2 - ang, ang - theta1, out=np.where(third, -1.0, 0.0), where=angle)
         return out[:, None]
-    return SmoothMap(f"sector-{theta1:.6f}-{theta2:.6f}", 2, 1, fn, fn_many=fn_many)
-
-
-def _vector_2x_x():
-    return SmoothMap(
-        "vector-2x-x", 1, 2,
-        lambda x: np.array([2 * x[0], x[0]]),
-        lambda x: np.array([[2.0], [1.0]]),
-        lambda X: np.stack([2 * X[:, 0], X[:, 0]], axis=1),
-    )
-
-
-def _vector_pair_saddle():
-    return SmoothMap(
-        "vector-pair-saddle", 2, 2,
-        lambda x: np.array([ex.int_power(x[0], 2) - ex.int_power(x[1], 2),
-                            ex.int_power(x[0], 2) - ex.int_power(x[1], 3)]),
-        lambda x: np.array([[2 * x[0], -2 * x[1]], [2 * x[0], -3 * x[1] ** 2]]),
-        lambda X: np.stack([ex.int_power(X[:, 0], 2) - ex.int_power(X[:, 1], 2),
-                            ex.int_power(X[:, 0], 2) - ex.int_power(X[:, 1], 3)], axis=1),
-    )
+    return _formula(f"sector-{theta1:.6f}-{theta2:.6f}", 2, 1, F)
 
 
 def identity(dim: int) -> SmoothMap:
     """x -> x on R^dim, with the identity Jacobian."""
-    return SmoothMap(f"identity-{dim}", dim, dim, lambda x: x.copy(),
-                     lambda x: np.eye(dim), lambda X: X.copy())
+    return _formula(f"identity-{dim}", dim, dim, lambda X: X.copy(), lambda x: np.eye(dim))
 
 
+def _x3_sin_inv_x_jac(x):
+    t = x[0]
+    return np.array([[3 * t ** 2 * np.sin(1.0 / t) - t * np.cos(1.0 / t) if t != 0.0 else 0.0]])
+
+
+# name -> factory of the map: its batch formula and analytic Jacobian, if any
 BUILTINS = {
-    "saddle_x2_y2": _saddle_x2_y2,
-    "saddle_x2_y3": _saddle_x2_y3,
-    "sin_inv_x": _sin_inv_x,
-    "x3_sin_inv_x": _x3_sin_inv_x,
-    "vector_2x_x": _vector_2x_x,
-    "vector_pair_saddle": _vector_pair_saddle,
-    "identity_1": lambda: identity(1),
-    "identity_2": lambda: identity(2),
+    "saddle_x2_y2": functools.partial(
+        _formula, "saddle-x2-y2", 2, 1, lambda X: _x2_minus_y(X, 2)[:, None],
+        lambda x: np.array([[2 * x[0], -2 * x[1]]])),
+    "saddle_x2_y3": functools.partial(
+        _formula, "saddle-x2-y3", 2, 1, lambda X: _x2_minus_y(X, 3)[:, None],
+        lambda x: np.array([[2 * x[0], -3 * x[1] ** 2]])),
+    # sin(0) is 0, the value at x0 = 0
+    "sin_inv_x": functools.partial(_formula, "sin-inv-x", 1, 1, lambda X: np.sin(_inverse(X))),
+    # the where gives +0.0 at x0 = -0.0, where the product is -0.0
+    "x3_sin_inv_x": functools.partial(
+        _formula, "x3-sin-inv-x", 1, 1,
+        lambda X: np.where(X != 0.0, ex.int_power(X, 3) * np.sin(_inverse(X)), 0.0),
+        _x3_sin_inv_x_jac),
+    "vector_2x_x": functools.partial(
+        _formula, "vector-2x-x", 1, 2, lambda X: np.stack([2 * X[:, 0], X[:, 0]], axis=1),
+        lambda x: np.array([[2.0], [1.0]])),
+    "vector_pair_saddle": functools.partial(
+        _formula, "vector-pair-saddle", 2, 2,
+        lambda X: np.stack([_x2_minus_y(X, 2), _x2_minus_y(X, 3)], axis=1),
+        lambda x: np.array([[2 * x[0], -2 * x[1]], [2 * x[0], -3 * x[1] ** 2]])),
+    "identity_1": functools.partial(identity, 1),
+    "identity_2": functools.partial(identity, 2),
 }
 
 

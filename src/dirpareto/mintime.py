@@ -55,6 +55,9 @@ class Target:
 
     @staticmethod
     def polyhedral(poly: PolyhedralSet) -> "Target":
+        if not isinstance(poly, PolyhedralSet):
+            raise GeometryError(
+                f"a polyhedral target needs a PolyhedralSet, got {type(poly).__name__}")
         return Target("polyhedron", None, poly)
 
     @property
@@ -105,9 +108,6 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
         return float(np.min(_point_times(L, D, norm))), True
 
     poly = target.polyhedron
-    if poly is None:
-        raise GeometryError("empty target")
-
     if L.variant == "finite":
         return _min_ray_time(x, L.vectors, poly), True
 

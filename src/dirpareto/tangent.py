@@ -25,6 +25,7 @@ from .geometry import (
     frozen_array,
     in_space,
     ray_points,
+    require_integers,
     row_norms,
     unit_blocks,
 )
@@ -40,6 +41,7 @@ class TSchedule:
     lattice_size: int = 961  # perturbation candidates per level
 
     def __post_init__(self):
+        require_integers(self, ("levels", "lattice_size"), GeometryError, "schedule")
         if not 0 < self.radius < np.inf or self.levels < 1 or self.lattice_size < 1:
             raise GeometryError("schedule parameters must be positive and finite")
 

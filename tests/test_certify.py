@@ -97,6 +97,17 @@ def test_vector_example_direction_dependent():
     assert refu.verdict == "refuted"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("levels", 2.5), ("levels", "3"), ("rays_per_level", 2.5), ("rays_per_level", np.float64(8.0)),
+    ("seed", 0.5), ("seed", None),
+])
+def test_grid_counts_must_be_integers(field, value):
+    """A fractional count is no grid: unchecked, levels=2.5 would run 3."""
+    with pytest.raises(CertifyError,
+                       match=f"^grid {field} must be an integer, got {re.escape(repr(value))}$"):
+        GridSpec(**{field: value})
+
+
 def test_infeasible_reference_point_rejected():
     with pytest.raises(CertifyError):
         Problem(_identity_1d(), R_PLUS, L_PLUS, (0.5,),
@@ -641,6 +652,15 @@ def test_first_order_rejects_an_empty_direction_list():
         check_first_order_necessary(p, [])
 
 
+@pytest.mark.parametrize("directions", [[[0.0]], [[-0.0]], [[1.0], [0.0], [-1.0]]])
+def test_first_order_rejects_the_zero_direction(directions):
+    """The image of 0 is never in -int K, so a zero direction would make
+    a vacuous check: it is not admissible, and the first one raises."""
+    p = Problem(_identity_1d(), R_PLUS, L_BOTH, (0.0,))
+    with pytest.raises(CertifyError, match=r"^direction \[-?0\.0\] is zero: not admissible$"):
+        check_first_order_necessary(p, directions)
+
+
 def test_first_order_rejects_direction_outside_cone_L():
     p = Problem(_identity_1d(), R_PLUS, L_PLUS, (0.0,))
     with pytest.raises(CertifyError):
@@ -676,9 +696,9 @@ def test_first_order_computes_each_constraint_gradient_once(monkeypatch):
 
 
 def _pointwise_first_order(p, directions):
-    """Reference: each direction in turn, checked for admissibility and
-    then mapped through the Jacobian, with one-point products; an empty
-    list is rejected first."""
+    """Reference: each direction in turn, checked for admissibility (the
+    zero direction is not admissible) and then mapped through the
+    Jacobian, with one-point products; an empty list is rejected first."""
     if not directions:
         raise CertifyError("no direction to check")
     xbar = p.x0
@@ -691,6 +711,8 @@ def _pointwise_first_order(p, directions):
     checks = []
     for u in directions:
         u = as_vector(u, p.f.dim_in)
+        if not u.any():
+            raise CertifyError(f"direction {u.tolist()} is zero: not admissible")
         if not cone_contains(p.L, u):
             raise CertifyError(f"direction {u.tolist()} is outside cone L: not admissible")
         if any(float(g @ u) > FEAS_TOL for g in active):
@@ -729,7 +751,7 @@ FIRST_ORDER = Problem(
 FIRST_ORDER_DIRECTIONS = {
     "violated": [-2.0, -1.0, 0.0],       # admissible, image in -int K
     "held": [-2.0, -1.0, 1.0],           # admissible, image outside -int K
-    "zero": [0.0, 0.0, 0.0],
+    "zero": [0.0, 0.0, 0.0],             # in cone L, but not admissible
     "outside-L": [2.0, 1.0, 0.0],        # also breaks mu: the cone L reason wins
     "ascent": [2.0, -1.0, 0.0],          # breaks the active mu, and nu
     "off-equality": [-1.0, -1.0, 0.0],   # only nu
@@ -897,6 +919,15 @@ def test_openness_rejects_a_schedule_entry_that_is_not_positive(schedule, value)
         openness_falsifier(identity(2), [0.0, 0.0], CIRCLE_64,
                            DirectionSet.finite([[0.6, 0.8]]),
                            **{schedule: [0.25, value]})
+
+
+@pytest.mark.parametrize("schedule", ["eps_schedule", "r_schedule"])
+def test_openness_rejects_an_empty_schedule(schedule):
+    """An empty schedule searches nothing, which is no evidence either way:
+    unchecked, it would report inconclusive for this open map."""
+    with pytest.raises(CertifyError, match=f"^{schedule} is empty: nothing to search$"):
+        openness_falsifier(identity(2), [0.0, 0.0], CIRCLE_64,
+                           DirectionSet.finite([[0.6, 0.8]]), **{schedule: []})
 
 
 def test_strongly_certified_gallery_has_openness_witness():

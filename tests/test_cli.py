@@ -4,6 +4,7 @@ determinism, and the exit-code contract."""
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 import os
@@ -111,6 +112,15 @@ ERROR_LINES = {
     "first-order-no-direction": (
         ["first-order"], dict(_golden_problem("first-order-violated"), directions=[]),
         "error: no direction to check"),
+    "first-order-zero-direction": (
+        ["first-order"], dict(_golden_problem("first-order-violated"), directions=[[0, 0]]),
+        "error: direction [0.0, 0.0] is zero: not admissible"),
+    "openness-empty-eps": (
+        ["openness"], dict(_golden_problem("openness-identity"), eps_schedule=[]),
+        "error: eps_schedule is empty: nothing to search"),
+    "openness-empty-r": (
+        ["openness"], dict(_golden_problem("openness-identity"), r_schedule=[]),
+        "error: r_schedule is empty: nothing to search"),
 }
 # deeper than the interpreter's recursion limit: in the parser and in ``json``
 DEEP_PARENS_DOC = dict(SADDLE_DOC, objective={"expressions": ["(" * 20000 + "x0" + ")" * 20000]})
@@ -690,16 +700,21 @@ def _same(got, want, where="report"):
 
 @pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(GOLDEN)))
 def test_golden_report(tmp_path, capsys, name):
-    """Each fixture's exit code and report, and nothing on stderr: in
-    certify-sector-subnormal-point, x1 / x0 overflows at the reference
-    point, a value the sector map settles and not a numpy warning."""
+    """Each fixture's exit code, its report, the sha256 of every other file
+    the command writes (``files``), the report's path as the one stdout
+    line, and nothing on stderr: in certify-sector-subnormal-point, x1 / x0
+    overflows at the reference point, a value the sector map settles and
+    not a numpy warning."""
     with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
         fx = json.load(fh)
     path = _write(tmp_path, fx["problem"])
     out = tmp_path / "out"
     code = main([fx["command"], "--problem", path, "--out", str(out), *fx["flags"]])
-    assert code == fx["code"] and capsys.readouterr().err == ""
-    _same(json.loads((out / f"{fx['command']}.report.json").read_text()), fx["report"])
+    report = out / f"{fx['command']}.report.json"
+    assert code == fx["code"] and capsys.readouterr() == (f"{report}\n", "")
+    _same(json.loads(report.read_text()), fx["report"])
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in out.iterdir() if f != report} == fx["files"]
 
 
 GALLERY_GOLDEN = os.path.join(os.path.dirname(__file__), "gallery_golden")

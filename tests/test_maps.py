@@ -22,6 +22,7 @@ from dirpareto.expressions import (
     Neg,
     Num,
     Var,
+    int_power,
     parse_expression,
 )
 from dirpareto.gallery import SECTOR_T1, SECTOR_T2
@@ -97,18 +98,69 @@ MAPS["sector-gallery"] = sector_map(SECTOR_T1, SECTOR_T2)
 MAPS["sector-wide"] = sector_map(-2.5, 2.5)
 
 
+def _sector_reference(t1, t2):
+    """``sector_map``'s value by cases, one point at a time."""
+    def fn(x):
+        if x[0] == 0.0:
+            return np.array([0.0])
+        if x[0] < 0.0 and x[1] < 0.0:
+            return np.array([-1.0])
+        ang = np.arctan(x[1] / x[0])
+        return np.array([(t2 - ang) * (ang - t1)])
+    return fn
+
+
+# each map of MAPS as a one-point formula on scalars, the cases written out
+REFERENCES = {
+    "saddle_x2_y2": lambda x: np.array([int_power(x[0], 2) - int_power(x[1], 2)]),
+    "saddle_x2_y3": lambda x: np.array([int_power(x[0], 2) - int_power(x[1], 3)]),
+    "sin_inv_x": lambda x: np.array([np.sin(1.0 / x[0]) if x[0] != 0.0 else 0.0]),
+    "x3_sin_inv_x": lambda x: np.array(
+        [int_power(x[0], 3) * np.sin(1.0 / x[0]) if x[0] != 0.0 else 0.0]),
+    "vector_2x_x": lambda x: np.array([2 * x[0], x[0]]),
+    "vector_pair_saddle": lambda x: np.array([int_power(x[0], 2) - int_power(x[1], 2),
+                                              int_power(x[0], 2) - int_power(x[1], 3)]),
+    "identity_1": lambda x: x.copy(),
+    "identity_2": lambda x: x.copy(),
+    "sector-gallery": _sector_reference(SECTOR_T1, SECTOR_T2),
+    "sector-wide": _sector_reference(-2.5, 2.5),
+}
+
+
+def _assert_reference(name, X):
+    """On each row the one-point call equals the reference bit for bit and
+    warns exactly where the reference warns."""
+    f, ref = MAPS[name], REFERENCES[name]
+    for x in X:
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want = ref(x)
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            got = f(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), x
+        assert bool(warned) == bool(want_warned), (x, warned, want_warned)
+
+
+def test_every_map_has_a_reference():
+    assert sorted(REFERENCES) == sorted(MAPS)
+
+
 @pytest.mark.parametrize("name", sorted(MAPS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_builtin_batch_matches_one_point_calls(name, data):
     f = MAPS[name]
-    _assert_parity(f, data.draw(_points(f.dim_in)))
+    X = data.draw(_points(f.dim_in))
+    _assert_parity(f, X)
+    _assert_reference(name, X)
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_builtin_batch_on_adversarial_grid(name):
-    """Every pair of adversarial coordinates, one row at a time and as one
-    array; the one-point calls that overflow give inf, not RuntimeWarning."""
+    """Every pair of adversarial coordinates and random points with
+    exponents across the float range, one row at a time and as one array;
+    the one-point calls that overflow give inf, not RuntimeWarning."""
     f = MAPS[name]
     vals = np.array(ADVERSARIAL)
     X = (vals[:, None] if f.dim_in == 1 else
@@ -116,9 +168,13 @@ def test_builtin_batch_on_adversarial_grid(name):
     if f.dim_in == 2:
         X = np.vstack([X, _sector_boundaries(SECTOR_T1, SECTOR_T2),
                        _sector_boundaries(-2.5, 2.5)])
+    rng = np.random.default_rng(29)
+    shape = (500, f.dim_in)
+    X = np.vstack([X, rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)])
     for x in X:
         _assert_parity(f, x[None])
     _assert_parity(f, X)
+    _assert_reference(name, X)
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
@@ -126,7 +182,7 @@ def test_batch_forms_make_no_one_point_call(name, monkeypatch):
     """On ordinary points the batch form answers every row itself."""
     f = MAPS[name]
     X = np.random.default_rng(3).uniform(-2.0, 2.0, (50, f.dim_in))
-    want = np.array([f(x) for x in X])
+    want = np.array([REFERENCES[name](x) for x in X])
     calls = []
     monkeypatch.setattr(SmoothMap, "__call__", lambda self, x: calls.append(x))
     assert f.eval_many(X).tobytes() == want.tobytes()

@@ -69,6 +69,14 @@ def test_empty_finite_points_rejected():
         Target.finite_points([])
 
 
+@pytest.mark.parametrize("poly, name", [(None, "NoneType"), (np.eye(2), "ndarray")])
+def test_polyhedral_target_needs_a_polyhedron(poly, name):
+    """Rejected where the target is built, not later inside minimal_time."""
+    with pytest.raises(GeometryError,
+                       match=f"^a polyhedral target needs a PolyhedralSet, got {name}$"):
+        Target.polyhedral(poly)
+
+
 def test_polyhedron_finite_directions_closed_form():
     poly = PolyhedralSet.from_rows([[1.0, 0.0]], [2.0])  # {x1 >= 2}
     L = D((1.0, 0.0), (0.0, 1.0))
@@ -390,9 +398,9 @@ def test_ratio_rejects_a_non_finite_reference_value(ratio):
 @pytest.mark.parametrize("ratio", [calmness_ratio, subregularity_ratio])
 @pytest.mark.parametrize("grid", [
     {"radius": -0.1}, {"radius": 0.0}, {"radius": float("nan")},
-    {"radius": float("inf")}, {"levels": 0}, {"rays": 0},
+    {"radius": float("inf")}, {"levels": 0}, {"rays": 0}, {"levels": 2.5}, {"rays": 2.5},
 ], ids=["negative-radius", "zero-radius", "nan-radius", "inf-radius",
-        "no-levels", "no-rays"])
+        "no-levels", "no-rays", "fractional-levels", "fractional-rays"])
 def test_ratio_rejects_bad_grid(ratio, grid):
     f = builtin("identity_1")
     with pytest.raises(CertifyError):

@@ -29,8 +29,16 @@ from dirpareto.sets import (
 
 
 # ---------------------------------------------------------------------------
-# one-point references: the even-odd and near-boundary test of a polygon
-# and the 2-D sector test of a generator cone, one point at a time
+# one-point references: the row product of a halfspace cone, the even-odd
+# and near-boundary test of a polygon and the 2-D sector test of a
+# generator cone, one point at a time
+
+def _halfspace_reference(C, v, strict=False, tol=TOL) -> bool:
+    prods = C.rows @ v
+    if strict:
+        return bool(np.all(prods > tol))
+    return bool(np.all(prods >= -tol))
+
 
 def _polygon_reference(P, x) -> bool:
     V = P.vertices
@@ -156,6 +164,8 @@ ORACLES = {
 }
 
 REFERENCES = {
+    "halfspace-2d": _halfspace_reference,
+    "halfspace-3d": _halfspace_reference,
     "generator-sector": _sector_reference,
     "generator-ray": _sector_reference,
     "generator-plane": _sector_reference,
@@ -186,7 +196,21 @@ def test_contains_many_on_every_special_point(name):
     obj, special = ORACLES[name]
     X = np.array(special, dtype=float)
     assert obj.contains_many(X).tolist() == [obj.contains(x) for x in X]
+    if name in REFERENCES:
+        assert obj.contains_many(X).tolist() == [REFERENCES[name](obj, x) for x in X]
     assert obj.contains_many(np.zeros((0, obj.dim))).shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["halfspace-2d", "halfspace-3d"])
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("tol", [TOL, 2 * TOL, 0.0])
+def test_halfspace_strict_and_tol_forms_match_the_row_product(name, strict, tol):
+    obj, special = ORACLES[name]
+    rng = np.random.default_rng(5)
+    X = np.vstack([np.array(special, dtype=float), rng.standard_normal((200, obj.dim))])
+    want = [_halfspace_reference(obj, x, strict, tol) for x in X]
+    assert obj.contains_many(X, strict, tol).tolist() == want
+    assert [obj.contains(x, strict, tol) for x in X] == want
 
 
 @pytest.mark.parametrize("L", [

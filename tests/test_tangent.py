@@ -4,6 +4,7 @@ polyhedral triples."""
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,15 @@ def test_sampled_outside_cone_L_is_nonmember():
     v = tangent_membership_sampled(ORTHANT2, [0.0, 0.0], L, [1.0, 0.0])
     assert v.status == "nonmember"
     assert "cone L" in v.note
+
+
+@pytest.mark.parametrize("field, value", [("levels", 2.5), ("levels", None),
+                                          ("lattice_size", 2.5), ("lattice_size", "961")])
+def test_schedule_counts_must_be_integers(field, value):
+    """A fractional count is no schedule: unchecked, levels=2.5 would run 3."""
+    with pytest.raises(GeometryError,
+                       match=f"^schedule {field} must be an integer, got {re.escape(repr(value))}$"):
+        TSchedule(**{field: value})
 
 
 def test_sampled_zero_direction_is_member():
