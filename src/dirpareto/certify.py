@@ -23,9 +23,7 @@ from .geometry import (
     in_space,
     ray_points,
     require_integers,
-    row_dots,
     row_products,
-    unit_blocks,
 )
 from .lp import LPProblem, lp_feasible
 from .maps import SmoothMap, identity
@@ -160,38 +158,30 @@ def _walk(p: Problem, weak: bool) -> CertReport:
     """Walk p's grid in order; the first feasible point x whose difference
     f(x) - f(xbar) violates minimality refutes, and no violation certifies.
 
-    Each step takes a block of whole rays (``levels`` points each): the
-    whole grid when it has at most MAX_POINTS points, else MAX_POINTS //
-    levels rays at a time.  Feasibility and f stop at the first point of
-    a block that raises and hand back its exception, which counts only if
-    no earlier row is non-finite or violating, as in a walk point by point."""
+    The whole grid is one batch.  Feasibility and f stop at the first
+    point that raises and hand back its exception, which counts only if no
+    earlier row is non-finite or violating, as in a walk point by point."""
     xbar = p.x0
     f0 = reference_value(p.f, xbar)
-    points, levels = p.grid.points(xbar, p.L), p.grid.levels
-    samples = 0
-    rays = len(points) // levels
-    for start, stop in unit_blocks(rays, levels, rays):
-        chunk = points[start * levels:stop * levels]
-        ok, constraint_error = _feasible(p.constraint, chunk)
-        chunk = chunk[:len(ok)][ok]
-        Y, error = p.f.eval_rows(chunk)
-        D = Y - f0
-        nonfinite = np.flatnonzero(~np.isfinite(D).all(axis=1))
-        n = nonfinite[0] if nonfinite.size else len(D)  # rows before the first one
-        hits = np.flatnonzero(_violations(D[:n], p.K, weak))
-        if hits.size:
-            i = int(hits[0])
-            return CertReport("refuted", weak, samples + i + 1,
-                              (tuple(chunk[i]), tuple(D[i])))
-        if n < len(D):
-            raise CertifyError(f"non-finite objective value at {chunk[n].tolist()}")
-        for exc in (error, constraint_error):  # the objective's comes first in the chunk
-            if exc is not None:
-                raise exc
-        samples += len(chunk)
+    points = p.grid.points(xbar, p.L)
+    ok, constraint_error = _feasible(p.constraint, points)
+    points = points[:len(ok)][ok]
+    Y, error = p.f.eval_rows(points)
+    D = Y - f0
+    nonfinite = np.flatnonzero(~np.isfinite(D).all(axis=1))
+    n = nonfinite[0] if nonfinite.size else len(D)  # rows before the first one
+    hits = np.flatnonzero(_violations(D[:n], p.K, weak))
+    if hits.size:
+        i = int(hits[0])
+        return CertReport("refuted", weak, i + 1, (tuple(points[i]), tuple(D[i])))
+    if n < len(D):
+        raise CertifyError(f"non-finite objective value at {points[n].tolist()}")
+    for exc in (error, constraint_error):  # the objective's comes first in the grid
+        if exc is not None:
+            raise exc
     # with no feasible sample the certificate is vacuous and says so
-    note = "" if samples else "no feasible grid sample"
-    return CertReport("certified_on_grid", weak, samples, note=note)
+    note = "" if len(points) else "no feasible grid sample"
+    return CertReport("certified_on_grid", weak, len(points), note=note)
 
 
 def reference_value(f: SmoothMap, xbar: np.ndarray) -> np.ndarray:
@@ -268,8 +258,8 @@ def check_first_order_necessary(p: Problem, directions) -> dict:
     # directions that a loop stopping at the first failure never reaches;
     # the tests below decide on the values alone
     with np.errstate(all="ignore"):
-        ascent = (row_dots(np.reshape(active, (-1, dim)), U) > FEAS_TOL).any(axis=1)
-        off = (np.abs(row_dots(np.reshape(equality, (-1, dim)), U)) > FEAS_TOL).any(axis=1)
+        ascent = (row_products(np.reshape(active, (-1, dim)), U) > FEAS_TOL).any(axis=1)
+        off = (np.abs(row_products(np.reshape(equality, (-1, dim)), U)) > FEAS_TOL).any(axis=1)
         images = row_products(jac, U)
     bad = np.flatnonzero(zero | outside | ascent | off)
     n = bad[0] if bad.size else len(U)  # directions before the first one

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -66,11 +66,11 @@ def require_integers(obj, names, error, what: str):
             raise error(f"{what} {name} must be an integer, got {getattr(obj, name)!r}") from None
 
 
-# The batched forms of ``np.linalg.norm(x)``, ``rows @ x`` and ``g @ x``.
-# All give the one-point result on every row, bit for bit, so a batched
-# membership test decides exactly as the one-point test it replaces;
-# ``einsum`` and ``X @ rows.T`` differ from them in the last place on some
-# rows.
+# The batched forms of ``np.linalg.norm(x)`` and ``rows @ x``.  Each row's
+# result is the one-point result and does not depend on the other rows of
+# its batch, so a batched membership test decides exactly as the one-point
+# test it replaces; ``einsum`` and ``X @ rows.T`` differ from them in the
+# last place on some rows.
 
 def row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of X."""
@@ -82,11 +82,17 @@ def row_products(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.matmul(rows, X[:, :, None])[..., 0]
 
 
-def row_dots(G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``g @ x`` for each row g of G and each row x of X, shape (n, len(G)):
-    each entry is one inner product of two vectors, as in the one-point
-    ``g @ x`` (``rows @ x`` may sum a row in another order)."""
-    return np.matmul(G[None, :, None, :], X[:, None, :, None])[:, :, 0, 0]
+def rescaled_rows(X: np.ndarray) -> np.ndarray:
+    """X with each nonzero row whose largest |entry| lies outside
+    [2^-500, 2^500] divided by that entry, and every other row as it is:
+    a norm of the result neither overflows nor underflows, so dividing a
+    row by it gives a unit vector of the same direction."""
+    # a maximum over the columns: np.max(axis=1) is slow on narrow rows
+    big = reduce(np.maximum, np.abs(X).T)
+    wild = (big > 0.0) & ((big < 2.0 ** -500) | (big > 2.0 ** 500))
+    if not wild.any():
+        return X
+    return np.where(wild[:, None], X / np.where(wild, big, 1.0)[:, None], X)
 
 
 def ray_points(xbar, dirs, ts) -> np.ndarray:
@@ -96,28 +102,6 @@ def ray_points(xbar, dirs, ts) -> np.ndarray:
     pts = np.asarray(ts)[..., None] * np.asarray(dirs)[:, None, :]
     pts += xbar  # in place: the grid is the one array allocated
     return pts.reshape(-1, pts.shape[2])
-
-
-# Points per batch of the grid walk and of the sampled tangent search.
-# Each batch pays a fixed cost of small numpy calls, so the walk takes the
-# whole grid at once, and the search joins the levels of a batch of at most
-# MAX_POINTS // 16 candidates into one filter and then one membership call
-# per round, its blocks growing 8x after testing u alone; this bound only
-# caps the size of the temporaries.
-MAX_POINTS = 1 << 16
-
-
-def unit_blocks(n: int, per_unit: int, first: int):
-    """``(start, stop)`` of consecutive blocks covering ``range(n)`` units
-    of ``per_unit`` points each (rays, candidates): ``first`` units, then 8
-    times the block before, never more than MAX_POINTS // per_unit units
-    (but at least one)."""
-    cap = max(1, MAX_POINTS // per_unit)
-    start, size = 0, min(first, cap)
-    while start < n:
-        yield start, min(start + size, n)
-        start += size
-        size = min(8 * size, cap)
 
 
 def frozen_array(x, ndim: int) -> np.ndarray:
@@ -201,8 +185,8 @@ class GeneratorCone:
 
     @cached_property
     def units(self) -> np.ndarray:
-        return frozen_array(self.generators / np.linalg.norm(
-            self.generators, axis=1, keepdims=True), 2)
+        gens = rescaled_rows(self.generators)
+        return frozen_array(gens / np.linalg.norm(gens, axis=1, keepdims=True), 2)
 
     @cached_property
     def whole_plane(self) -> bool:
@@ -249,7 +233,8 @@ class GeneratorCone:
         if self.whole_plane:
             return np.ones(len(X), dtype=bool)
         # unit rows (a zero row, a member anyway, is divided by 1)
-        return zero | self._in_sectors(X / np.where(zero, 1.0, nrm)[:, None])
+        X = rescaled_rows(X)
+        return zero | self._in_sectors(X / np.where(zero, 1.0, row_norms(X))[:, None])
 
     def _contains_lp(self, v) -> bool:
         gens = self.generators

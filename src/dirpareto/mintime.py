@@ -1,10 +1,14 @@
 """Directional minimal-time function and empirical regularity moduli.
 
-T_L(x, Omega) = inf{t >= 0 : x + t u in Omega for some u in L}.  Point
-and finite targets are closed-form; polyhedral targets are answered by
-one array rule over (ray, inequality) pairs (finite L, or sampled rays
-for an upper bound) or by one LP (cone-section L, sup norm).  The
-calmness / subregularity ratios are grid suprema: evidence, never proofs.
+T_L(x, Omega) = inf{t >= 0 : x + t u in Omega for some u in L}.  A finite
+L is read two ways: point and finite targets take u from cone L (from
+x = 0 with L = {(1, 0), (0, 1)}, the point (1, 1) is reached at sqrt 2),
+polyhedral targets only from L's own rays (the polyhedron {(1, 1)} is
+never reached).  Point and finite targets are closed-form; polyhedral
+targets are answered by one array rule over (ray, inequality) pairs
+(finite L, or sampled rays for an upper bound) or by one LP
+(cone-section L, sup norm).  The calmness / subregularity ratios are
+grid suprema: evidence, never proofs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .geometry import (
     direction_samples,
     frozen_array,
     in_space,
-    row_dots,
     row_norms,
     row_products,
 )
@@ -125,7 +128,7 @@ def minimal_time(L: DirectionSet, x, target: Target, norm: str = "l2"):
         p.add_ge(np.hstack([np.stack([eye, 0.0 - eye], axis=1).reshape(2 * n, n),
                             np.ones((2 * n, 1))]), 0.0)
         p.add_ge(np.hstack([poly.rows, np.zeros((len(poly.rows), 1))]),
-                 poly.offsets - row_dots(poly.rows, x[None])[0])
+                 poly.offsets - row_products(poly.rows, x[None])[0])
         p.objective = np.append(np.zeros(n), 1.0)
         res = lp_minimize(p)
         if res is None:

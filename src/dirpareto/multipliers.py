@@ -21,7 +21,6 @@ from .geometry import (
     DirectionSet,
     HalfspaceCone,
     as_vector,
-    row_dots,
     row_products,
 )
 from .lp import LPProblem, lp_feasible
@@ -64,7 +63,7 @@ def _stationarity_lp(p: Problem, e, jf, grads, nonneg: int, pinned=(),
     lp.add_eq(np.eye(lp.n)[nw + np.asarray(pinned, dtype=int)], 0.0)
     lp.add_eq(np.append(a_rows @ e, np.zeros(ng + extra)), 1.0)  # y*(e) = 1
     lp.add_ge(np.hstack([row_products(a_rows, row_products(jf, gens)),
-                         row_dots(grads, gens), np.zeros((len(gens), extra))]), 0.0)
+                         row_products(grads, gens), np.zeros((len(gens), extra))]), 0.0)
     return lp
 
 
@@ -156,7 +155,7 @@ def sufficiency_certificate(p: Problem, cert: MultiplierCert) -> dict:
             return {"verdict": "invalid certificate",
                     "reason": "complementarity fails"}
     gens = _cone_generators(p.L)
-    if np.any(row_dots(-np.array(cert.residual)[None], gens) < -CHECK_TOL):
+    if np.any(row_products(-np.array(cert.residual)[None], gens) < -CHECK_TOL):
         return {"verdict": "invalid certificate",
                 "reason": "residual leaves the polar cone"}
     rng = np.random.default_rng(0)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .certify import CertifyError, GridSpec, IneqEq, Problem
 from .expressions import ExpressionError
-from .geometry import DirectionSet, GeometryError, HalfspaceCone, frozen_array, in_space
+from .geometry import (DirectionSet, GeometryError, HalfspaceCone, frozen_array, in_space,
+                       rescaled_rows)
 from .maps import BUILTINS, SmoothMap, from_expressions, sector_map
 from .mintime import Target
 from .sets import (
@@ -178,6 +179,7 @@ def _unit_rows(value) -> np.ndarray:
     vecs = frozen_array(rows(value), 2)
     if vecs.size == 0:
         raise ProblemFileError("expected at least one direction")
+    vecs = rescaled_rows(vecs)
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .geometry import (
     TOL,
     DirectionSet,
@@ -26,10 +25,12 @@ from .geometry import (
     in_space,
     ray_points,
     require_integers,
+    rescaled_rows,
     row_norms,
-    unit_blocks,
 )
 from .sets import PolyhedralSet
+
+MAX_POINTS = 1 << 16  # caps the temporaries of the sampled search
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,10 @@ class ExactTangentCone:
     def contains(self, v) -> bool:
         v = as_vector(v, self.dim)
         if self.rays is not None:
-            nrm = np.linalg.norm(v)
-            if nrm <= TOL:
+            if np.linalg.norm(v) <= TOL:
                 return True
-            return bool(np.any(np.linalg.norm(self.rays - v / nrm, axis=1) <= TOL))
+            w = rescaled_rows(v[None])[0]
+            return bool(np.any(np.linalg.norm(self.rays - w / np.linalg.norm(w), axis=1) <= TOL))
         return all(p.contains(v) for p in self.pieces)
 
 
@@ -130,7 +131,7 @@ def _perturbations(u: np.ndarray, eps: list, L: DirectionSet | None, lattice_siz
     lattice = _ball_lattice(u.size, lattice_size)
     rays = [] if L is None else [(float(np.dot(u, ell)), ell) for ell in L.vectors]
     per_level = 1 + len(lattice) + 9 * len(rays)
-    size = max(1, geometry.MAX_POINTS // 16 // per_level)
+    size = max(1, MAX_POINTS // 16 // per_level)
     for lo in range(0, len(eps), size):
         batch = np.array(eps[lo:lo + size])
         blocks = [np.broadcast_to(u, (len(batch), 1, u.size)), u + batch[:, None, None] * lattice]
@@ -147,6 +148,18 @@ def _perturbations(u: np.ndarray, eps: list, L: DirectionSet | None, lattice_siz
         yield np.split(cands[keep], np.cumsum(counts)[:-1])
 
 
+def _blocks(n: int):
+    """``(start, stop)`` of consecutive blocks covering ``range(n)``
+    candidates of 8 sub-steps each: 1 candidate, then 8 times the block
+    before, never more than MAX_POINTS // 8 candidates (but at least one)."""
+    cap = max(1, MAX_POINTS // 8)
+    start, size = 0, 1
+    while start < n:
+        yield start, min(start + size, n)
+        start += size
+        size = min(8 * size, cap)
+
+
 def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
                                schedule: TSchedule = TSchedule()) -> TangentVerdict:
     """Sampled verdict for u in T_B^L(A, xbar) (L=None: plain T_B).
@@ -159,7 +172,7 @@ def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
 
     Level k keeps its first hit over its candidates u' and 8 sub-steps
     t' <= t_k, candidate-major.  Round r of a batch of levels asks A about
-    block r of ``unit_blocks(n_k, 8, 1)`` of each level still without a hit
+    block r of ``_blocks(n_k)`` of each level still without a hit
     in one ``contains_many`` call (at most MAX_POINTS // 2 points, or one
     block of one level): each level finds the hit a search of it alone finds.
     """
@@ -181,7 +194,7 @@ def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
     hits = []
     for batch in _perturbations(u, eps, L, schedule.lattice_size):
         cands = dict(enumerate(batch, len(hits)))  # level -> candidates
-        blocks = {k: list(unit_blocks(len(c), n_sub, 1)) for k, c in cands.items()}
+        blocks = {k: list(_blocks(len(c))) for k, c in cands.items()}
         hits += [None] * len(batch)
         for r in itertools.count():
             parts = [(k, *blocks[k][r]) for k in cands if hits[k] is None and r < len(blocks[k])]

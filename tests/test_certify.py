@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dirpareto import geometry
 from dirpareto.certify import (
     FEAS_TOL,
     CertifyError,
@@ -160,7 +159,7 @@ def test_vacuous_set_certificate_says_so():
 
 
 # ---------------------------------------------------------------------------
-# the walker takes blocks of whole rays and decides as a walk point by
+# the walker takes the whole grid at once and decides as a walk point by
 # point
 
 def _pointwise_walk(p, weak=False):
@@ -249,7 +248,7 @@ def test_gallery_walks_match_the_point_by_point_walk(weak):
 
 
 def test_walk_evaluates_f_one_ray_at_a_time(monkeypatch):
-    """One batch per block of rays, and no one-point call but f(xbar)."""
+    """One batch for the whole grid, and no one-point call but f(xbar)."""
     calls = {"__call__": 0, "eval_rows": 0}
     for name in calls:
         def counted(self, x, _original=getattr(SmoothMap, name), _name=name):
@@ -260,34 +259,19 @@ def test_walk_evaluates_f_one_ray_at_a_time(monkeypatch):
     rep = certify_directional_min(p)
     assert rep.verdict == "refuted"
     assert calls["__call__"] == 1
-    assert 0 < calls["eval_rows"] <= 6  # 32 x 21 points: one block
+    assert 0 < calls["eval_rows"] <= 6  # 32 x 21 points: one batch
 
 
 # A multi-ray grid with events placed at chosen (ray, level) points: the
 # objective is -1 (a violation under R_PLUS), undefined or infinite there,
 # and the constraint raises or rejects there; elsewhere f = 1 and every
-# point is feasible.  At the default MAX_POINTS the twelve rays are one
-# block, so the walks below also run with one and with three rays a block
-# (blocks [0,3) [3,6) [6,9) [9,12)).
+# point is feasible.  The walk takes the twelve rays as one batch.
 EVENT_RAYS = 12
 EVENT_GRID = GridSpec(radius=0.5, levels=3, rays_per_level=EVENT_RAYS)
 EVENT_L = _circle(EVENT_RAYS)
 EVENTS = ("violation", "undefined", "nonfinite", "constraint-raises", "infeasible")
-EVENT_MAX_POINTS = (EVENT_GRID.levels, 3 * EVENT_GRID.levels, geometry.MAX_POINTS)
-# at one ray a block every ray is at a boundary; at three rays a block
-# these are both sides of 2|3, the first rays of two later blocks (6, 9),
-# the grid's first and last rays and two rays inside a block (1, 7)
-BOUNDARY_RAYS = (0, 1, 2, 3, 6, 7, 9, 11)
-
-
-def _walk_outcomes(p, weak=False):
-    """The outcome of certify_directional_min(p) under each EVENT_MAX_POINTS."""
-    outcomes = []
-    for max_points in EVENT_MAX_POINTS:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "MAX_POINTS", max_points)
-            outcomes.append(_outcome(lambda: certify_directional_min(p, weak=weak)))
-    return outcomes
+# the grid's first and last rays and rays between them
+PROBED_RAYS = (0, 1, 2, 3, 6, 7, 9, 11)
 
 
 def _event_problem(events):
@@ -316,22 +300,22 @@ def _event_problem(events):
     return Problem(f, R_PLUS, EVENT_L, (0.0, 0.0), EVENT_GRID, IneqEq(mu=(mu,)))
 
 
-@pytest.mark.parametrize("ray", BOUNDARY_RAYS)
+@pytest.mark.parametrize("ray", PROBED_RAYS)
 @pytest.mark.parametrize("kind", EVENTS)
 def test_walk_event_at_a_block_boundary_matches_the_point_by_point_walk(kind, ray):
     p = _event_problem({(ray, 1): kind})
-    assert _walk_outcomes(p) == [_outcome(lambda: _pointwise_walk(p))] * len(EVENT_MAX_POINTS)
+    assert (_outcome(lambda: certify_directional_min(p))
+            == _outcome(lambda: _pointwise_walk(p)))
 
 
 @pytest.mark.parametrize("later", ["undefined", "nonfinite", "constraint-raises"])
 @pytest.mark.parametrize("first, second", [(3, 5), (3, 6), (7, 11), (1, 2)])
 def test_walk_refutes_before_a_later_event_in_the_same_block(later, first, second):
-    """A violation in one ray refutes even if a later ray of its block (or
-    of a later block) is undefined, non-finite or has a raising
-    constraint."""
+    """A violation in one ray refutes even if a later ray of the grid is
+    undefined, non-finite or has a raising constraint."""
     p = _event_problem({(first, 2): "violation", (second, 0): later})
     got = _outcome(lambda: _pointwise_walk(p))
-    assert _walk_outcomes(p) == [got] * len(EVENT_MAX_POINTS)
+    assert _outcome(lambda: certify_directional_min(p)) == got
     assert got["verdict"] == "refuted"
     assert got["samples"] == first * EVENT_GRID.levels + 3
 
@@ -343,16 +327,14 @@ def test_walk_refutes_before_a_later_event_in_the_same_block(later, first, secon
        st.booleans())
 def test_walk_with_random_events_matches_the_point_by_point_walk(events, weak):
     p = _event_problem(events)
-    assert (_walk_outcomes(p, weak)
-            == [_outcome(lambda: _pointwise_walk(p, weak))] * len(EVENT_MAX_POINTS))
+    assert (_outcome(lambda: certify_directional_min(p, weak=weak))
+            == _outcome(lambda: _pointwise_walk(p, weak)))
 
 
 @pytest.mark.parametrize("rays", [EVENT_RAYS, 200])
 def test_walk_refuted_at_ray_r_evaluates_the_blocks_through_r(monkeypatch, rays):
-    """The walk refuted at ray r (counted from 0) evaluates r's block and
-    the blocks before it, each of MAX_POINTS // levels rays: the whole
-    grid in one batch at the default MAX_POINTS, and with MAX_POINTS
-    patched to five rays a block, every ray up to the end of r's block."""
+    """The walk refuted at ray r (counted from 0) evaluates the whole grid
+    in one ``eval_rows`` call."""
     rows = []
     original = SmoothMap.eval_rows
     monkeypatch.setattr(SmoothMap, "eval_rows",
@@ -360,18 +342,13 @@ def test_walk_refuted_at_ray_r_evaluates_the_blocks_through_r(monkeypatch, rays)
     f = from_expressions(["x1"], 2)  # violated exactly on the one downward ray
     grid = GridSpec(radius=0.5, levels=2, rays_per_level=rays)
     upward = np.linspace(0.1, 3.0, rays)
-    for max_points in (5 * grid.levels, geometry.MAX_POINTS):
-        monkeypatch.setattr(geometry, "MAX_POINTS", max_points)
-        per_block = max_points // grid.levels
-        for r in range(rays):
-            ang = np.where(np.arange(rays) == r, -np.pi / 2, upward)
-            L = DirectionSet.finite(np.stack([np.cos(ang), np.sin(ang)], axis=1))
-            rows.clear()
-            rep = certify_directional_min(Problem(f, R_PLUS, L, (0.0, 0.0), grid))
-            assert rep.verdict == "refuted" and rep.samples == 2 * r + 1
-            blocks = r // per_block + 1
-            assert len(rows) == blocks, (max_points, r)
-            assert sum(rows) == min(blocks * per_block, rays) * grid.levels, (max_points, r)
+    for r in range(rays):
+        ang = np.where(np.arange(rays) == r, -np.pi / 2, upward)
+        L = DirectionSet.finite(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+        rows.clear()
+        rep = certify_directional_min(Problem(f, R_PLUS, L, (0.0, 0.0), grid))
+        assert rep.verdict == "refuted" and rep.samples == 2 * r + 1
+        assert rows == [rays * grid.levels], r
 
 
 def test_non_finite_objective_at_the_reference_point_is_named_as_such():
@@ -550,9 +527,8 @@ def test_set_min_rejects_mismatched_dimensions(K, L, message):
 
 
 def test_set_walk_tests_membership_one_ray_at_a_time(monkeypatch):
-    """The walker asks the set about a block of whole rays at once: the
-    polygon inside curve_halfplane_set gets one batch per block of rays
-    and no one-point query."""
+    """The walker asks the set about the whole grid at once: the polygon
+    inside curve_halfplane_set gets batches and no one-point query."""
     calls = {"contains": 0, "contains_many": 0}
     for name in calls:
         def counted(self, x, _original=getattr(PolygonRegion, name), _name=name):
@@ -562,7 +538,7 @@ def test_set_walk_tests_membership_one_ray_at_a_time(monkeypatch):
     rep = certify_set_min(curve_halfplane_set(), (0.0, 0.0), R2_PLUS, _circle(128))
     assert rep.verdict == "refuted"
     assert calls["contains"] == 0
-    assert 0 < calls["contains_many"] <= 8  # 128 x 21 points: one block
+    assert 0 < calls["contains_many"] <= 8  # 128 x 21 points: one batch
 
 
 LOWER_LEFT = PolyhedralSet.from_rows([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])

@@ -160,6 +160,54 @@ def test_normalize_scales_directions_to_unit():
     assert np.allclose(n["L"]["finite"], [[1.0, 0.0]])
 
 
+@pytest.mark.parametrize("direction, unit", [
+    ([1e308, 1e308], [0.7071067811865475, 0.7071067811865475]),
+    ([1e200, 1], [1.0, 1e-200]),
+    ([1e-160, 1e-160], [0.7071067811865475, 0.7071067811865475]),
+    ([5e-324, 0], [1.0, 0.0]),
+    ([1e-155, 0], [1.0, 0.0]),
+])
+def test_normalize_scales_directions_of_any_magnitude_to_unit(direction, unit):
+    """A direction whose norm overflows or underflows normalizes to the
+    unit vector of its direction."""
+    n = normalize(dict(SADDLE_DOC, L={"finite": [direction]}))
+    assert n["L"]["finite"] == [unit]
+
+
+def test_the_zero_direction_is_still_rejected(tmp_path):
+    code, err, reports = _run(["certify"], dict(SADDLE_DOC, L={"finite": [[0, 0]]}),
+                              str(tmp_path))
+    assert (code, reports) == (1, [])
+    assert err == ["error: L.finite: direction 0 is the zero vector [0.0, 0.0]"]
+
+
+# f = (x0, -x1) with K and L the orthant: the image of (-s, s) is (-s, -s)
+# in -int K, but (-s, s) lies outside cone L at any scale s
+SCALED_FIRST_ORDER_DOC = {
+    "schema_version": 1, "dim_in": 2, "objective": {"expressions": ["x0", "-x1"]},
+    "K": [[1, 0], [0, 1]], "L": {"finite": [[1, 0], [0, 1]]}, "point": [0, 0]}
+
+
+@pytest.mark.parametrize("direction", [[-1, 1], [-1e160, 1e160], [-1e300, 1e300]])
+def test_first_order_rejects_a_direction_outside_cone_L_at_any_scale(tmp_path, direction):
+    code, err, reports = _run(["first-order"], dict(SCALED_FIRST_ORDER_DOC, directions=[direction]),
+                              str(tmp_path))
+    assert (code, reports) == (1, [])
+    assert err == [f"error: direction {[float(c) for c in direction]} "
+                   "is outside cone L: not admissible"]
+
+
+@pytest.mark.parametrize("direction", [[1, 0], [1e200, 0], [1e-200, 0]])
+def test_exact_tangent_member_at_any_scale(tmp_path, direction):
+    """(s, 0) is tangent to the upper half plane along L's ray (1, 0) at
+    any scale s."""
+    doc = {"schema_version": 1, "set": {"polyhedron": {"rows": [[0, 1]], "offsets": [0]}},
+           "point": [0, 0], "L": {"finite": [[1, 0], [0, 1]]}, "direction": direction}
+    code, err, _ = _run(["tangent"], doc, str(tmp_path))
+    with open(tmp_path / "out" / "tangent.report.json", encoding="utf-8") as fh:
+        assert (code, err, json.load(fh)["status"]) == (0, [], "member")
+
+
 def test_parse_rejects_bad_schema_and_fields():
     with pytest.raises(ProblemFileError):
         parse_problem(dict(SADDLE_DOC, schema_version=99))
@@ -682,29 +730,13 @@ def test_examples_run_rejects_bad_grid_flags(tmp_path, capsys, flags):
 # golden reports: every subcommand on committed fixtures
 
 
-def _same(got, want, where="report"):
-    """Floats agree to a relative 1e-12; everything else exactly."""
-    if isinstance(want, float) and isinstance(got, float):
-        assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), where
-    elif isinstance(want, dict):
-        assert isinstance(got, dict) and got.keys() == want.keys(), where
-        for k in want:
-            _same(got[k], want[k], f"{where}.{k}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            _same(g, w, f"{where}[{i}]")
-    else:
-        assert type(got) is type(want) and got == want, where
-
-
 @pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(GOLDEN)))
 def test_golden_report(tmp_path, capsys, name):
-    """Each fixture's exit code, its report, the sha256 of every other file
-    the command writes (``files``), the report's path as the one stdout
-    line, and nothing on stderr: in certify-sector-subnormal-point, x1 / x0
-    overflows at the reference point, a value the sector map settles and
-    not a numpy warning."""
+    """Each fixture's exit code, its report byte for byte, the sha256 of
+    every other file the command writes (``files``), the report's path as
+    the one stdout line, and nothing on stderr: in
+    certify-sector-subnormal-point, x1 / x0 overflows at the reference
+    point, a value the sector map settles and not a numpy warning."""
     with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
         fx = json.load(fh)
     path = _write(tmp_path, fx["problem"])
@@ -712,7 +744,8 @@ def test_golden_report(tmp_path, capsys, name):
     code = main([fx["command"], "--problem", path, "--out", str(out), *fx["flags"]])
     report = out / f"{fx['command']}.report.json"
     assert code == fx["code"] and capsys.readouterr() == (f"{report}\n", "")
-    _same(json.loads(report.read_text()), fx["report"])
+    want = json.dumps(fx["report"], sort_keys=True, indent=2) + "\n"
+    assert report.read_bytes() == want.encode()
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in out.iterdir() if f != report} == fx["files"]
 

@@ -9,6 +9,7 @@ from dirpareto.geometry import (
     cone_contains,
     conic_hull,
     direction_samples,
+    rescaled_rows,
     sphere_lattice,
 )
 from dirpareto.certify import openness_falsifier
@@ -60,6 +61,26 @@ def test_generator_cone_membership():
     assert C.contains([1.0, 1.0])
     assert not C.contains([0.0, 1.0])
     assert not C.contains([-1.0, 0.0])
+
+
+def test_rescaled_rows_divides_only_the_rows_out_of_range():
+    """A nonzero row whose largest |entry| lies outside [2^-500, 2^500] is
+    divided by it; every other row, the zero row among them, is kept bit
+    for bit."""
+    X = np.array([[1e200, 1.0], [5e-324, 0.0], [-1e160, 1e160], [0.0, -1e-155],
+                  [3.0, -4.0], [2.0 ** 500, 1.0], [-(2.0 ** -500), 0.0], [0.0, -0.0]])
+    got = rescaled_rows(X)
+    assert got[:4].tolist() == [[1.0, 1e-200], [1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]
+    assert got[4:].tobytes() == X[4:].tobytes()
+
+
+def test_generator_cone_of_huge_generators_is_the_cone_of_their_directions():
+    """Generators whose norms overflow still give their unit vectors."""
+    with np.errstate(over="ignore"):  # the factory's zero-row test sees an inf norm
+        C = GeneratorCone.from_generators([[1e300, 0.0], [0.0, 1e300]])
+    assert C.units.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert C.contains([1.0, 1.0])
+    assert not C.contains([-1.0, 1.0])
 
 
 def test_bipolar_orthants_up_to_dim4():

@@ -87,6 +87,18 @@ def test_polyhedron_finite_directions_closed_form():
     assert val == INF
 
 
+def test_finite_L_reaches_a_point_on_cone_L_and_a_polyhedron_on_its_rays():
+    """The two readings of a finite L: the point (1, 1) lies in cone L and
+    is reached at distance sqrt(2); the polyhedron {(1, 1)} lies on no
+    ray of L and is never reached."""
+    L = D((1.0, 0.0), (0.0, 1.0))
+    val, exact = minimal_time(L, (0.0, 0.0), Target.point((1.0, 1.0)))
+    assert exact and val == math.sqrt(2.0)
+    point = PolyhedralSet.from_rows([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                                    [1.0, -1.0, 1.0, -1.0])
+    assert minimal_time(L, (0.0, 0.0), Target.polyhedral(point)) == (INF, True)
+
+
 def test_point_already_inside_polyhedron():
     poly = PolyhedralSet.from_rows([[1.0, 0.0]], [2.0])
     val, _ = minimal_time(D((0.0, 1.0)), (3.0, 1.0), Target.polyhedral(poly))

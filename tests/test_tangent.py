@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from dirpareto import geometry
+from dirpareto import tangent
 from dirpareto.geometry import (
     TOL,
     DirectionSet,
@@ -21,7 +21,6 @@ from dirpareto.geometry import (
     cone_contains_many,
     ray_points,
     row_norms,
-    unit_blocks,
 )
 from dirpareto.problemfile import parse_direction_set, parse_set, read, vector
 from dirpareto.sets import PolygonRegion, PolyhedralSet, UnionSet, cardioid_region
@@ -234,9 +233,9 @@ def test_sampled_evidence_matches_pinned_fixture():
         pinned = json.load(fh)
     cases = _evidence_cases()
     assert sorted(cases) == sorted(pinned)
-    for max_points in (8, 24, geometry.MAX_POINTS):  # 8 sub-steps a candidate
+    for max_points in (8, 24, tangent.MAX_POINTS):  # 8 sub-steps a candidate
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "MAX_POINTS", max_points)
+            mp.setattr(tangent, "MAX_POINTS", max_points)
             for name, (A, xbar, L, u, sched) in cases.items():
                 got = _evidence_record(tangent_membership_sampled(A, xbar, L, u, sched))
                 assert got == pinned[name], (max_points, name)
@@ -247,8 +246,8 @@ def test_sampled_evidence_matches_pinned_fixture():
 
 def _per_level_search(A, xbar, L, u, schedule):
     """tangent_membership_sampled as it searched one level at a time: each
-    level builds and filters its own candidates, then asks A in blocks of
-    1, 8, 64, ... candidates and stops at its first hit."""
+    level builds and filters its own candidates, then asks A about all of
+    them at once and keeps the first hit in candidate-major order."""
     xbar = np.asarray(xbar, dtype=float)
     u = np.asarray(u, dtype=float)
     if not A.contains(xbar):
@@ -275,13 +274,10 @@ def _per_level_search(A, xbar, L, u, schedule):
         cands = cands[keep]
         substeps = t * 0.5 ** (0.5 * np.arange(8))
         found = None
-        for start, stop in unit_blocks(len(cands), len(substeps), 1):
-            block = cands[start:stop]
-            inside = np.flatnonzero(A.contains_many(ray_points(xbar, block, substeps)))
-            if inside.size:
-                c, s = divmod(int(inside[0]), len(substeps))
-                found = (float(substeps[s]), block[c])
-                break
+        inside = np.flatnonzero(A.contains_many(ray_points(xbar, cands, substeps)))
+        if inside.size:
+            c, s = divmod(int(inside[0]), len(substeps))
+            found = (float(substeps[s]), cands[c])
         if found:
             evidence.append((found[0], tuple(found[1])))
             hits += 1
@@ -366,9 +362,9 @@ def test_batched_search_matches_the_per_level_search(query):
     three candidates a block, to 16 candidates a batch and left as it is."""
     A, xbar, L, u, schedule = query
     want = repr(_per_level_search(A, xbar, L, u, schedule))
-    for max_points in (8, 24, 256, geometry.MAX_POINTS):
+    for max_points in (8, 24, 256, tangent.MAX_POINTS):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "MAX_POINTS", max_points)
+            mp.setattr(tangent, "MAX_POINTS", max_points)
             got = repr(tangent_membership_sampled(A, xbar, L, u, schedule))
         assert got == want, max_points
 
