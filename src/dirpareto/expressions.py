@@ -263,14 +263,6 @@ def _fail(redo, fails, describe, *args):
         raise EvaluationError(describe(*args))
 
 
-def _fails_everywhere(describe, *args):
-    """The closure of a node that fails on every point."""
-    def g(X, redo):
-        _fail(redo, True, describe, *args)
-        return np.zeros(len(X))
-    return g
-
-
 def _exponent(e, redo):
     """The integer that the '^' exponent ``e`` stands for; in rows mode an
     array of them, 0 where the rule fails.  It fails where ``e`` is not
@@ -348,6 +340,9 @@ def compile_rows(node, dim: int):
     Point mode: X is a list of ``dim`` Python floats and ``redo`` is None;
     ``g`` returns the value as a float or raises the EvaluationError of the
     first rule that fails.
+
+    A variable outside x0..x{dim-1}, or a node that is no part of the
+    language, is an ExpressionError here, before any point is evaluated.
     """
     if isinstance(node, Num):
         value = node.value
@@ -355,7 +350,7 @@ def compile_rows(node, dim: int):
     if isinstance(node, Var):
         i = node.index
         if i >= dim:
-            return _fails_everywhere("variable x{} out of range for dim {}".format, i, dim)
+            raise ExpressionError(f"variable x{i} out of range for dim {dim}")
         return lambda X, redo: X[i] if redo is None else X[:, i]
     if isinstance(node, Neg):
         a = compile_rows(node.operand, dim)
@@ -422,4 +417,4 @@ def compile_rows(node, dim: int):
             _fail(redo, fails, _undefined, name, v)
             return out
         return call
-    return _fails_everywhere("cannot evaluate node {!r}".format, node)
+    raise ExpressionError(f"cannot evaluate node {node!r}")

@@ -3,8 +3,9 @@
 Cones acting as orderings (K, Q) are kept in H-representation
 ``{y : a_i . y >= 0}``; direction sets are finite lists of unit vectors,
 unit-sphere sections of H-representation cones, or the full sphere.
-No double-description conversion anywhere: each operation stays inside
-the representation it is given.
+A generator cone in dimension 1 or 2 reads its facet rows off its
+generators; there is no general double-description conversion, and every
+other operation stays inside the representation it is given.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ def row_norms(X: np.ndarray) -> np.ndarray:
 def row_products(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``rows @ x`` for each row x of X, shape (n, len(rows))."""
     return np.matmul(rows, X[:, :, None])[..., 0]
+
+
+def _coordinate_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``a . b`` for each row a of A and row b of B, shape (len(A), len(B)),
+    summed in coordinate order: ``a0*b0 + a1*b1`` in 2-D."""
+    return reduce(np.add, (A[:, k, None] * B[:, k] for k in range(A.shape[1])))
 
 
 def rescaled_rows(X: np.ndarray) -> np.ndarray:
@@ -163,21 +170,14 @@ class HalfspaceCone:
             return np.all(prods > tol, axis=1)
         return np.all(prods >= -tol, axis=1)
 
-    def interior_point(self) -> np.ndarray | None:
-        """A point with a_i . y >= 1 for all i, or None (empty interior)."""
-        p = LPProblem(self.dim)
-        p.add_ge(self.rows, 1.0)
-        return lp_feasible(p)
-
 
 @dataclass(frozen=True, eq=False)
 class GeneratorCone:
     """Cone of nonnegative combinations of finitely many generators.
 
-    In 2-D, membership is closed-form over read-only tables built on first
-    use and kept: ``units`` (the unit generators), ``whole_plane`` (whether
-    they span the plane) and ``sectors`` (``sectors[i, j]``: g_i, g_j bound
-    a proper sector, 0 < angle < pi).
+    In dimension 1 and 2, membership is closed-form over read-only tables
+    built on first use and kept: ``units`` (the unit generators) and
+    ``facets``, the rows c of the cone's H-representation.
     """
 
     dim: int
@@ -189,24 +189,20 @@ class GeneratorCone:
         return frozen_array(gens / np.linalg.norm(gens, axis=1, keepdims=True), 2)
 
     @cached_property
-    def whole_plane(self) -> bool:
-        # no closed halfplane contains all generators; any containing
-        # halfplane can be rotated onto a generator, so its normal is one
-        # of the generator perpendiculars
+    def facets(self) -> np.ndarray:
+        """The candidates c with c . g >= -TOL for every unit generator g
+        (dimension 1 and 2): ±g in 1-D, ±perp(g) in 2-D, and ±g in 2-D as
+        well when the generators lie on one line, which is when some
+        perp(g) passes with both signs.  No row: the whole line or plane."""
         units = self.units
-        perp = np.stack([-units[:, 1], units[:, 0]], axis=1)
-        dots = perp @ units.T  # dots[i, j] = perp_i . g_j
-        return not (np.any(np.all(dots >= -TOL, axis=1))
-                    or np.any(np.all(dots <= TOL, axis=1)))
-
-    @cached_property
-    def sectors(self) -> np.ndarray:
-        units = self.units
-        cross_gg = (units[:, 0][:, None] * units[:, 1][None, :]
-                    - units[:, 1][:, None] * units[:, 0][None, :])
-        sectors = cross_gg > TOL
-        sectors.setflags(write=False)
-        return sectors
+        cands = units if self.dim == 1 else np.stack([-units[:, 1], units[:, 0]], axis=1)
+        cands = np.concatenate([cands, -cands])
+        keep = (_coordinate_products(cands, units) >= -TOL).all(axis=1)
+        half = len(units)
+        if self.dim == 2 and (keep[:half] & keep[half:]).any():
+            cands = np.concatenate([cands, units, -units])
+            keep = (_coordinate_products(cands, units) >= -TOL).all(axis=1)
+        return frozen_array(cands[keep], 2)
 
     @staticmethod
     def from_generators(gens) -> "GeneratorCone":
@@ -224,17 +220,12 @@ class GeneratorCone:
     def _contains_rows(self, X) -> np.ndarray:
         nrm = row_norms(X)
         zero = nrm <= TOL
-        if self.dim == 1:
-            # g*x has the sign of g*x/|x| (and cannot underflow to 0, as
-            # |g| > UNIT_TOL and |x| > TOL): no need to normalize
-            return zero | (self.generators[:, 0] * X > 0.0).any(axis=1)
         if self.dim > 2:
             return np.array([z or self._contains_lp(x) for z, x in zip(zero, X)], dtype=bool)
-        if self.whole_plane:
-            return np.ones(len(X), dtype=bool)
         # unit rows (a zero row, a member anyway, is divided by 1)
         X = rescaled_rows(X)
-        return zero | self._in_sectors(X / np.where(zero, 1.0, row_norms(X))[:, None])
+        U = X / np.where(zero, 1.0, row_norms(X))[:, None]
+        return zero | (_coordinate_products(U, self.facets) >= -TOL).all(axis=1)
 
     def _contains_lp(self, v) -> bool:
         gens = self.generators
@@ -242,20 +233,18 @@ class GeneratorCone:
         p.add_eq(gens.T, v)
         return lp_feasible(p) is not None
 
-    def _in_sectors(self, U) -> np.ndarray:
-        """Closed-form membership in 2-D (rows of U are unit), for a cone
-        that is not the whole plane."""
-        units = self.units
-        # cross[n, i] = g_i x u_n and dot[n, i] = g_i . u_n
-        cross = units[:, 0] * U[:, 1:] - units[:, 1] * U[:, :1]
-        dot = row_products(units, U)
-        # positively parallel to a generator
-        parallel = ((np.abs(cross) <= TOL) & (dot > 0.0)).any(axis=1)
-        # otherwise the cone is a union of proper sectors between
-        # generator pairs: u in [g_i, g_j] with angle(g_i, g_j) < pi;
-        # the boolean product ORs sectors[i, j] & (u before g_j) over j
-        before = (-cross >= -TOL) @ self.sectors.T
-        return parallel | ((cross >= -TOL) & before).any(axis=1)
+
+def _box_witnesses(cone: HalfspaceCone):
+    """The points of ``cone`` with ``y_k >= 1``, then ``-y_k >= 1``, for
+    each coordinate k in turn, one for each of these LPs that is feasible."""
+    for e in np.eye(cone.dim):
+        for unit in (e, 0.0 - e):  # 0.0 - e keeps the zeros +0.0
+            p = LPProblem(cone.dim)
+            p.add_ge(cone.rows, 0.0)
+            p.add_ge(unit, 1.0)
+            y = lp_feasible(p)
+            if y is not None:
+                yield y
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,16 +273,10 @@ class DirectionSet:
     @staticmethod
     def cone_section(cone: HalfspaceCone) -> "DirectionSet":
         # nontrivial: the cone must contain a point with some coordinate >= 1
-        for e in np.eye(cone.dim):
-            for unit in (e, 0.0 - e):  # 0.0 - e keeps the zeros +0.0
-                p = LPProblem(cone.dim)
-                p.add_ge(cone.rows, 0.0)
-                p.add_ge(unit, 1.0)
-                if lp_feasible(p) is not None:
-                    return DirectionSet(cone.dim, "cone_section",
-                                        frozen_array(np.zeros((0, cone.dim)), 2),
-                                        cone)
-        raise GeometryError("cone section is trivial: cone contains only 0")
+        if next(_box_witnesses(cone), None) is None:
+            raise GeometryError("cone section is trivial: cone contains only 0")
+        return DirectionSet(cone.dim, "cone_section",
+                            frozen_array(np.zeros((0, cone.dim)), 2), cone)
 
     @staticmethod
     def full_sphere(dim: int) -> "DirectionSet":
@@ -365,7 +348,8 @@ def direction_samples(L: DirectionSet, count: int, seed: int = 0) -> np.ndarray:
     Finite sets are returned as-is; cone sections and the full sphere are
     sampled from the deterministic sphere lattice (sections keep only the
     in-cone directions, topping up the lattice until ``count`` are found
-    or the lattice is exhausted).
+    or the lattice is exhausted, and fall back to the witnesses of
+    ``_box_witnesses`` when it holds none).
     """
     if L.variant == "finite":
         return L.vectors
@@ -379,10 +363,8 @@ def direction_samples(L: DirectionSet, count: int, seed: int = 0) -> np.ndarray:
         if len(found) >= count:
             break
     if not len(found):
-        # fall back to normalized interior / row-orthogonal probes
-        ip = cone.interior_point()
-        if ip is not None and np.linalg.norm(ip) > 0:
-            found = (ip / np.linalg.norm(ip))[None]
-    if not len(found):
-        raise GeometryError("no direction of the cone section could be sampled")
+        # a section the lattice misses (a thin wedge, a ray or a line in
+        # 3-D): the distinct unit witnesses, in LP order
+        units = [w / np.linalg.norm(w) for w in _box_witnesses(cone)]
+        found = np.array(list(dict.fromkeys(map(tuple, units))))
     return found[:count].copy()

@@ -177,7 +177,8 @@ def tangent_membership_sampled(A, xbar, L: DirectionSet | None, u,
     block of one level): each level finds the hit a search of it alone finds.
     """
     xbar = as_vector(xbar)
-    u = as_vector(u, xbar.size)
+    # u's direction, with a norm that neither overflows nor underflows
+    u = rescaled_rows(as_vector(u, xbar.size)[None])[0]
     if not A.contains(xbar):
         raise GeometryError("reference point is not feasible")
     if L is not None and not cone_contains(L, u):

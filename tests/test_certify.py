@@ -36,6 +36,7 @@ from dirpareto.geometry import (
     cone_contains,
     direction_samples,
     ray_points,
+    sphere_lattice,
 )
 from dirpareto.maps import SmoothMap, builtin, from_expressions, identity
 from dirpareto.problemfile import parse_problem
@@ -913,10 +914,9 @@ def test_strongly_certified_gallery_has_openness_witness():
         rep = certify_directional_min(p, weak=False)
         if rep.verdict != "certified_on_grid" or rep.samples == 0:
             continue
-        # target direction inside K \ -K: a normalized interior point
-        c = p.K.interior_point()
-        assert c is not None
-        c = c / np.linalg.norm(c)
+        # target direction inside K \ -K: the first lattice direction
+        # strictly inside K
+        c = next(v for v in sphere_lattice(p.K.dim, 64) if p.K.contains(v, strict=True))
         assert p.K.contains(c) and not p.K.contains(-c)
         out = openness_falsifier(p.f, p.x0, p.L, DirectionSet.finite([c]))
         assert out["status"] == "witness", name

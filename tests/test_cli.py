@@ -97,6 +97,12 @@ ERROR_LINES = {
     **{name: (["certify"], dict(SADDLE_DOC, objective={"expressions": [text]}),
               f"error: objective: {message}")
        for name, (text, message) in COMPARISON_OBJECTIVES.items()},
+    "objective-variable-range": (
+        ["certify"], dict(SADDLE_DOC, objective={"expressions": ["x5 + x0"]}),
+        "error: objective: variable x5 out of range for dim 2"),
+    "constraint-variable-range": (
+        ["certify"], dict(SADDLE_DOC, constraint={"mu": ["x7 - 1"]}),
+        "error: constraint: variable x7 out of range for dim 2"),
     "openness-negative-r": (
         ["openness"], dict(OPEN_IDENTITY_DOC, r_schedule=[-0.1]),
         "error: r_schedule entries must be positive and finite, got -0.1"),
@@ -206,6 +212,31 @@ def test_exact_tangent_member_at_any_scale(tmp_path, direction):
     code, err, _ = _run(["tangent"], doc, str(tmp_path))
     with open(tmp_path / "out" / "tangent.report.json", encoding="utf-8") as fh:
         assert (code, err, json.load(fh)["status"]) == (0, [], "member")
+
+
+@pytest.mark.parametrize("direction", [[1, 0], [1e308, 0]])
+def test_sampled_tangent_member_at_any_scale(tmp_path, direction):
+    """(s, 0) is tangent to the cardioid at its cusp at any scale s: a
+    direction whose norm overflows is searched as its unit direction."""
+    doc = {"schema_version": 1, "set": {"named": "cardioid"}, "point": [0, 0],
+           "direction": direction}
+    code, err, _ = _run(["tangent"], doc, str(tmp_path))
+    with open(tmp_path / "out" / "tangent.report.json", encoding="utf-8") as fh:
+        assert (code, err, json.load(fh)["status"]) == (0, [], "member")
+
+
+def test_certify_samples_a_cone_section_without_interior(tmp_path):
+    """L is the x2 axis in 3-D, a section no lattice direction lies on:
+    its two rays are sampled and -e2 refutes the orthant's minimum."""
+    doc = {"schema_version": 1, "dim_in": 3, "objective": {"expressions": ["x0", "x1", "x2"]},
+           "K": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+           "L": {"cone_section": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]},
+           "point": [0, 0, 0]}
+    code, err, _ = _run(["certify"], doc, str(tmp_path))
+    with open(tmp_path / "out" / "certify.report.json", encoding="utf-8") as fh:
+        report = json.load(fh)["report"]
+    assert (code, err, report["verdict"]) == (2, [], "refuted")
+    assert report["counterexample"]["x"] == [0.0, 0.0, -0.5]
 
 
 def test_parse_rejects_bad_schema_and_fields():

@@ -138,8 +138,8 @@ def test_evaluation_errors():
         ev("2 ^ 0.5")
     with pytest.raises(EvaluationError):
         ev("sqrt(-1)")
-    with pytest.raises(EvaluationError):
-        ev("x3", 1.0)
+    with pytest.raises(ExpressionError, match="^variable x3 out of range for dim 1$"):
+        ev("x3", 1.0)  # at compile time
 
 
 @pytest.mark.parametrize("text, xs, message", [

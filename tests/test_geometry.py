@@ -42,19 +42,6 @@ def test_halfspace_homogeneity():
         assert K.contains(v) == K.contains(lam * v)
 
 
-def test_interior_point_is_interior():
-    for K in (orthant(2), orthant(3),
-              HalfspaceCone.from_rows([[0.0, 1.0], [1.0, -1.0]])):
-        e = K.interior_point()
-        assert e is not None
-        assert K.contains(e, strict=True)
-
-
-def test_interior_point_none_for_flat_cone():
-    K = HalfspaceCone.from_rows([[1.0, 0.0], [-1.0, 0.0]])  # a hyperplane
-    assert K.interior_point() is None
-
-
 def test_generator_cone_membership():
     C = GeneratorCone.from_generators([[1.0, 0.0], [1.0, 1.0]])
     assert C.contains([2.0, 1.0])
@@ -179,7 +166,7 @@ def _tangent_rays():
 @pytest.mark.parametrize("build, fields, aliases", [
     (lambda: orthant(2), ["rows"], ["matrix"]),
     (lambda: GeneratorCone.from_generators([[1.0, 0.0], [1.0, 1.0]]),
-     ["generators", "units", ("sectors", bool)], ["units", "sectors"]),
+     ["generators", "units", "facets"], ["units", "facets"]),
     (lambda: DirectionSet.finite([[1.0, 0.0], [0.0, 1.0]]), ["vectors"], []),
     (lambda: DirectionSet.full_sphere(3), ["vectors"], []),
     (lambda: PolyhedralSet.from_rows([[1.0, 0.0], [0.0, 1.0]], [0.0, -1.0]),
@@ -212,24 +199,34 @@ def test_tangent_rays_are_an_array_of_surviving_rays():
     assert np.array_equal(tc.rays, [[1.0, 0.0]])  # (0, -1) leaves A
 
 
-def test_direction_samples_of_a_thin_section_fall_back_to_an_interior_point():
-    """No lattice direction lies in a wedge 2e-6 wide around (0.6, 0.8)."""
+def test_direction_samples_of_a_thin_section_fall_back_to_its_box_witnesses():
+    """No lattice direction lies in a wedge 2e-6 wide around (0.6, 0.8):
+    the witnesses of y0 >= 1 and y1 >= 1 stand in, two distinct unit
+    directions of the wedge."""
     t, w = np.arctan2(0.8, 0.6), 1e-6
     C = HalfspaceCone.from_rows([[-np.sin(t - w), np.cos(t - w)],
                                  [np.sin(t + w), -np.cos(t + w)]])
     assert not C.contains([1.0, 0.0])  # the lattice's first direction
     s = direction_samples(DirectionSet.cone_section(C), 8)
-    assert s.shape == (1, 2) and C.contains(s[0])
+    assert s.shape == (2, 2) and not np.array_equal(s[0], s[1])
+    assert C.contains_many(s).all()
     assert np.allclose(s, [[0.6, 0.8]], atol=1e-5)
 
 
-def test_direction_samples_of_a_ray_in_3d_raise():
+def test_direction_samples_of_a_ray_in_3d_sample_the_ray():
     u = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
     n1 = np.cross(u, [1.0, 0.0, 0.0])
     n2 = np.cross(u, n1)
     ray = DirectionSet.cone_section(HalfspaceCone.from_rows([n1, -n1, n2, -n2, u]))
-    with pytest.raises(GeometryError, match="no direction of the cone section"):
-        direction_samples(ray, 8)
+    s = direction_samples(ray, 8)
+    assert 1 <= len(s) <= 3 and np.allclose(s, u, atol=1e-12)
+
+
+def test_direction_samples_of_an_axis_in_3d_sample_both_its_rays():
+    """The x2 axis: the witnesses of y2 >= 1 and -y2 >= 1, in that order."""
+    axis = DirectionSet.cone_section(HalfspaceCone.from_rows(
+        [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]))
+    assert direction_samples(axis, 8).tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
 
 
 def test_direction_samples_of_finite_L_cannot_corrupt_it():

@@ -19,6 +19,7 @@ from dirpareto.expressions import (
     Bin,
     Call,
     EvaluationError,
+    ExpressionError,
     Neg,
     Num,
     Var,
@@ -247,7 +248,6 @@ EXPRESSION_CASES = [
     "abs(x0) * sqrt(x1)",
     "sin(x0 * 1e308 * 10)",
     "1 / (x0 * x1)",
-    "x2",
 ]
 CASE_POINTS = np.array([[0.0, 0.0], [-0.0, 1.0], [0.5, 0.5], [0.5, -2.0], [1.0, 0.0],
                         [-1.0, 2.0], [1e300, 1.0], [1e-300, 0.5], [-10.0, 0.0],
@@ -297,18 +297,30 @@ def test_libm_calls_on_many_points(text):
     (["x0^0", "1 / x0^1"], [[5.0], [0.0]], "division by zero"),
     (["x0^(x0 - 2)"], [[3.0], [-1.0], [0.0]], "zero raised to the negative power -2"),
     (["(x0 * 1e100)^x0"], [[1.0], [4.0]], "4e+100^4 overflows the float range"),
-    (["x1"], [[1.0]], "variable x1 out of range for dim 1"),
     (["sin(x0 * 1e308 * 10)"], [[0.0], [1.0], [2.0]], "sin(inf) is undefined"),
 ], ids=["division", "first-row-first-output", "first-row-second-output",
         "fractional-exponent", "zero-power", "overflow", "infinite-exponent",
         "reciprocal-of-zero", "negative-power-underflow", "seventh-power-overflow",
         "zeroth-and-first-power", "computed-zero-power", "computed-overflow",
-        "variable-range", "sin-of-inf"])
+        "sin-of-inf"])
 def test_eval_many_raises_the_first_raising_rows_error(texts, rows, message):
     f = from_expressions(texts, 1)
     _assert_parity(f, np.array(rows))
     with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
         f.eval_many(rows)
+
+
+@pytest.mark.parametrize("texts, message", [
+    (["x1"], "variable x1 out of range for dim 1"),
+    (["x0", "sin(x0) + x2"], "variable x2 out of range for dim 1"),
+    ([Bin("%", Num(1.0), Var(0))], "cannot evaluate node Bin(op='%', left=Num(value=1.0), "
+                                   "right=Var(index=0))"),
+], ids=["variable-range", "variable-range-second-output", "unknown-node"])
+def test_a_node_no_point_can_evaluate_is_a_compile_error(texts, message):
+    """A variable past dim_in, or a node the language lacks, fails when
+    the map is built, not at the first point evaluated."""
+    with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
+        from_expressions(texts, 1)
 
 
 def test_map_with_only_fn_loops_over_the_rows():

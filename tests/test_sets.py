@@ -65,6 +65,8 @@ def _sector_reference(C, v) -> bool:
     nrm = float(np.linalg.norm(v))
     if nrm <= TOL:
         return True
+    if C.dim == 1:
+        return bool(np.any(C.generators[:, 0] * v[0] > 0.0))
     v = v / nrm
     units = C.generators / np.linalg.norm(C.generators, axis=1, keepdims=True)
     perp = np.stack([-units[:, 1], units[:, 0]], axis=1)
@@ -140,6 +142,17 @@ SECTOR = [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 RAY = [[-1.0, 0.0]]
 PLANE = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
 GEN3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
+# a cone for each way the facet rows arise: both signs and one sign in
+# 1-D, all generators on one line, a half-plane, a sector just below pi
+# and a right angle
+GENERATOR_CONES = {
+    "generator-1d-both-signs": [[-3.0], [0.5]],
+    "generator-1d-one-sign": [[-0.5], [-4.0]],
+    "generator-line": [[1.0, 2.0], [-2.0, -4.0]],
+    "generator-half-plane": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+    "generator-below-pi": [[1.0, 0.0], [np.cos(np.pi - 1e-6), np.sin(np.pi - 1e-6)]],
+    "generator-right-angle": [[0.0, 2.0], [-3.0, 0.0]],
+}
 BALL = ImplicitSet(2, lambda x: float(np.linalg.norm(x)) <= 1.0, "ball")
 CURVE_HALF = curve_halfplane_set(256)
 INTER = IntersectionSet((closed_curve_region(256), STRIP))
@@ -154,6 +167,8 @@ ORACLES = {
     "generator-ray": (GeneratorCone.from_generators(RAY), _cone_points(RAY)),
     "generator-plane": (GeneratorCone.from_generators(PLANE), _cone_points(PLANE)),
     "generator-3d": (GeneratorCone.from_generators(GEN3), _cone_points(GEN3)),
+    **{name: (GeneratorCone.from_generators(gens), _cone_points(gens))
+       for name, gens in GENERATOR_CONES.items()},
     "polygon": (closed_curve_region(64), _polygon_points(closed_curve_region(64))),
     "polygon-stairs": (STAIRS, _polygon_points(STAIRS)),
     "polygon-cardioid": (CARDIOID, _polygon_points(CARDIOID)[:300] + CUSP),
@@ -169,6 +184,7 @@ REFERENCES = {
     "generator-sector": _sector_reference,
     "generator-ray": _sector_reference,
     "generator-plane": _sector_reference,
+    **dict.fromkeys(GENERATOR_CONES, _sector_reference),
     "polygon": _polygon_reference,
     "polygon-stairs": _polygon_reference,
     "polygon-cardioid": _polygon_reference,
@@ -226,6 +242,23 @@ def test_cone_contains_many_matches_one_point(L):
     if L.variant == "cone_section":
         X = np.concatenate([X, _hyperplane_points(L.section.rows)])
     assert cone_contains_many(L, X).tolist() == [cone_contains(L, x) for x in X]
+
+
+def test_near_parallel_generators_never_widen_the_sector_reference():
+    """Generator sets with two directions at most 1e-6 from one line, some
+    with a third generator: the facet rows accept no point the sector
+    rule of the reference rejects (they may reject a few it accepts)."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        a = rng.uniform(-np.pi, np.pi)
+        angles = [a, a + rng.choice([0.0, np.pi]) + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-13, -6)]
+        angles += list(rng.uniform(-np.pi, np.pi, rng.integers(0, 2)))
+        gens = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        C = GeneratorCone.from_generators(gens)
+        P = np.array(_cone_points(gens))
+        X = np.concatenate([P, -P, rng.standard_normal((20, 2))])
+        want = [_sector_reference(C, x) for x in X]
+        assert not (C.contains_many(X) & ~np.array(want)).any()
 
 
 def test_contains_many_rejects_bad_batches():

@@ -20,6 +20,7 @@ from dirpareto.geometry import (
     cone_contains,
     cone_contains_many,
     ray_points,
+    rescaled_rows,
     row_norms,
 )
 from dirpareto.problemfile import parse_direction_set, parse_set, read, vector
@@ -249,7 +250,7 @@ def _per_level_search(A, xbar, L, u, schedule):
     level builds and filters its own candidates, then asks A about all of
     them at once and keeps the first hit in candidate-major order."""
     xbar = np.asarray(xbar, dtype=float)
-    u = np.asarray(u, dtype=float)
+    u = rescaled_rows(np.asarray(u, dtype=float)[None])[0]
     if not A.contains(xbar):
         raise GeometryError("reference point is not feasible")
     if L is not None and not cone_contains(L, u):
