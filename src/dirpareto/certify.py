@@ -147,11 +147,11 @@ def _violations(D: np.ndarray, K: HalfspaceCone, weak: bool) -> np.ndarray:
 
     One product P = K.rows @ d per row serves both sides: negation is
     exact and rounding sign-symmetric, so the products of -d are -P and
-    this decides as ``K.contains_many`` on -D and D does."""
+    this decides as ``K.contains_many`` on -D, with tol 0, and D does."""
     P = row_products(K.rows, D)
     if weak:
         return np.all(P < -TOL, axis=1)  # d in -int K
-    return np.all(P <= TOL, axis=1) & np.any(P < -TOL, axis=1)  # d in -K \ K
+    return np.all(P <= 0, axis=1) & np.any(P < -TOL, axis=1)  # d in -K \ K
 
 
 def _walk(p: Problem, weak: bool) -> CertReport:

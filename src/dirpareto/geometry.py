@@ -364,7 +364,12 @@ def direction_samples(L: DirectionSet, count: int, seed: int = 0) -> np.ndarray:
             break
     if not len(found):
         # a section the lattice misses (a thin wedge, a ray or a line in
-        # 3-D): the distinct unit witnesses, in LP order
-        units = [w / np.linalg.norm(w) for w in _box_witnesses(cone)]
-        found = np.array(list(dict.fromkeys(map(tuple, units))))
+        # 3-D): the unit witnesses in LP order, each kept only farther than
+        # UNIT_TOL from every one kept before it
+        kept = []
+        for w in _box_witnesses(cone):
+            u = w / np.linalg.norm(w)
+            if all(np.linalg.norm(u - k) > UNIT_TOL for k in kept):
+                kept.append(u)
+        found = np.array(kept)
     return found[:count].copy()

@@ -47,21 +47,24 @@ def _cone_generators(L: DirectionSet) -> np.ndarray:
 
 def _stationarity_lp(p: Problem, e, jf, grads, nonneg: int, pinned=(),
                      extra: int = 0) -> LPProblem:
-    """LP for y* in K+ with y*(e) = 1 and multipliers such that the residual
-    y* o jf + sum mult_i grads_i is >= 0 on every generator of cone L (jf
-    is the Jacobian of f at p's point).  Variables: w (one per row of K,
+    """LP for y* in K+ with y*(e) = 1 (e strictly inside K), or weights and
+    multipliers summing to 1 when e is None, and multipliers such that the
+    residual y* o jf + sum mult_i grads_i is >= 0 on every generator of cone
+    L (jf: f's Jacobian at p's point).  Variables: w (one per row of K,
     >= 0; y* = K.rows^T w), one multiplier per row of ``grads`` (the first
     ``nonneg`` >= 0, the rest free, those indexed by ``pinned`` held at 0),
     then ``extra`` free ones for the caller's rows."""
     gens = _cone_generators(p.L)
-    e = as_vector(e)
-    if e.size != p.K.dim:
+    if e is not None and as_vector(e).size != p.K.dim:
         raise CertifyError("e lives in the wrong space")
+    if e is not None and not p.K.contains(e, strict=True):
+        raise CertifyError("e must be strictly interior to K")
     a_rows = p.K.rows
     nw, ng = len(a_rows), len(grads)
+    norm = np.ones(nw + ng) if e is None else np.append(a_rows @ as_vector(e), np.zeros(ng))
     lp = LPProblem(nw + ng + extra, nonneg=range(nw + nonneg))
     lp.add_eq(np.eye(lp.n)[nw + np.asarray(pinned, dtype=int)], 0.0)
-    lp.add_eq(np.append(a_rows @ e, np.zeros(ng + extra)), 1.0)  # y*(e) = 1
+    lp.add_eq(np.append(norm, np.zeros(extra)), 1.0)
     lp.add_ge(np.hstack([row_products(a_rows, row_products(jf, gens)),
                          row_products(grads, gens), np.zeros((len(gens), extra))]), 0.0)
     return lp
@@ -72,11 +75,9 @@ def fritz_john(p: Problem, g: SmoothMap | None = None,
     """Fritz John multipliers: y* in K+, z* in Q+, (y*, z*) != 0 with
     (y* o grad f + z* o grad g)(ell) >= 0 on every generator ell of
     cone L.  Returns (ystar, zstar) or None."""
-    gens = _cone_generators(p.L)
-    xbar = p.x0
-    jf = p.f.jacobian(xbar)
-    a_rows = p.K.rows                         # y* = A^T w, w >= 0
-    nw = a_rows.shape[0]
+    _cone_generators(p.L)  # named before any Jacobian is taken
+    jf = p.f.jacobian(p.x0)
+    q_rows, grads = np.zeros((0, 0)), np.zeros((0, p.f.dim_in))  # z* = Q.rows^T v, v >= 0
     if g is not None:
         if Q is None:
             raise CertifyError("constraint map g needs its cone Q")
@@ -84,21 +85,12 @@ def fritz_john(p: Problem, g: SmoothMap | None = None,
             raise CertifyError("constraint map g lives in the wrong space")
         if Q.dim != g.dim_out:
             raise CertifyError("cone Q lives in the wrong space")
-        jg, q_rows = g.jacobian(xbar), Q.rows
-    else:
-        jg, q_rows = np.zeros((0, len(xbar))), np.zeros((0, 0))
-    ns = q_rows.shape[0]
-    lp = LPProblem(nw + ns, nonneg=range(nw + ns))
-    # (y* o grad f + z* o grad g)(ell_k) >= 0
-    lp.add_ge(np.hstack([row_products(a_rows, row_products(jf, gens)),
-                         row_products(q_rows, row_products(jg, gens))]), 0.0)
-    lp.add_eq(np.ones(nw + ns), 1.0)          # excludes (y*, z*) = 0
-    w = lp_feasible(lp)
+        q_rows, grads = Q.rows, Q.rows @ g.jacobian(p.x0)
+    w = lp_feasible(_stationarity_lp(p, None, jf, grads, len(grads)))
     if w is None:
         return None
-    ystar = a_rows.T @ w[:nw]
-    zstar = q_rows.T @ w[nw:]
-    return tuple(ystar), tuple(zstar)
+    y, v = np.split(w, [len(p.K.rows)])
+    return tuple(p.K.rows.T @ y), tuple(q_rows.T @ v)
 
 
 def kkt_multipliers(p: Problem, e) -> MultiplierCert | None:
@@ -117,10 +109,8 @@ def kkt_multipliers(p: Problem, e) -> MultiplierCert | None:
     grads = np.array([g.jacobian(xbar)[0] for g in (*con.mu, *con.nu)]).reshape(-1, len(xbar))
     # lambda >= 0, tau free, and complementarity: lambda_i = 0 off the
     # active constraints
-    lp = _stationarity_lp(p, e, jf, grads, nmu, pinned=np.flatnonzero(np.logical_not(active)))
-    if not p.K.contains(e, strict=True):
-        raise CertifyError("e must be strictly interior to K")
-    v = lp_feasible(lp)
+    v = lp_feasible(_stationarity_lp(p, e, jf, grads, nmu,
+                                     pinned=np.flatnonzero(np.logical_not(active))))
     if v is None:
         return None
     w, lam, tau = v[:nw], v[nw:nw + nmu], v[nw + nmu:]

@@ -6,6 +6,8 @@ per-module suites.
 """
 
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -281,3 +283,22 @@ def test_criterion_8_gallery_determinism():
     second = snapshot()
     for name in gallery_names():
         assert first[name].encode() == second[name].encode(), name
+
+
+def test_readme_quick_start_runs_as_printed(capsys):
+    """README's first python block prints ``certified_on_grid``; with 128
+    directions around the circle in place of L, the certifier refutes on
+    the first direction past the diagonal, as the next sentence says."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    scope = {}
+    exec(code, scope)
+    assert capsys.readouterr().out == "certified_on_grid\n"
+    angles = 2.0 * np.pi * np.arange(128) / 128
+    circle = DirectionSet.finite(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    p = Problem(scope["p"].f, scope["K"], circle, (0.0, 0.0))
+    rep = certify_directional_min(p)
+    x = np.array(rep.counterexample[0])
+    assert rep.verdict == "refuted"
+    assert np.allclose(x / np.linalg.norm(x), circle.vectors[17], atol=1e-15)
+    assert x[1] ** 2 > x[0] ** 2

@@ -389,6 +389,17 @@ def test_an_overflowing_reference_value_is_named_whatever_the_warnings_filter(ac
             certify_directional_min(p)
 
 
+def test_a_strong_refutation_needs_d_in_minus_K_exactly():
+    """f = (-x, x^4) along L = {+1}: d = (-t, t^4) has d_2 > 0 for every
+    t > 0, so no sample is in -K.  With a slack of TOL on d in -K, the
+    sample x = 2^-8 with d = (-2^-8, 2^-32) refuted."""
+    f = from_expressions(["-x0", "x0^4"], 1)
+    rep = certify_directional_min(Problem(f, R2_PLUS, L_PLUS, (0.0,)))
+    assert (rep.verdict, rep.samples) == ("certified_on_grid", 21)
+    assert not _violations(np.array([[-2.0 ** -8, 2.0 ** -32]]), R2_PLUS, weak=False)[0]
+    assert _violations(np.array([[-2.0 ** -8, 0.0]]), R2_PLUS, weak=False)[0]
+
+
 # entries of K rows and differences d: zeros of both signs, products
 # exactly at +-TOL (with unit rows), huge entries whose products overflow
 # (and sum to nan), subnormal entries, and plain floats
@@ -413,8 +424,8 @@ _ENTRY = st.one_of(
 @example(([[1e300, -1e300]], [[1e300, 1e300], [-1e300, -1e300], [1e300, -1e300]]), False)
 def test_one_product_violations_match_the_two_membership_tests(case, weak):
     """_violations decides bit for bit as the two-call form
-    K.contains_many(-D) & ~K.contains_many(D) (strong) and
-    K.contains_many(-D, strict=True) (weak)."""
+    K.contains_many(-D, tol=0.0) & ~K.contains_many(D) (strong: d in -K
+    with no slack) and K.contains_many(-D, strict=True) (weak)."""
     rows, D = case
     with np.errstate(all="ignore"):
         try:
@@ -424,7 +435,7 @@ def test_one_product_violations_match_the_two_membership_tests(case, weak):
         D = np.reshape(np.array(D, dtype=float), (-1, K.dim))
         got = _violations(D, K, weak)
         want = (K.contains_many(-D, strict=True) if weak
-                else K.contains_many(-D) & ~K.contains_many(D))
+                else K.contains_many(-D, tol=0.0) & ~K.contains_many(D))
     assert got.dtype == want.dtype and got.shape == want.shape == (len(D),)
     assert np.array_equal(got, want)
 

@@ -90,6 +90,12 @@ def _golden_problem(name):
 
 
 PENALIZED_VECTOR_DOC = _golden_problem("penalized-vector-mode")
+# e = (1, 0) lies on the boundary of K = R2+: y* = (0, 1) gives y*(e) = 0,
+# so an LP normalised by y*(e) = 1 would miss it and answer none
+BOUNDARY_E_DOC = {"schema_version": 1, "dim_in": 2, "objective": {"expressions": ["x0", "x1^2"]},
+                  "K": [[1, 0], [0, 1]], "L": {"finite": [[1, 0], [-1, 0]]}, "point": [0, 0],
+                  "A": {"polyhedron": {"rows": [[1, 0]], "offsets": [-5]}},
+                  "vector_mode": {"e": [1, 0], "ell": 10}}
 # documents that each print one pinned error line: (argv, doc, line)
 ERROR_LINES = {
     "objective-superscript-digit": (
@@ -112,6 +118,14 @@ ERROR_LINES = {
     "penalized-negative-ell": (
         ["penalized"], dict(PENALIZED_VECTOR_DOC, vector_mode={"e": [1, 1], "ell": -1}),
         "error: vector mode bound ell must be nonnegative, got -1.0"),
+    "penalized-e-on-the-boundary-of-K": (
+        ["penalized"], BOUNDARY_E_DOC, "error: e must be strictly interior to K"),
+    "objective-sqrt-of-a-negative-number": (
+        ["certify"], dict(SADDLE_DOC, objective={"expressions": ["sqrt(x0 - 1)"]}),
+        "error: sqrt of a negative number"),
+    "objective-division-by-zero": (
+        ["certify"], dict(SADDLE_DOC, objective={"expressions": ["1/x0"]}),
+        "error: division by zero"),
     "penalized-negative-tiny-ell": (
         ["penalized"], dict(PENALIZED_VECTOR_DOC, vector_mode={"e": [1, 1], "ell": -1e-12}),
         "error: vector mode bound ell must be nonnegative, got -1e-12"),

@@ -12,7 +12,7 @@ from dirpareto.geometry import (
     rescaled_rows,
     sphere_lattice,
 )
-from dirpareto.certify import openness_falsifier
+from dirpareto.certify import GridSpec, Problem, certify_directional_min, openness_falsifier
 from dirpareto.maps import identity
 from dirpareto.mintime import Target, calmness_ratio, minimal_time, subregularity_ratio
 from dirpareto.scalarize import ScalarizationContext
@@ -213,13 +213,34 @@ def test_direction_samples_of_a_thin_section_fall_back_to_its_box_witnesses():
     assert np.allclose(s, [[0.6, 0.8]], atol=1e-5)
 
 
-def test_direction_samples_of_a_ray_in_3d_sample_the_ray():
+def _ray_sections(count):
+    """H-representations of the ray along u = (1, 2, 3)/sqrt(14): one by
+    cross products, then ``count`` seeded ones of two random normals of the
+    ray with both signs and a positive multiple of the ray."""
     u = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
     n1 = np.cross(u, [1.0, 0.0, 0.0])
     n2 = np.cross(u, n1)
-    ray = DirectionSet.cone_section(HalfspaceCone.from_rows([n1, -n1, n2, -n2, u]))
-    s = direction_samples(ray, 8)
-    assert 1 <= len(s) <= 3 and np.allclose(s, u, atol=1e-12)
+    yield u, HalfspaceCone.from_rows([n1, -n1, n2, -n2, u])
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        n1, n2 = (v - (v @ u) * u for v in rng.normal(size=(2, 3)))
+        yield u, HalfspaceCone.from_rows([n1, -n1, n2, -n2, rng.uniform(0.1, 10.0) * u])
+
+
+def test_direction_samples_of_a_ray_in_3d_sample_the_ray():
+    """Once, whatever its rows: its box witnesses normalise to rows that
+    agree only to round-off, and they count as one direction."""
+    for i, (u, C) in enumerate(_ray_sections(100)):
+        s = direction_samples(DirectionSet.cone_section(C), 8)
+        assert len(s) == 1 and np.allclose(s, u, atol=1e-12), i
+
+
+def test_certify_on_a_ray_walks_it_once():
+    u, C = next(_ray_sections(0))
+    p = Problem(identity(3), orthant(3), DirectionSet.cone_section(C), (0.0, 0.0, 0.0),
+                GridSpec(levels=5))
+    rep = certify_directional_min(p)
+    assert (rep.verdict, rep.samples) == ("certified_on_grid", 5)
 
 
 def test_direction_samples_of_an_axis_in_3d_sample_both_its_rays():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dirpareto.multipliers as multipliers
 from dirpareto.certify import CertifyError, IneqEq, Problem
 from dirpareto.geometry import DirectionSet, HalfspaceCone
 from dirpareto.lp import LPProblem, lp_feasible
@@ -87,6 +88,37 @@ def test_fritz_john_needs_finite_L():
                 DirectionSet.full_sphere(1), (0.0,))
     with pytest.raises(CertifyError):
         fritz_john(p)
+
+
+def test_fritz_john_names_a_non_finite_L_before_a_malformed_g():
+    p = Problem(builtin("saddle_x2_y2"), R_PLUS,
+                DirectionSet.cone_section(R2_PLUS), (0.0, 0.0))
+    with pytest.raises(CertifyError, match="^cone L must come with a finite generator list$"):
+        fritz_john(p, g=builtin("identity_1"), Q=R_PLUS)
+
+
+@pytest.mark.parametrize("with_g", [False, True])
+def test_fritz_john_solves_the_one_stationarity_lp(monkeypatch, with_g):
+    """Fritz John's LP is the shared builder's, normalised by weights and
+    multipliers summing to 1, and it is the LP that is solved."""
+    built, solved, stationarity_lp = [], [], multipliers._stationarity_lp
+
+    def build(*args, **kwargs):
+        built.append(stationarity_lp(*args, **kwargs))
+        return built[-1]
+
+    def feasible(lp):
+        solved.append(lp)
+        return lp_feasible(lp)
+    monkeypatch.setattr(multipliers, "_stationarity_lp", build)
+    monkeypatch.setattr(multipliers, "lp_feasible", feasible)
+    g = SmoothMap("g", 1, 1, lambda x: -x, lambda x: np.array([[-1.0]]))
+    p = Problem(IDENT, R_PLUS, L_MINUS, (0.0,))
+    out = fritz_john(p, g=g, Q=R_PLUS) if with_g else fritz_john(p)
+    assert (out is not None) == with_g
+    assert len(built) == 1 and solved == built
+    (norm, rhs), = built[0].a_eq
+    assert rhs == 1.0 and norm.tolist() == [1.0] * (1 + with_g)
 
 
 def test_fritz_john_refuted_vector_example_none():
@@ -329,6 +361,18 @@ def test_penalized_vector_mode_rejects_a_negative_bound(ell):
     reason, not a refutation."""
     with pytest.raises(CertifyError, match="^vector mode bound ell must be nonnegative, got "):
         _orthant_vector_mode(ell)
+
+
+def test_penalized_vector_mode_rejects_e_on_the_boundary_of_K():
+    """e = (1, 0) on the boundary of R2+ would exclude y* = (0, 1)."""
+    f = from_expressions(["x0", "x1^2"], 2)
+    A = PolyhedralSet.from_rows([[1.0, 0.0]], [-5.0])
+    L = DirectionSet.finite([[1.0, 0.0], [-1.0, 0.0]])
+    vm = {"e": [1.0, 0.0], "ell": 10.0, "K": R2_PLUS}
+    with pytest.raises(CertifyError, match="^e must be strictly interior to K$"):
+        stationarity_penalized(f, A, [0.0, 0.0], L, vm)
+    out = stationarity_penalized(f, A, [0.0, 0.0], L, dict(vm, e=[1.0, 1.0]))
+    assert out is not None and np.allclose(out["ystar"], [0.0, 1.0])
 
 
 def test_penalized_vector_mode_zero_bound_is_a_question():
